@@ -77,7 +77,6 @@ from .harness import (
     VerificationReport,
     WORKERS_ENV,
     claim_catalog,
-    enumerate_labeled_graphs,
     iter_labeled_graphs,
     verify_claim,
     verify_claims,

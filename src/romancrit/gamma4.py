@@ -251,7 +251,11 @@ def local8_conditions(g: Graph) -> tuple[bool, bool, bool]:
 
     With roles {v2,v3,v4}, {v5,v6,v7}, {v5,v6} symmetric, tuples reduce to
     combinations:
-      a: some v1 has three mutual non-neighbors v2, v3, v4;
+      a: some v1 has three non-neighbors v2, v3, v4, with no condition on
+         the adjacency among v2, v3, v4 (requiring them pairwise
+         non-adjacent gives a different condition, e.g. on HNiZeV]; only
+         the paper's abstract is at hand, so which reading it intends is
+         unsettled);
       b: whenever v1 has non-neighbors v2, v3, v4, every choice of distinct
          v5..v8 leaves v8 with at least 5 neighbors among v1..v7;
       c: in the same situation v1 is adjacent to at most one of v5, v6.

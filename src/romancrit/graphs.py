@@ -298,11 +298,6 @@ def gen_family(tag: str, n: int | None = None) -> Graph:
     return _FAMILIES[key](n)
 
 
-def labeled_graphs_edge_order(n: int) -> list[tuple[int, int]]:
-    """Canonical pair order used by the labeled-graph enumerator's bitmask."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Apply a permutation: vertex v of g becomes perm[v] of the result."""
     if sorted(perm) != list(range(g.n)):

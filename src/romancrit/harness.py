@@ -5,6 +5,11 @@ scans a source of graphs, counts the ones satisfying the hypothesis, and
 collects a counterexample entry for every check diagnostic. Guard errors
 raised while evaluating a graph become counterexample entries too: the
 harness never silently skips a graph it was asked to verify.
+
+An enumeration source evaluates one graph per isomorphism class and counts
+it once per labeled copy; the copies themselves are checked only where the
+representative reports, raises, or reads labels, so the reports equal those
+of a scan over every labeled graph.
 """
 
 from __future__ import annotations
@@ -13,7 +18,10 @@ import json
 import multiprocessing
 import os
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import permutations
+from operator import or_
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
@@ -73,8 +81,8 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def iter_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs of order n, ascending edge bitmask."""
+def _labeled_count(n: int, allow_large: bool) -> int:
+    """2^C(n,2), the number of labeled graphs of order n, behind the guard."""
     if n < 0:
         raise InvalidOrder(f"order must be >= 0, got {n}")
     if n > ENUMERATION_MAX_ORDER and not allow_large:
@@ -82,20 +90,84 @@ def iter_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
             f"enumeration guarded at order {ENUMERATION_MAX_ORDER}; "
             f"pass allow_large to override"
         )
-    total = 1 << (n * (n - 1) // 2)
-    for mask in range(total):
+    return 1 << (n * (n - 1) // 2)
+
+
+def iter_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+    """All 2^C(n,2) labeled graphs of order n, ascending edge bitmask."""
+    for mask in range(_labeled_count(n, allow_large)):
         yield graph_from_edge_mask(n, mask)
 
 
-def enumerate_labeled_graphs(
-    n: int, consumer: Callable[[Graph], None], allow_large: bool = False
-) -> int:
-    """Feed every labeled graph of order n to consumer; return the count."""
-    count = 0
-    for g in iter_labeled_graphs(n, allow_large):
-        consumer(g)
-        count += 1
-    return count
+_CHUNK = 5
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+class EdgePermutations:
+    """Images of order-n edge masks under every vertex permutation.
+
+    A mask is cut into 5-bit chunks. For each chunk position and chunk value
+    one array holds, per permutation, the image of those edge bits, so the
+    image of a whole mask under every permutation is the OR of one array per
+    chunk. Order 7 takes 130 arrays of 5040 entries (2.6 MB).
+    """
+
+    __slots__ = ("n", "_chunks")
+
+    def __init__(self, n: int):
+        self.n = n
+        pairs = _edge_pairs(n)
+        bit = [[0] * n for _ in range(n)]
+        for i, (u, v) in enumerate(pairs):
+            bit[u][v] = bit[v][u] = 1 << i
+        perms = list(permutations(range(n)))
+        code = "I" if len(pairs) <= 32 else "Q"
+        # bit_images[i][p]: the edge bit that edge i becomes under perm p
+        bit_images = [
+            array(code, [bit[p[u]][p[v]] for p in perms]) for u, v in pairs
+        ]
+        zero = array(code, [0]) * len(perms)
+        self._chunks = []
+        # orders 0 and 1 get one empty chunk, whose only column is zero
+        for shift in range(0, max(len(pairs), 1), _CHUNK):
+            bits = bit_images[shift : shift + _CHUNK]
+            cols = [zero]
+            for value in range(1, 1 << len(bits)):
+                low = value & -value
+                cols.append(
+                    array(code, map(or_, cols[value ^ low], bits[low.bit_length() - 1]))
+                )
+            self._chunks.append((shift, cols))
+
+    def orbit(self, mask: int) -> set[int]:
+        """Edge masks of every relabeling of the graph with this mask."""
+        (_, first), *rest = self._chunks
+        images = first[mask & _CHUNK_MASK]
+        for shift, cols in rest:
+            images = map(or_, images, cols[mask >> shift & _CHUNK_MASK])
+        return set(images)
+
+
+def isomorphism_classes(
+    n: int, allow_large: bool = False
+) -> tuple[EdgePermutations, list[tuple[int, int]]]:
+    """One (representative, class size) pair per isomorphism class of order n.
+
+    Masks are walked in ascending order; each one not yet seen is the smallest
+    mask of its class and marks its orbit seen. The class sizes n!/|Aut| sum
+    to 2^C(n,2). The seen-map takes one byte per labeled graph.
+    """
+    seen = bytearray(_labeled_count(n, allow_large))
+    perms = EdgePermutations(n)
+    classes = []
+    rep = 0
+    while rep >= 0:
+        orbit = perms.orbit(rep)
+        for mask in orbit:
+            seen[mask] = 1
+        classes.append((rep, len(orbit)))
+        rep = seen.find(0, rep + 1)
+    return perms, classes
 
 
 class Facts:
@@ -156,6 +228,10 @@ class Claim:
     description: str
     hypothesis: Callable[[Facts], bool]
     check: Callable[[Facts], list[str]]
+    # When this returns True on a graph inside the hypothesis, the check's
+    # outcome may depend on the vertex labels, not only on the isomorphism
+    # class, so an enumeration scan runs it on every labeled copy.
+    reads_labels: Callable[[Facts], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -515,6 +591,8 @@ _CLAIM_LIST = [
         "witness from a lands back in {x, b}.",
         _hyp_gamma4,
         _chk_carac_lemma,
+        # the chase follows only each vertex's smallest witness pair
+        reads_labels=lambda f: f.v_critical,
     ),
     Claim(
         "carac2-theorem",
@@ -621,11 +699,9 @@ def _source_label(source: Source) -> str:
     raise ValueError(f"unknown source kind {kind!r}")
 
 
-def _iter_source(source: Source, allow_large: bool) -> Iterator[Graph]:
+def _iter_source(source: Source) -> Iterator[Graph]:
     kind = source[0]
-    if kind == "enumerate":
-        yield from iter_labeled_graphs(source[1], allow_large)
-    elif kind == "file":
+    if kind == "file":
         with open(source[1], "r", encoding="ascii") as fh:
             for line in fh:
                 if line.strip():
@@ -670,13 +746,68 @@ def _scan_one(claims: list[Claim], f: Facts, acc: dict[str, list]) -> None:
             entry[1].extend((g6, d) for d in diags)
 
 
-def _scan_block(args: tuple) -> tuple[int, dict[str, list]]:
-    claim_ids, n, lo, hi = args
+def _scan_classes(args: tuple) -> dict[str, list]:
+    """Evaluate each claim once per class and weight it by the class size.
+
+    A class whose check reports, whose hypothesis or check raises a guard
+    error, or whose claim reads labels is expanded: every labeled copy, in
+    ascending mask order, goes through ``_scan_one`` for those claims, so
+    its counterexamples are exactly the labeled scan's.
+    """
+    claim_ids, perms, classes = args
+    n = perms.n
     claims = [CLAIMS[c] for c in claim_ids]
     acc: dict[str, list] = {c.id: [0, []] for c in claims}
-    for mask in range(lo, hi):
-        _scan_one(claims, Facts(graph_from_edge_mask(n, mask)), acc)
-    return hi - lo, acc
+    for rep, size in classes:
+        f = Facts(graph_from_edge_mask(n, rep))
+        expand = []
+        for claim in claims:
+            try:
+                if not claim.hypothesis(f):
+                    continue
+                if (
+                    claim.reads_labels is not None and claim.reads_labels(f)
+                ) or claim.check(f):
+                    expand.append(claim)
+                    continue
+            except RomanCritError:
+                expand.append(claim)
+                continue
+            acc[claim.id][0] += size
+        if not expand:
+            continue
+        for mask in sorted(perms.orbit(rep)):
+            copy = Facts(graph_from_edge_mask(n, mask))
+            # isomorphism invariants carry over; partitions are labeled
+            copy._gamma, copy._vcrit, copy._ecrit, copy._sat = (
+                f._gamma, f._vcrit, f._ecrit, f._sat
+            )
+            _scan_one(expand, copy, acc)
+    return acc
+
+
+def _scan_enumeration(
+    claims: list[Claim], n: int, nworkers: int, allow_large: bool
+) -> tuple[int, dict[str, list]]:
+    """Scan every labeled graph of order n through one graph per class.
+
+    The class sweep runs here; with several workers the pool evaluates
+    interleaved blocks of classes.
+    """
+    perms, classes = isomorphism_classes(n, allow_large)
+    ids = [c.id for c in claims]
+    if nworkers == 1:
+        acc = _scan_classes((ids, perms, classes))
+    else:
+        acc = {cid: [0, []] for cid in ids}
+        nblocks = min(len(classes), nworkers * 4)
+        blocks = [(ids, perms, classes[i::nblocks]) for i in range(nblocks)]
+        with multiprocessing.Pool(processes=nworkers) as pool:
+            for part_acc in pool.imap(_scan_classes, blocks):
+                for cid, (in_hyp, cex) in part_acc.items():
+                    acc[cid][0] += in_hyp
+                    acc[cid][1].extend(cex)
+    return sum(size for _, size in classes), acc
 
 
 def resolve_worker_count(workers: int | None = None) -> int:
@@ -711,34 +842,12 @@ def verify_claims(
     nworkers = resolve_worker_count(workers)
     label = _source_label(source)
     start = time.monotonic()
-    acc: dict[str, list] = {c.id: [0, []] for c in claims}
-    scanned = 0
-
-    parallel = source[0] == "enumerate" and nworkers > 1
-    if parallel:
-        n = source[1]
-        if n < 0:
-            raise InvalidOrder(f"order must be >= 0, got {n}")
-        if n > ENUMERATION_MAX_ORDER and not allow_large:
-            raise TooLarge(
-                f"enumeration guarded at order {ENUMERATION_MAX_ORDER}; "
-                f"pass allow_large to override"
-            )
-        total = 1 << (n * (n - 1) // 2)
-        nblocks = min(total, nworkers * 4)
-        step = (total + nblocks - 1) // nblocks
-        ids = [c.id for c in claims]
-        blocks = [
-            (ids, n, lo, min(lo + step, total)) for lo in range(0, total, step)
-        ]
-        with multiprocessing.Pool(processes=nworkers) as pool:
-            for part_scanned, part_acc in pool.imap(_scan_block, blocks):
-                scanned += part_scanned
-                for cid, (in_hyp, cex) in part_acc.items():
-                    acc[cid][0] += in_hyp
-                    acc[cid][1].extend(cex)
+    if source[0] == "enumerate":
+        scanned, acc = _scan_enumeration(claims, source[1], nworkers, allow_large)
     else:
-        for g in _iter_source(source, allow_large):
+        acc = {c.id: [0, []] for c in claims}
+        scanned = 0
+        for g in _iter_source(source):
             _scan_one(claims, Facts(g), acc)
             scanned += 1
 

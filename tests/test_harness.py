@@ -1,26 +1,34 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from romancrit import (
     CLAIMS,
+    Claim,
     Counterexample,
     Graph,
     InvalidOrder,
+    PreconditionViolated,
+    RomanCritError,
     TooLarge,
     UnknownClaim,
     claim_catalog,
-    emit_graph6,
-    enumerate_labeled_graphs,
     gen_family,
     graph_new,
     parse_graph6,
+    relabel,
     verify_claim,
     verify_claims,
 )
-from romancrit.harness import Facts, graph_from_edge_mask, iter_labeled_graphs
+from romancrit.harness import (
+    Facts,
+    graph_from_edge_mask,
+    isomorphism_classes,
+    iter_labeled_graphs,
+)
 
 ALL_CLAIM_IDS = (
     "cycle-criticality",
@@ -85,19 +93,15 @@ def test_labeled_graph_counts():
         assert sum(1 for _ in iter_labeled_graphs(n)) == count
 
 
-def test_enumerate_labeled_graphs_consumer():
-    seen = []
-    total = enumerate_labeled_graphs(3, seen.append)
-    assert total == 8
-    assert len(seen) == 8
-    assert len({emit_graph6(g) for g in seen}) == 8
-
-
 def test_enumeration_guards():
     with pytest.raises(TooLarge):
         next(iter_labeled_graphs(8))
     with pytest.raises(InvalidOrder):
         next(iter_labeled_graphs(-1))
+    with pytest.raises(TooLarge):
+        isomorphism_classes(8)
+    with pytest.raises(InvalidOrder):
+        isomorphism_classes(-1)
     # the override exists for deliberate long runs
     first = next(iter_labeled_graphs(8, allow_large=True))
     assert first.n == 8 and first.edge_count() == 0
@@ -111,6 +115,133 @@ def test_graph_from_edge_mask_round_trip():
         g = graph_from_edge_mask(n, mask)
         assert g.n == n
         assert g.edge_count() == mask.bit_count()
+
+
+def _edge_mask(g: Graph) -> int:
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return sum(1 << i for i, (u, v) in enumerate(pairs) if g.adjacent(u, v))
+
+
+def test_isomorphism_class_counts():
+    # OEIS A000088
+    for n, count in enumerate((1, 1, 2, 4, 11, 34, 156, 1044)):
+        _, classes = isomorphism_classes(n)
+        assert len(classes) == count
+        assert sum(size for _, size in classes) == 1 << (n * (n - 1) // 2)
+        assert [rep for rep, _ in classes] == sorted(rep for rep, _ in classes)
+
+
+def test_orbits_partition_the_labeled_graphs():
+    for n in range(6):
+        perms, classes = isomorphism_classes(n)
+        owner = {}
+        for rep, size in classes:
+            orbit = perms.orbit(rep)
+            assert len(orbit) == size
+            assert min(orbit) == rep
+            for mask in orbit:
+                assert mask not in owner
+                owner[mask] = rep
+        assert sorted(owner) == list(range(1 << (n * (n - 1) // 2)))
+
+
+def test_orbits_are_the_relabelings():
+    for n in range(6):
+        perms, classes = isomorphism_classes(n)
+        all_perms = list(itertools.permutations(range(n)))
+        for rep, _ in classes:
+            g = graph_from_edge_mask(n, rep)
+            assert _edge_mask(g) == rep
+            expected = {_edge_mask(relabel(g, list(p))) for p in all_perms}
+            assert perms.orbit(rep) == expected
+
+
+def _outcome(claim: Claim, f: Facts):
+    """(hypothesis verdict, check reports) or "raises", as the scan sees it."""
+    try:
+        if not claim.hypothesis(f):
+            return (False, None)
+        if claim.reads_labels is not None and claim.reads_labels(f):
+            return (True, "reads labels")
+        return (True, bool(claim.check(f)))
+    except RomanCritError:
+        return "raises"
+
+
+def test_claim_outcomes_are_isomorphism_invariant():
+    # what the class scan relies on: outside the graphs a claim declares
+    # label-reading, one labeled copy decides for its whole class
+    for n in range(6):
+        perms, classes = isomorphism_classes(n)
+        for rep, _ in classes:
+            outcomes = {
+                tuple(
+                    _outcome(c, Facts(graph_from_edge_mask(n, mask)))
+                    for c in CLAIMS.values()
+                )
+                for mask in perms.orbit(rep)
+            }
+            assert len(outcomes) == 1, (n, rep, outcomes)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_class_scan_matches_labeled_scan(n):
+    by_class = verify_claims(ALL_CLAIM_IDS, ("enumerate", n), workers=1)
+    labeled = verify_claims(
+        ALL_CLAIM_IDS, ("graphs", tuple(iter_labeled_graphs(n))), workers=1
+    )
+    for a, b in zip(by_class, labeled):
+        da, db = a.to_json_dict(), b.to_json_dict()
+        assert da.pop("source") == f"enumerate({n})"
+        assert db.pop("source") == f"graphs:{1 << (n * (n - 1) // 2)}"
+        assert da == db
+
+
+def _raise_at_two_edges(f: Facts) -> bool:
+    if f.g.edge_count() == 2:
+        raise PreconditionViolated("two edges")
+    return True
+
+
+def _raise_at_three_edges(f: Facts) -> list[str]:
+    if f.g.edge_count() == 3:
+        raise PreconditionViolated("three edges")
+    return []
+
+
+def _vertex0_isolated(f: Facts) -> list[str]:
+    return ["vertex 0 isolated"] if f.g.adj[0] == 0 else []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch, workers):
+    test_claims = (
+        Claim("t-hyp-raises", "", _raise_at_two_edges, lambda f: []),
+        Claim("t-check-raises", "", lambda f: True, _raise_at_three_edges),
+        Claim(
+            "t-reads-labels",
+            "",
+            lambda f: True,
+            _vertex0_isolated,
+            reads_labels=lambda f: 0 in f.g.degrees(),
+        ),
+        Claim("t-undeclared", "", lambda f: True, _vertex0_isolated),
+    )
+    for claim in test_claims:
+        monkeypatch.setitem(CLAIMS, claim.id, claim)
+    ids = [c.id for c in test_claims]
+    by_class = verify_claims(ids, ("enumerate", 4), workers=workers)
+    labeled = verify_claims(ids, ("graphs", tuple(iter_labeled_graphs(4))))
+    for a, b in zip(by_class[:3], labeled):
+        assert a.graphs_in_hypothesis == b.graphs_in_hypothesis
+        assert a.counterexamples == b.counterexamples
+    hyp_raises, check_raises, reads_labels, undeclared = by_class
+    assert len(hyp_raises.counterexamples) == 15  # C(6,2) two-edge graphs
+    assert len(check_raises.counterexamples) == 20  # C(6,3) three-edge graphs
+    assert len(reads_labels.counterexamples) == 8  # 2^C(3,2) graphs on 1..3
+    # undeclared, only the edgeless class is caught: every other class's
+    # smallest mask puts an edge on vertex 0
+    assert len(undeclared.counterexamples) == 1
 
 
 # -- facts cache -------------------------------------------------------------
