@@ -15,7 +15,6 @@ of a scan over every labeled graph.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from array import array
@@ -54,6 +53,9 @@ from .gamma4 import (
 )
 
 ENUMERATION_MAX_ORDER = 7
+# The class sweep's seen-map takes one byte per labeled graph: 256 MiB at
+# order 8, 64 GiB at order 9, so allow_large stops at 8.
+CLASS_SWEEP_MAX_ORDER = 8
 WORKERS_ENV = "ROMANCRIT_WORKERS"
 
 _EDGE_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -155,9 +157,16 @@ def isomorphism_classes(
 
     Masks are walked in ascending order; each one not yet seen is the smallest
     mask of its class and marks its orbit seen. The class sizes n!/|Aut| sum
-    to 2^C(n,2). The seen-map takes one byte per labeled graph.
+    to 2^C(n,2). The seen-map takes one byte per labeled graph, so orders
+    above ``CLASS_SWEEP_MAX_ORDER`` are refused even under allow_large.
     """
-    seen = bytearray(_labeled_count(n, allow_large))
+    count = _labeled_count(n, allow_large)
+    if n > CLASS_SWEEP_MAX_ORDER:
+        raise TooLarge(
+            f"the class sweep stops at order {CLASS_SWEEP_MAX_ORDER}: its "
+            f"seen-map would take 2^{n * (n - 1) // 2} bytes"
+        )
+    seen = bytearray(count)
     perms = EdgePermutations(n)
     classes = []
     rep = 0
@@ -746,7 +755,9 @@ def _scan_one(claims: list[Claim], f: Facts, acc: dict[str, list]) -> None:
             entry[1].extend((g6, d) for d in diags)
 
 
-def _scan_classes(args: tuple) -> dict[str, list]:
+def _scan_classes(
+    claims: list[Claim], perms: EdgePermutations, classes: list[tuple[int, int]]
+) -> dict[str, list]:
     """Evaluate each claim once per class and weight it by the class size.
 
     A class whose check reports, whose hypothesis or check raises a guard
@@ -754,9 +765,7 @@ def _scan_classes(args: tuple) -> dict[str, list]:
     ascending mask order, goes through ``_scan_one`` for those claims, so
     its counterexamples are exactly the labeled scan's.
     """
-    claim_ids, perms, classes = args
     n = perms.n
-    claims = [CLAIMS[c] for c in claim_ids]
     acc: dict[str, list] = {c.id: [0, []] for c in claims}
     for rep, size in classes:
         f = Facts(graph_from_edge_mask(n, rep))
@@ -786,30 +795,6 @@ def _scan_classes(args: tuple) -> dict[str, list]:
     return acc
 
 
-def _scan_enumeration(
-    claims: list[Claim], n: int, nworkers: int, allow_large: bool
-) -> tuple[int, dict[str, list]]:
-    """Scan every labeled graph of order n through one graph per class.
-
-    The class sweep runs here; with several workers the pool evaluates
-    interleaved blocks of classes.
-    """
-    perms, classes = isomorphism_classes(n, allow_large)
-    ids = [c.id for c in claims]
-    if nworkers == 1:
-        acc = _scan_classes((ids, perms, classes))
-    else:
-        acc = {cid: [0, []] for cid in ids}
-        nblocks = min(len(classes), nworkers * 4)
-        blocks = [(ids, perms, classes[i::nblocks]) for i in range(nblocks)]
-        with multiprocessing.Pool(processes=nworkers) as pool:
-            for part_acc in pool.imap(_scan_classes, blocks):
-                for cid, (in_hyp, cex) in part_acc.items():
-                    acc[cid][0] += in_hyp
-                    acc[cid][1].extend(cex)
-    return sum(size for _, size in classes), acc
-
-
 def resolve_worker_count(workers: int | None = None) -> int:
     """Explicit argument, else the environment variable, else cpu count."""
     if workers is not None:
@@ -836,14 +821,17 @@ def verify_claims(
 
     Reports come back in claim order, with counterexamples sorted by graph6
     string then diagnostic, so output is byte-stable across runs and worker
-    counts.
+    counts. Every source scans in this process; the worker count is still
+    resolved, so a malformed ``ROMANCRIT_WORKERS`` stays an error.
     """
     claims = _resolve_claims(claim_ids)
-    nworkers = resolve_worker_count(workers)
+    resolve_worker_count(workers)
     label = _source_label(source)
     start = time.monotonic()
     if source[0] == "enumerate":
-        scanned, acc = _scan_enumeration(claims, source[1], nworkers, allow_large)
+        perms, classes = isomorphism_classes(source[1], allow_large)
+        scanned = sum(size for _, size in classes)
+        acc = _scan_classes(claims, perms, classes)
     else:
         acc = {c.id: [0, []] for c in claims}
         scanned = 0

@@ -102,6 +102,11 @@ def test_enumeration_guards():
         isomorphism_classes(8)
     with pytest.raises(InvalidOrder):
         isomorphism_classes(-1)
+    # the seen-map would take 2^36 bytes; refused before it is allocated
+    with pytest.raises(TooLarge):
+        isomorphism_classes(9, allow_large=True)
+    with pytest.raises(TooLarge):
+        verify_claims(["carac-lemma"], ("enumerate", 9), allow_large=True)
     # the override exists for deliberate long runs
     first = next(iter_labeled_graphs(8, allow_large=True))
     assert first.n == 8 and first.edge_count() == 0
@@ -184,7 +189,7 @@ def test_claim_outcomes_are_isomorphism_invariant():
             assert len(outcomes) == 1, (n, rep, outcomes)
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(7))
 def test_class_scan_matches_labeled_scan(n):
     by_class = verify_claims(ALL_CLAIM_IDS, ("enumerate", n), workers=1)
     labeled = verify_claims(
@@ -213,8 +218,7 @@ def _vertex0_isolated(f: Facts) -> list[str]:
     return ["vertex 0 isolated"] if f.g.adj[0] == 0 else []
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch, workers):
+def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch):
     test_claims = (
         Claim("t-hyp-raises", "", _raise_at_two_edges, lambda f: []),
         Claim("t-check-raises", "", lambda f: True, _raise_at_three_edges),
@@ -230,7 +234,7 @@ def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch, workers):
     for claim in test_claims:
         monkeypatch.setitem(CLAIMS, claim.id, claim)
     ids = [c.id for c in test_claims]
-    by_class = verify_claims(ids, ("enumerate", 4), workers=workers)
+    by_class = verify_claims(ids, ("enumerate", 4))
     labeled = verify_claims(ids, ("graphs", tuple(iter_labeled_graphs(4))))
     for a, b in zip(by_class[:3], labeled):
         assert a.graphs_in_hypothesis == b.graphs_in_hypothesis
