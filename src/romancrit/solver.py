@@ -96,33 +96,9 @@ def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
     )
 
 
-def gamma_mask(closed: Sequence[int], n: int) -> int:
-    """Minimum Roman weight given the closed-neighborhood masks."""
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
-    best = n
-    k = 1
-    while 2 * k < best:
-        floor = 2 * k
-        for s in _subsets_of_size(n, k):
-            cov = 0
-            t = s
-            while t:
-                low = t & -t
-                cov |= closed[low.bit_length() - 1]
-                t ^= low
-            w = floor + (full & ~cov).bit_count()
-            if w < best:
-                best = w
-                if w == floor:
-                    break
-        k += 1
-    return best
-
-
-def _gamma_witness(closed: Sequence[int], n: int) -> tuple[int, int]:
-    """(gamma, S): first gamma-achieving 2-set, smallest size then bitmask."""
+def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int]:
+    """(gamma, S) from the closed-neighborhood masks: the minimum Roman
+    weight and its first 2-set, smallest size then smallest bitmask."""
     if n == 0:
         return 0, 0
     full = (1 << n) - 1
@@ -154,7 +130,7 @@ def _closed_masks(g: Graph) -> list[int]:
 
 def gamma_r(g: Graph) -> int:
     """The Roman domination number."""
-    return gamma_mask(_closed_masks(g), g.n)
+    return gamma_mask(_closed_masks(g), g.n)[0]
 
 
 def roman_number(g: Graph) -> GammaResult:
@@ -167,7 +143,7 @@ def roman_number(g: Graph) -> GammaResult:
     if g.n == 0:
         return GammaResult(0, RomanAssignment(()))
     closed = _closed_masks(g)
-    gamma, s = _gamma_witness(closed, g.n)
+    gamma, s = gamma_mask(closed, g.n)
     cov = 0
     t = s
     while t:
@@ -217,7 +193,8 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
 
     Every minimum assignment labels exactly the undominated vertices 1
     (a dominated 1 could be relabeled 0 for less weight), so enumerating
-    2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive.
+    2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive, and
+    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2.
     Guard: order <= 24.
     """
     if g.n > PARTITIONS_MAX_ORDER:
@@ -226,16 +203,18 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
         )
     n = g.n
     closed = _closed_masks(g)
-    gamma = gamma_mask(closed, n)
+    gamma = gamma_mask(closed, n)[0]
     full = (1 << n) - 1
-    out = []
-    for s in range(1 << n):
-        cov = 0
-        t = s
-        while t:
-            low = t & -t
-            cov |= closed[low.bit_length() - 1]
-            t ^= low
-        if 2 * s.bit_count() + (full & ~cov).bit_count() == gamma:
-            out.append(_assignment_from_masks(n, s, full & ~cov))
-    return out
+    hits = []
+    for k in range(gamma // 2 + 1):
+        for s in _subsets_of_size(n, k):
+            cov = 0
+            t = s
+            while t:
+                low = t & -t
+                cov |= closed[low.bit_length() - 1]
+                t ^= low
+            if 2 * k + (full & ~cov).bit_count() == gamma:
+                hits.append((s, full & ~cov))
+    hits.sort()
+    return [_assignment_from_masks(n, s, m1) for s, m1 in hits]

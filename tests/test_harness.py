@@ -23,8 +23,12 @@ from romancrit import (
     verify_claim,
     verify_claims,
 )
+from romancrit.gamma4 import _witness_pairs_raw
 from romancrit.harness import (
+    EdgePermutations,
     Facts,
+    _chase_lands,
+    _some_witness_chase_fails,
     graph_from_edge_mask,
     isomorphism_classes,
     iter_labeled_graphs,
@@ -150,15 +154,36 @@ def test_orbits_partition_the_labeled_graphs():
         assert sorted(owner) == list(range(1 << (n * (n - 1) // 2)))
 
 
+def _relabel_masks(g: Graph) -> set[int]:
+    return {
+        _edge_mask(relabel(g, list(p)))
+        for p in itertools.permutations(range(g.n))
+    }
+
+
 def test_orbits_are_the_relabelings():
     for n in range(6):
         perms, classes = isomorphism_classes(n)
-        all_perms = list(itertools.permutations(range(n)))
         for rep, _ in classes:
             g = graph_from_edge_mask(n, rep)
             assert _edge_mask(g) == rep
-            expected = {_edge_mask(relabel(g, list(p))) for p in all_perms}
-            assert perms.orbit(rep) == expected
+            assert perms.orbit(rep) == _relabel_masks(g)
+
+
+@pytest.mark.parametrize(
+    "n, masks",
+    [
+        # 16-bit fields: the complete graph sets every bit of the field
+        (6, (1 << 14, (1 << 15) - 1, 0b101100111000101)),
+        # 32-bit fields, with bits on both sides of the 16-bit boundary
+        (7, (1 << 20 | 1, (1 << 21) - 1, 0b110010100111000010110)),
+        (8, (1 << 27 | 1 << 16 | 1 << 3,)),
+    ],
+)
+def test_orbits_are_the_relabelings_across_field_widths(n, masks):
+    perms = EdgePermutations(n)
+    for mask in masks:
+        assert perms.orbit(mask) == _relabel_masks(graph_from_edge_mask(n, mask))
 
 
 def _outcome(claim: Claim, f: Facts):
@@ -187,6 +212,50 @@ def test_claim_outcomes_are_isomorphism_invariant():
                 for mask in perms.orbit(rep)
             }
             assert len(outcomes) == 1, (n, rep, outcomes)
+
+
+def test_witness_chase_lands_iff_a_degree_is_n_minus_3():
+    # N[a] = V - {x, b}, so a witness of a lands on x or b exactly when x or
+    # b has two non-neighbours; the chase then ignores which pair is smallest
+    checked = 0
+    for n in range(4, 8):
+        _, classes = isomorphism_classes(n)
+        for rep, _ in classes:
+            g = graph_from_edge_mask(n, rep)
+            deg = g.degrees()
+            pairs = [_witness_pairs_raw(g, x) for x in range(n)]
+            for x in range(n):
+                for a, b in pairs[x]:
+                    assert _chase_lands(pairs, x, a, b) == (n - 3 in (deg[x], deg[b]))
+                    checked += 1
+    assert checked == 3970
+
+
+def test_carac_lemma_reads_no_labels_up_to_order7():
+    # no v-critical gamma_r = 4 class has a failing chase, so the class scan
+    # expands none of them for carac-lemma
+    claim = CLAIMS["carac-lemma"]
+    reached = 0
+    for n in range(8):
+        _, classes = isomorphism_classes(n)
+        for rep, _ in classes:
+            f = Facts(graph_from_edge_mask(n, rep))
+            if claim.hypothesis(f) and f.v_critical:
+                reached += 1
+                assert not claim.reads_labels(f), (n, rep)
+    assert reached == 16
+
+
+def test_witness_chase_failure_beyond_the_smallest_pairs():
+    # the path 3-1-2-0-4: every smallest witness pair's chase lands, but
+    # the second pairs of vertices 3 and 4 do not
+    g = graph_new(5, [(0, 2), (0, 4), (1, 2), (1, 3)])
+    pairs = [_witness_pairs_raw(g, x) for x in range(5)]
+    assert pairs[3] == [(0, 1), (2, 4)] and pairs[4] == [(1, 0), (2, 3)]
+    assert all(_chase_lands(pairs, x, *pairs[x][0]) for x in range(5) if pairs[x])
+    assert not _chase_lands(pairs, 3, 2, 4)
+    assert _some_witness_chase_fails(g)
+    assert not _some_witness_chase_fails(gen_family("dn", 6))
 
 
 @pytest.mark.parametrize("n", range(7))

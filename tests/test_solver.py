@@ -254,6 +254,41 @@ def test_minimal_partitions_complete_vs_product_scan():
         assert got == _min_assignments_by_product_scan(g)
 
 
+def _partitions_by_full_sweep(g: Graph) -> list[RomanAssignment]:
+    # the unbounded sweep: every 2-set bitmask, ascending
+    n = g.n
+    gamma = gamma_r(g)
+    full = (1 << n) - 1
+    closed = [g.closed_mask(v) for v in range(n)]
+    out = []
+    for s in range(1 << n):
+        cov = 0
+        t = s
+        while t:
+            low = t & -t
+            cov |= closed[low.bit_length() - 1]
+            t ^= low
+        if 2 * s.bit_count() + (full & ~cov).bit_count() == gamma:
+            labels = tuple(
+                2 if s >> v & 1 else 0 if cov >> v & 1 else 1 for v in range(n)
+            )
+            out.append(RomanAssignment(labels))
+    return out
+
+
+def test_minimal_partitions_bounded_sweep_matches_full_sweep():
+    # 2|S| <= gamma_r for every minimum assignment, so the sweep stops at
+    # |S| = gamma_r // 2; same list, same order
+    for n in range(7):
+        for g in iter_labeled_graphs(n):
+            assert minimal_partitions(g) == _partitions_by_full_sweep(g)
+    rng = random.Random(57)
+    for n in range(7, 15):
+        for _ in range(6):
+            g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+            assert minimal_partitions(g) == _partitions_by_full_sweep(g)
+
+
 def _min_weight_labelings_by_mask_pairs(g: Graph) -> tuple[int, set[tuple[int, int]]]:
     # literal sweep of all 3^n labelings, encoded as disjoint (two-set,
     # one-set) bitmask pairs; validity checked from the raw definition
