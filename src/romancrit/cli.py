@@ -19,7 +19,7 @@ from .criticality import criticality_report
 from .errors import RomanCritError
 from .gamma4 import classify_critical4
 from .graphs import FAMILY_TAGS, Graph, gen_family
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import GRAPH6_HEADER, emit_graph6, parse_graph6
 from .harness import claim_catalog, verify_claims
 from .solver import RomanAssignment, roman_number, roman_number_oracle
 
@@ -130,10 +130,11 @@ def _read_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 
 
 def _parse_stream(fh: TextIO) -> Iterator[tuple[str, Graph]]:
+    # the echoed line drops a graph6 header, which is not part of the graph
     for line in fh:
         line = line.strip()
         if line:
-            yield line, parse_graph6(line)
+            yield line.removeprefix(GRAPH6_HEADER), parse_graph6(line)
 
 
 def _fmt_set(vertices: frozenset[int]) -> str:

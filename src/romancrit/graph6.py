@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import MalformedGraph6, TooLarge
 from .graphs import Graph
 
-_HEADER = ">>graph6<<"
+GRAPH6_HEADER = ">>graph6<<"
 
 
 def emit_graph6(g: Graph) -> str:
@@ -36,8 +36,7 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(line: str) -> Graph:
     s = line.strip()
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER) :]
+    s = s.removeprefix(GRAPH6_HEADER)
     if not s:
         raise MalformedGraph6("empty graph6 line")
     codes = [ord(c) - 63 for c in s]

@@ -9,7 +9,9 @@ harness never silently skips a graph it was asked to verify.
 An enumeration source evaluates one graph per isomorphism class and counts
 it once per labeled copy; the copies themselves are checked only where the
 representative reports, raises, or reads labels, so the reports equal those
-of a scan over every labeled graph.
+of a scan over every labeled graph. The classes of orders up to
+``ENUMERATION_MAX_ORDER`` come from the checked-in ``_class_table``; only
+order 8, behind allow_large, sweeps the labeled masks to find them.
 """
 
 from __future__ import annotations
@@ -114,7 +116,10 @@ class EdgePermutations:
     are the OR of one int per chunk, unpacked by one ``array``. Fields are 16
     bits up to order 6, 32 bits at orders 7 and 8 and 64 bits above. The
     tables take 138 KB at order 6 (96 ints of 720 fields), 2.6 MB at order 7
-    (130 ints of 5040) and 27 MB at order 8 (168 ints of 40320).
+    (130 ints of 5040) and 27 MB at order 8 (168 ints of 40320). A class scan
+    builds them only once some class expands to its labeled copies; the
+    class sweep, which serves order 8 and writes ``_class_table``, always
+    does.
     """
 
     __slots__ = ("n", "_code", "_nbytes", "_chunks")
@@ -158,21 +163,41 @@ class EdgePermutations:
 
 def isomorphism_classes(
     n: int, allow_large: bool = False
-) -> tuple[EdgePermutations, list[tuple[int, int]]]:
+) -> list[tuple[int, int]]:
     """One (representative, class size) pair per isomorphism class of order n.
 
-    Masks are walked in ascending order; each one not yet seen is the smallest
-    mask of its class and marks its orbit seen. The class sizes n!/|Aut| sum
-    to 2^C(n,2). The seen-map takes one byte per labeled graph, so orders
-    above ``CLASS_SWEEP_MAX_ORDER`` are refused even under allow_large.
+    The representative is the smallest edge mask of its class and the size
+    its number of labeled copies, n!/|Aut|; pairs come in ascending
+    representative order and the sizes sum to 2^C(n,2). Orders up to
+    ``ENUMERATION_MAX_ORDER`` are read from the checked-in ``_class_table``;
+    order 8, behind allow_large, is swept by ``_sweep_classes``.
     """
-    count = _labeled_count(n, allow_large)
+    _labeled_count(n, allow_large)
+    if n > ENUMERATION_MAX_ORDER:
+        return _sweep_classes(n)
+    from ._class_table import CLASSES
+
+    return [
+        (int(rep), int(size))
+        for rep, size in (token.split(":") for token in CLASSES[n].split())
+    ]
+
+
+def _sweep_classes(n: int) -> list[tuple[int, int]]:
+    """The classes of ``isomorphism_classes``, found by an orbit sweep.
+
+    Masks are walked in ascending order; each one not yet seen is the smallest
+    mask of its class and marks its orbit seen. The seen-map takes one byte
+    per labeled graph, so orders above ``CLASS_SWEEP_MAX_ORDER`` are refused
+    before anything is allocated. This is the oracle ``_class_table`` is
+    written from and tested against.
+    """
     if n > CLASS_SWEEP_MAX_ORDER:
         raise TooLarge(
             f"the class sweep stops at order {CLASS_SWEEP_MAX_ORDER}: its "
             f"seen-map would take 2^{n * (n - 1) // 2} bytes"
         )
-    seen = bytearray(count)
+    seen = bytearray(1 << (n * (n - 1) // 2))
     perms = EdgePermutations(n)
     classes = []
     rep = 0
@@ -182,7 +207,40 @@ def isomorphism_classes(
             seen[mask] = 1
         classes.append((rep, len(orbit)))
         rep = seen.find(0, rep + 1)
-    return perms, classes
+    return classes
+
+
+_CLASS_TABLE_DOC = '''"""Isomorphism classes of the graphs of orders 0-{top}, one string per order.
+
+``CLASSES[n]`` lists ``rep:size`` tokens in ascending ``rep``: the smallest
+edge mask of each class, over the pair order of ``graph_from_edge_mask``, and
+its number of labeled copies, n!/|Aut|. The class counts are OEIS A000088.
+``romancrit.harness.isomorphism_classes`` reads this table instead of
+sweeping every labeled mask. The file is the output of the sweep it replaces,
+written by
+
+    PYTHONPATH=src python -c "from romancrit.harness import _class_table_module; print(_class_table_module(), end='')" > src/romancrit/_class_table.py
+
+and a test fails unless it is byte-identical to that output.
+"""
+'''
+
+
+def _class_table_module() -> str:
+    """Source of ``_class_table``: the swept classes of orders 0-7."""
+    import textwrap
+
+    lines = [_CLASS_TABLE_DOC.format(top=ENUMERATION_MAX_ORDER), "CLASSES = ("]
+    for n in range(ENUMERATION_MAX_ORDER + 1):
+        classes = _sweep_classes(n)
+        lines.append(f"    # order {n}: A000088({n}) = {len(classes)}")
+        rows = textwrap.wrap(
+            " ".join(f"{rep}:{size}" for rep, size in classes), 70
+        )
+        lines.extend(f'    "{row} "' for row in rows[:-1])
+        lines.append(f'    "{rows[-1]}",')
+    lines.append(")")
+    return "\n".join(lines) + "\n"
 
 
 class Facts:
@@ -779,16 +837,18 @@ def _scan_one(claims: list[Claim], f: Facts, acc: dict[str, list]) -> None:
 
 
 def _scan_classes(
-    claims: list[Claim], perms: EdgePermutations, classes: list[tuple[int, int]]
+    claims: list[Claim], n: int, classes: list[tuple[int, int]]
 ) -> dict[str, list]:
     """Evaluate each claim once per class and weight it by the class size.
 
     A class whose check reports, whose hypothesis or check raises a guard
     error, or whose claim reads labels is expanded: every labeled copy, in
     ascending mask order, goes through ``_scan_one`` for those claims, so
-    its counterexamples are exactly the labeled scan's.
+    its counterexamples are exactly the labeled scan's. The permutation
+    tables are built when the first class expands, so a scan that expands
+    nothing never builds them.
     """
-    n = perms.n
+    perms = None
     acc: dict[str, list] = {c.id: [0, []] for c in claims}
     for rep, size in classes:
         f = Facts(graph_from_edge_mask(n, rep))
@@ -808,6 +868,8 @@ def _scan_classes(
             acc[claim.id][0] += size
         if not expand:
             continue
+        if perms is None:
+            perms = EdgePermutations(n)
         for mask in sorted(perms.orbit(rep)):
             copy = Facts(graph_from_edge_mask(n, mask))
             # isomorphism invariants carry over; partitions are labeled
@@ -852,9 +914,9 @@ def verify_claims(
     label = _source_label(source)
     start = time.monotonic()
     if source[0] == "enumerate":
-        perms, classes = isomorphism_classes(source[1], allow_large)
+        classes = isomorphism_classes(source[1], allow_large)
         scanned = sum(size for _, size in classes)
-        acc = _scan_classes(claims, perms, classes)
+        acc = _scan_classes(claims, source[1], classes)
     else:
         acc = {c.id: [0, []] for c in claims}
         scanned = 0

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from romancrit import emit_graph6, gen_family, parse_graph6
+from romancrit import claim_catalog, emit_graph6, gen_family, parse_graph6
 from romancrit.cli import main
+
+ALL_CLAIMS = tuple(cid for cid, _ in claim_catalog())
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -307,3 +309,66 @@ def test_verify_worker_flag_is_deterministic(capsys):
     code2, out2, _ = _run(capsys, *argv, "--workers", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- edge cases --------------------------------------------------------------
+
+
+def test_order_zero_through_gamma_report_and_verify(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n", encoding="ascii")
+    code, out, _ = _run(capsys, "gamma", "--input", str(path))
+    assert (code, out) == (0, "? gamma=0 V2={} V1={} V0={}\n")
+    # criticality is undefined without vertices: a guard error, exit 1
+    code, out, err = _run(capsys, "report", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "romancrit: error: criticality report needs order >= 1\n"
+    code, out, _ = _run(capsys, "verify", *ALL_CLAIMS, "--enumerate", "0")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["graphs_scanned"] for r in reports] == [1] * len(ALL_CLAIMS)
+    # only the claims whose hypothesis admits order 0 count the empty graph
+    assert {
+        r["claim"] for r in reports if r["graphs_in_hypothesis"]
+    } == {"nonelementary-components", "saturated-partition-prop"}
+    assert all(r["counterexamples"] == [] for r in reports)
+
+
+def test_input_file_line_with_graph6_header(capsys, tmp_path):
+    path = tmp_path / "header.g6"
+    path.write_text(">>graph6<<Dhc\nC~\n", encoding="ascii")
+    code, out, _ = _run(capsys, "gamma", "--input", str(path))
+    assert code == 0
+    # the echo is the graph6 string, without the header
+    assert out.splitlines() == [
+        "Dhc gamma=4 V2={0} V1={2,3} V0={1,4}",
+        "C~ gamma=2 V2={0} V1={} V0={1,2,3}",
+    ]
+    code, out, _ = _run(
+        capsys, "verify", "classification-theorem", "--input", str(path)
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["graphs_scanned"], data["graphs_in_hypothesis"]) == (2, 1)
+    # a header with no graph after it is still a malformed line
+    path.write_text(">>graph6<<\nC~\n", encoding="ascii")
+    code, out, err = _run(capsys, "gamma", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert "empty graph6 line" in err
+
+
+def test_crlf_input_files(capsys, tmp_path):
+    lf, crlf = tmp_path / "lf.g6", tmp_path / "crlf.g6"
+    lf.write_bytes(b"Dhc\nC~\nDBW\n")
+    crlf.write_bytes(b"Dhc\r\nC~\r\n\r\nDBW\r\n")
+    for argv in (
+        ("gamma",),
+        ("verify", "classification-theorem", "cut-structure-prop", "--csv"),
+    ):
+        code_lf, out_lf, _ = _run(capsys, *argv, "--input", str(lf))
+        code_crlf, out_crlf, _ = _run(capsys, *argv, "--input", str(crlf))
+        assert "\r" not in out_crlf
+        assert (code_crlf, out_crlf) == (code_lf, out_lf)
+    # DBW, the 4-cycle plus an isolated vertex, is the known counterexample
+    assert code_crlf == 2
+    assert out_crlf.count("DBW") == 2

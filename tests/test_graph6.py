@@ -101,6 +101,20 @@ def test_parse_matches_networkx():
 # -- error handling ----------------------------------------------------------
 
 
+def test_order_62_round_trips_and_63_is_refused():
+    # 62 is the largest order the one-byte prefix encodes
+    g = _random_graph(random.Random(62), 62)
+    line = emit_graph6(g)
+    assert line[0] == "}" and len(line) == 1 + (62 * 61 // 2 + 5) // 6
+    assert parse_graph6(line) == g
+    assert emit_graph6(parse_graph6(line)) == line
+    assert parse_graph6(emit_graph6(gen_family("complete", 62))).edge_count() == 1891
+    with pytest.raises(TooLarge):
+        emit_graph6(graph_new(63))
+    with pytest.raises(TooLarge):
+        parse_graph6("~" + line[1:])
+
+
 def test_emit_rejects_large_order():
     with pytest.raises(TooLarge):
         emit_graph6(graph_new(63))

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import romancrit
 from romancrit import (
     CLAIMS,
     Claim,
@@ -23,16 +28,21 @@ from romancrit import (
     verify_claim,
     verify_claims,
 )
+from romancrit import _class_table, harness
 from romancrit.gamma4 import _witness_pairs_raw
 from romancrit.harness import (
+    ENUMERATION_MAX_ORDER,
     EdgePermutations,
     Facts,
     _chase_lands,
+    _class_table_module,
     _some_witness_chase_fails,
+    _sweep_classes,
     graph_from_edge_mask,
     isomorphism_classes,
     iter_labeled_graphs,
 )
+from test_acceptance import DUAL_CLAIMS, GAMMA4_CLAIMS
 
 ALL_CLAIM_IDS = (
     "cycle-criticality",
@@ -134,15 +144,79 @@ def _edge_mask(g: Graph) -> int:
 def test_isomorphism_class_counts():
     # OEIS A000088
     for n, count in enumerate((1, 1, 2, 4, 11, 34, 156, 1044)):
-        _, classes = isomorphism_classes(n)
+        classes = isomorphism_classes(n)
         assert len(classes) == count
         assert sum(size for _, size in classes) == 1 << (n * (n - 1) // 2)
         assert [rep for rep, _ in classes] == sorted(rep for rep, _ in classes)
 
 
+def test_class_table_is_the_generator_output():
+    # the command in the table's docstring prints this text
+    assert "_class_table_module()" in _class_table.__doc__
+    path = Path(_class_table.__file__)
+    assert path.read_bytes() == _class_table_module().encode("ascii")
+
+
+def test_class_table_matches_the_sweep():
+    for n in range(ENUMERATION_MAX_ORDER + 1):
+        assert isomorphism_classes(n) == _sweep_classes(n), n
+
+
+def test_class_table_orders():
+    # one string per order 0..ENUMERATION_MAX_ORDER; order 8 is swept
+    assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 1
+
+
+def _count_edge_permutations(monkeypatch) -> list[int]:
+    built = []
+
+    class Counted(EdgePermutations):
+        __slots__ = ()
+
+        def __init__(self, n: int):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(harness, "EdgePermutations", Counted)
+    return built
+
+
+def test_scan_without_expansion_builds_no_permutations(monkeypatch):
+    built = _count_edge_permutations(monkeypatch)
+    reports = verify_claims(DUAL_CLAIMS, ("enumerate", 6))
+    assert all(rep.counterexamples == () for rep in reports)
+    assert built == []
+
+
+def test_expanding_scan_builds_permutations_once(monkeypatch):
+    # the C4 + K1 class is expanded for two claims, the tables built once
+    built = _count_edge_permutations(monkeypatch)
+    reports = verify_claims(GAMMA4_CLAIMS, ("enumerate", 5))
+    assert sum(len(rep.counterexamples) for rep in reports) == 30
+    assert built == [5]
+
+
+def test_import_leaves_the_class_table_unloaded():
+    code = (
+        "import sys, romancrit\n"
+        "print('romancrit._class_table' in sys.modules)\n"
+        "romancrit.verify_claims(['half-bound'], ('enumerate', 5))\n"
+        "print('romancrit._class_table' in sys.modules)\n"
+    )
+    src = str(Path(romancrit.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\nTrue\n"
+
+
 def test_orbits_partition_the_labeled_graphs():
     for n in range(6):
-        perms, classes = isomorphism_classes(n)
+        perms, classes = EdgePermutations(n), isomorphism_classes(n)
         owner = {}
         for rep, size in classes:
             orbit = perms.orbit(rep)
@@ -163,7 +237,7 @@ def _relabel_masks(g: Graph) -> set[int]:
 
 def test_orbits_are_the_relabelings():
     for n in range(6):
-        perms, classes = isomorphism_classes(n)
+        perms, classes = EdgePermutations(n), isomorphism_classes(n)
         for rep, _ in classes:
             g = graph_from_edge_mask(n, rep)
             assert _edge_mask(g) == rep
@@ -202,7 +276,7 @@ def test_claim_outcomes_are_isomorphism_invariant():
     # what the class scan relies on: outside the graphs a claim declares
     # label-reading, one labeled copy decides for its whole class
     for n in range(6):
-        perms, classes = isomorphism_classes(n)
+        perms, classes = EdgePermutations(n), isomorphism_classes(n)
         for rep, _ in classes:
             outcomes = {
                 tuple(
@@ -219,7 +293,7 @@ def test_witness_chase_lands_iff_a_degree_is_n_minus_3():
     # b has two non-neighbours; the chase then ignores which pair is smallest
     checked = 0
     for n in range(4, 8):
-        _, classes = isomorphism_classes(n)
+        classes = isomorphism_classes(n)
         for rep, _ in classes:
             g = graph_from_edge_mask(n, rep)
             deg = g.degrees()
@@ -237,7 +311,7 @@ def test_carac_lemma_reads_no_labels_up_to_order7():
     claim = CLAIMS["carac-lemma"]
     reached = 0
     for n in range(8):
-        _, classes = isomorphism_classes(n)
+        classes = isomorphism_classes(n)
         for rep, _ in classes:
             f = Facts(graph_from_edge_mask(n, rep))
             if claim.hypothesis(f) and f.v_critical:
