@@ -29,8 +29,6 @@ from .solver import (
     roman_number_oracle,
 )
 from .criticality import (
-    CriticalityReport,
-    criticality_report,
     e_critical_condition,
     edge_removal_preserves_gamma,
     first_gamma_changing_edge,
@@ -72,11 +70,12 @@ from .harness import (
     CLAIMS,
     Claim,
     Counterexample,
+    CriticalityReport,
     ENUMERATION_MAX_ORDER,
     Facts,
     VerificationReport,
-    WORKERS_ENV,
     claim_catalog,
+    criticality_report,
     iter_labeled_graphs,
     verify_claim,
     verify_claims,

@@ -15,12 +15,11 @@ import json
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from .criticality import criticality_report
 from .errors import RomanCritError
 from .gamma4 import classify_critical4
 from .graphs import FAMILY_TAGS, Graph, gen_family
 from .graph6 import GRAPH6_HEADER, emit_graph6, parse_graph6
-from .harness import claim_catalog, verify_claims
+from .harness import claim_catalog, criticality_report, verify_claims
 from .solver import RomanAssignment, roman_number, roman_number_oracle
 
 
@@ -97,7 +96,13 @@ def build_parser() -> Parser:
         action="store_true",
         help="lift the order-7 enumeration guard",
     )
-    p_verify.add_argument("--workers", metavar="K", type=int, default=None)
+    p_verify.add_argument(
+        "--workers",
+        metavar="K",
+        type=int,
+        default=None,
+        help="deprecated and ignored: every scan runs in one process",
+    )
     p_verify.add_argument(
         "--list-claims", action="store_true", help="list claim ids and exit"
     )
@@ -235,12 +240,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         source = (kind, value)
 
-    reports = verify_claims(
-        args.claims,
-        source,
-        workers=args.workers,
-        allow_large=args.allow_large,
-    )
+    if args.workers is not None:
+        print(
+            "romancrit: note: --workers is deprecated and ignored; "
+            "every scan runs in one process",
+            file=sys.stderr,
+        )
+    reports = verify_claims(args.claims, source, allow_large=args.allow_large)
 
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -3,12 +3,11 @@
 Each notion has a direct definition (recompute gamma_r after a vertex or
 edge change) and, where the theory provides one, an equivalent reformulation
 in terms of minimum-weight partitions. Both routes are kept side by side so
-the harness can check them against each other.
+the harness can check them against each other; the harness's
+``criticality_report`` reads them through one ``Facts``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import InvalidOrder, NotVCritical
 from .graphs import Graph
@@ -161,93 +160,3 @@ def e_critical_condition(g: Graph) -> bool:
     if not is_v_critical(g):
         raise NotVCritical("the pivot condition is stated for v-critical graphs")
     return _pivot_condition(g, minimal_partitions(g))
-
-
-@dataclass(frozen=True)
-class CriticalityReport:
-    gamma: int
-    nonelementary: bool
-    v_critical: bool
-    e_critical: bool
-    saturated: bool
-    witnesses: dict = field(default_factory=dict)
-    diagnostics: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "nonelementary": self.nonelementary,
-            "v_critical": self.v_critical,
-            "e_critical": self.e_critical,
-            "saturated": self.saturated,
-            "witnesses": self.witnesses,
-            "diagnostics": list(self.diagnostics),
-        }
-
-
-def criticality_report(g: Graph) -> CriticalityReport:
-    """One-stop summary: gamma_r, the four predicates, failure witnesses,
-    and any disagreement between direct and partition-based routes."""
-    if g.n == 0:
-        raise InvalidOrder("criticality report needs order >= 1")
-    gamma = gamma_r(g)
-    witnesses: dict = {}
-    diagnostics: list[str] = []
-
-    vc_witness = first_non_critical_vertex(g)
-    v_critical = vc_witness is None
-    if vc_witness is not None:
-        v, after = vc_witness
-        assert gamma_r(g.delete_vertex(v)) == after != gamma - 1
-        witnesses["v_critical"] = {"vertex": v, "gamma_after": after}
-
-    sat_witness = first_unsaturated_nonedge(g)
-    saturated = sat_witness is None
-    if sat_witness is not None:
-        u, v, after = sat_witness
-        assert gamma_r(g.add_edge(u, v)) == after != gamma - 1
-        witnesses["saturated"] = {"nonedge": [u, v], "gamma_after": after}
-
-    if v_critical:
-        ec_witness = first_non_ecritical_edge(g)
-        e_critical = ec_witness is None
-        if ec_witness is not None:
-            u, v = ec_witness
-            assert is_v_critical(g.delete_edge(u, v))
-            witnesses["e_critical"] = {"edge": [u, v]}
-    else:
-        e_critical = False
-
-    parts = minimal_partitions(g)
-    union1 = 0
-    for p in parts:
-        union1 |= p.label_mask(1)
-    if (union1 == g.full_mask) != v_critical:
-        diagnostics.append(
-            "dual-path-disagreement: "
-            f"is_v_critical={v_critical} v_critical_by_partitions={union1 == g.full_mask}"
-        )
-    sat_parts = saturated_by_partitions(g)
-    if sat_parts != saturated:
-        diagnostics.append(
-            "dual-path-disagreement: "
-            f"is_roman_saturated={saturated} saturated_by_partitions={sat_parts}"
-        )
-    if v_critical:
-        cond = _pivot_condition(g, parts)
-        if cond != e_critical:
-            diagnostics.append(
-                "dual-path-disagreement: "
-                f"is_e_critical={e_critical} e_critical_condition={cond}"
-            )
-
-    assert not (e_critical and not v_critical)
-    return CriticalityReport(
-        gamma=gamma,
-        nonelementary=gamma < g.n,
-        v_critical=v_critical,
-        e_critical=e_critical,
-        saturated=saturated,
-        witnesses=witnesses,
-        diagnostics=tuple(diagnostics),
-    )

@@ -27,30 +27,15 @@ class DegreeClasses:
 
 def degree_classes(g: Graph) -> DegreeClasses:
     pivot = g.n - 3
-    degs = g.degrees()
-    return DegreeClasses(
-        high=frozenset(v for v, d in enumerate(degs) if d == pivot),
-        low=frozenset(v for v, d in enumerate(degs) if d < pivot),
-        other=frozenset(v for v, d in enumerate(degs) if d > pivot),
-    )
-
-
-def _high_mask(g: Graph) -> int:
-    pivot = g.n - 3
-    m = 0
+    high, low, other = [], [], []
     for v, d in enumerate(g.degrees()):
         if d == pivot:
-            m |= 1 << v
-    return m
-
-
-def _low_mask(g: Graph) -> int:
-    pivot = g.n - 3
-    m = 0
-    for v, d in enumerate(g.degrees()):
-        if d < pivot:
-            m |= 1 << v
-    return m
+            high.append(v)
+        elif d < pivot:
+            low.append(v)
+        else:
+            other.append(v)
+    return DegreeClasses(frozenset(high), frozenset(low), frozenset(other))
 
 
 def _require_gamma4(g: Graph, *, v_critical: bool = False) -> None:
@@ -69,7 +54,7 @@ def vcrit4_by_degrees(g: Graph) -> bool:
     True iff every vertex has a non-neighbor of degree n-3.
     """
     _require_gamma4(g)
-    high = _high_mask(g)
+    high = sum(1 << v for v in degree_classes(g).high)
     return all(high & ~g.closed_mask(x) for x in range(g.n))
 
 
@@ -116,15 +101,8 @@ def saturated4_by_degrees(g: Graph) -> bool:
     True iff every two vertices of degree below n-3 are adjacent.
     """
     _require_gamma4(g)
-    low = _low_mask(g)
-    m = low
-    while m:
-        bit = m & -m
-        v = bit.bit_length() - 1
-        if low & ~g.adj[v] & ~bit:
-            return False
-        m ^= bit
-    return True
+    low = sorted(degree_classes(g).low)
+    return all(g.adj[u] >> v & 1 for u, v in combinations(low, 2))
 
 
 def ecrit4_by_degrees(g: Graph) -> bool:
@@ -134,7 +112,7 @@ def ecrit4_by_degrees(g: Graph) -> bool:
     vertex outside N[v] is x or y.
     """
     _require_gamma4(g, v_critical=True)
-    high = _high_mask(g)
+    high = sum(1 << v for v in degree_classes(g).high)
     for x, y in g.edges():
         pair = 1 << x | 1 << y
         if not any(
@@ -151,7 +129,7 @@ def high_class_bounds(g: Graph) -> tuple[bool, bool]:
     v-critical saturated ones; this evaluates both, callers supply context.
     """
     _require_gamma4(g)
-    high = _high_mask(g).bit_count()
+    high = len(degree_classes(g).high)
     return (2 * high >= g.n, 4 * high >= 3 * g.n)
 
 

@@ -12,16 +12,18 @@ representative reports, raises, or reads labels, so the reports equal those
 of a scan over every labeled graph. The classes of orders up to
 ``ENUMERATION_MAX_ORDER`` come from the checked-in ``_class_table``; only
 order 8, behind allow_large, sweeps the labeled masks to find them.
+
+``Facts`` is the one per-graph evaluation context: the claims read it, and
+so does ``criticality_report``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
@@ -58,7 +60,6 @@ ENUMERATION_MAX_ORDER = 7
 # The class sweep's seen-map takes one byte per labeled graph: 256 MiB at
 # order 8, 64 GiB at order 9, so allow_large stops at 8.
 CLASS_SWEEP_MAX_ORDER = 8
-WORKERS_ENV = "ROMANCRIT_WORKERS"
 
 _EDGE_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -243,18 +244,38 @@ def _class_table_module() -> str:
     return "\n".join(lines) + "\n"
 
 
-class Facts:
-    """Per-graph lazy cache of the predicates claims keep asking about."""
+# A Facts slot for a predicate holds _UNKNOWN until it is evaluated, then
+# None when the predicate holds, else its first failure: the witness tuple, or
+# _FAILS in a class-scan copy, which keeps the representative's verdict but
+# not its witness, since a witness names vertices.
+_UNKNOWN = object()
+_FAILS = object()
 
-    __slots__ = ("g", "_gamma", "_vcrit", "_ecrit", "_sat", "_parts")
+
+class Facts:
+    """Per-graph lazy cache of gamma_r, the predicates' first failures and
+    the minimum partitions: the one evaluation context that the claims and
+    ``criticality_report`` read."""
+
+    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts")
 
     def __init__(self, g: Graph):
         self.g = g
         self._gamma: int | None = None
-        self._vcrit: bool | None = None
-        self._ecrit: bool | None = None
-        self._sat: bool | None = None
+        self._vc = self._ec = self._sat = _UNKNOWN
         self._parts: list | None = None
+
+    def relabeled(self, g: Graph) -> Facts:
+        """Facts of g, an isomorphic copy of this graph: gamma_r and the
+        verdicts carry over; witnesses and partitions, which name vertices,
+        do not."""
+        copy = Facts(g)
+        copy._gamma = self._gamma
+        copy._vc, copy._ec, copy._sat = (
+            w if w is None or w is _UNKNOWN else _FAILS
+            for w in (self._vc, self._ec, self._sat)
+        )
+        return copy
 
     @property
     def gamma(self) -> int:
@@ -267,32 +288,100 @@ class Facts:
         return self.gamma < self.g.n
 
     @property
+    def vcrit_witness(self) -> tuple[int, int] | None:
+        """(vertex, gamma_r after deleting it) for the first vertex whose
+        deletion fails to drop gamma_r by 1; None when v-critical."""
+        if self._vc is _UNKNOWN or self._vc is _FAILS:
+            self._vc = first_non_critical_vertex(self.g)
+        return self._vc
+
+    @property
     def v_critical(self) -> bool:
-        if self._vcrit is None:
-            if self.g.n == 0:
-                raise InvalidOrder("criticality needs order >= 1")
-            self._vcrit = first_non_critical_vertex(self.g) is None
-        return self._vcrit
+        return (self.vcrit_witness if self._vc is _UNKNOWN else self._vc) is None
+
+    @property
+    def ecrit_witness(self) -> tuple[int, int] | None:
+        """The first edge whose removal leaves the graph v-critical; None
+        when there is none. Read it on v-critical graphs only."""
+        if self._ec is _UNKNOWN or self._ec is _FAILS:
+            self._ec = first_non_ecritical_edge(self.g)
+        return self._ec
 
     @property
     def e_critical(self) -> bool:
-        if self._ecrit is None:
-            self._ecrit = (
-                self.v_critical and first_non_ecritical_edge(self.g) is None
-            )
-        return self._ecrit
+        return self.v_critical and (
+            self.ecrit_witness if self._ec is _UNKNOWN else self._ec
+        ) is None
+
+    @property
+    def sat_witness(self) -> tuple[int, int, int] | None:
+        """(u, v, gamma_r after adding uv) for the first non-edge whose
+        addition fails to drop gamma_r by 1; None when saturated."""
+        if self._sat is _UNKNOWN or self._sat is _FAILS:
+            self._sat = first_unsaturated_nonedge(self.g)
+        return self._sat
 
     @property
     def saturated(self) -> bool:
-        if self._sat is None:
-            self._sat = first_unsaturated_nonedge(self.g) is None
-        return self._sat
+        return (self.sat_witness if self._sat is _UNKNOWN else self._sat) is None
 
     @property
     def partitions(self) -> list:
         if self._parts is None:
             self._parts = minimal_partitions(self.g)
         return self._parts
+
+
+@dataclass(frozen=True)
+class CriticalityReport:
+    gamma: int
+    nonelementary: bool
+    v_critical: bool
+    e_critical: bool
+    saturated: bool
+    witnesses: dict = field(default_factory=dict)
+    diagnostics: tuple[str, ...] = ()
+
+    def to_json_dict(self) -> dict:
+        return {
+            "gamma": self.gamma,
+            "nonelementary": self.nonelementary,
+            "v_critical": self.v_critical,
+            "e_critical": self.e_critical,
+            "saturated": self.saturated,
+            "witnesses": self.witnesses,
+            "diagnostics": list(self.diagnostics),
+        }
+
+
+def criticality_report(g: Graph) -> CriticalityReport:
+    """One-stop summary read from one ``Facts``: gamma_r, the four
+    predicates, their first failures, and the diagnostics of the dual-route
+    checks, the e-critical one on v-critical graphs only."""
+    if g.n == 0:
+        raise InvalidOrder("criticality report needs order >= 1")
+    f = Facts(g)
+    witnesses: dict = {}
+    if f.vcrit_witness is not None:
+        v, after = f.vcrit_witness
+        witnesses["v_critical"] = {"vertex": v, "gamma_after": after}
+    if f.sat_witness is not None:
+        u, v, after = f.sat_witness
+        witnesses["saturated"] = {"nonedge": [u, v], "gamma_after": after}
+    diagnostics = _chk_vcrit_partitions(f) + _chk_saturated_partitions(f)
+    if f.v_critical:
+        if f.ecrit_witness is not None:
+            witnesses["e_critical"] = {"edge": list(f.ecrit_witness)}
+        diagnostics += _chk_ecrit_condition(f)
+    return CriticalityReport(
+        gamma=f.gamma,
+        nonelementary=f.nonelementary,
+        v_critical=f.v_critical,
+        e_critical=f.e_critical,
+        saturated=f.saturated,
+        witnesses=witnesses,
+        diagnostics=tuple(diagnostics),
+    )
 
 
 @dataclass(frozen=True)
@@ -871,29 +960,8 @@ def _scan_classes(
         if perms is None:
             perms = EdgePermutations(n)
         for mask in sorted(perms.orbit(rep)):
-            copy = Facts(graph_from_edge_mask(n, mask))
-            # isomorphism invariants carry over; partitions are labeled
-            copy._gamma, copy._vcrit, copy._ecrit, copy._sat = (
-                f._gamma, f._vcrit, f._ecrit, f._sat
-            )
-            _scan_one(expand, copy, acc)
+            _scan_one(expand, f.relabeled(graph_from_edge_mask(n, mask)), acc)
     return acc
-
-
-def resolve_worker_count(workers: int | None = None) -> int:
-    """Explicit argument, else the environment variable, else cpu count."""
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise RomanCritError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-        return max(1, value)
-    return os.cpu_count() or 1
 
 
 def verify_claims(
@@ -906,11 +974,10 @@ def verify_claims(
 
     Reports come back in claim order, with counterexamples sorted by graph6
     string then diagnostic, so output is byte-stable across runs and worker
-    counts. Every source scans in this process; the worker count is still
-    resolved, so a malformed ``ROMANCRIT_WORKERS`` stays an error.
+    counts. Every source scans in this process; ``workers`` is accepted for
+    compatibility and ignored.
     """
     claims = _resolve_claims(claim_ids)
-    resolve_worker_count(workers)
     label = _source_label(source)
     start = time.monotonic()
     if source[0] == "enumerate":

@@ -5,8 +5,10 @@ a 2-labeled neighbor; its weight is |V1| + 2|V2|. The solver finds the
 minimum weight by sweeping 2-labeled candidate sets S in ascending-size
 order and charging 2|S| plus one for every vertex left outside N[S]: any
 minimum-weight assignment has exactly the vertices outside N[V2] labeled 1,
-so the sweep is exhaustive. A separate oracle enumerates labelings by
-ascending weight and shares nothing with that identity.
+so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
+gamma_r, its witness and ``minimal_partitions``. A separate oracle
+enumerates labelings by ascending weight and shares nothing with that
+identity.
 """
 
 from __future__ import annotations
@@ -76,18 +78,41 @@ def is_roman(g: Graph, assignment: RomanAssignment | Sequence[int]) -> bool:
     return True
 
 
-def _subsets_of_size(n: int, k: int) -> Iterator[int]:
-    """Bitmasks of popcount k over n bits, ascending (Gosper's hack)."""
+def _light_sets(
+    closed: Sequence[int], n: int, k: int, limit: int
+) -> Iterator[tuple[int, int]]:
+    """(S, V outside N[S]) for the k-sets S, by ascending bitmask, whose
+    Roman weight 2k + |V outside N[S]| is at most limit and at most that of
+    every set yielded before.
+
+    With limit at the minimum weight that is every minimum k-set; with a
+    higher limit the weights never rise, so the first set of the least
+    weight is the first minimizer. The k-sets come from Gosper's hack and
+    the cover is built inline: the sweep makes no call per subset.
+    """
+    full = (1 << n) - 1
     if k == 0:
-        yield 0
+        if n <= limit:
+            yield 0, full
         return
-    m = (1 << k) - 1
+    floor = 2 * k
+    s = (1 << k) - 1
     top = 1 << n
-    while m < top:
-        yield m
-        c = m & -m
-        r = m + c
-        m = (((m ^ r) >> 2) // c) | r
+    while s < top:
+        cov = 0
+        t = s
+        while t:
+            low = t & -t
+            cov |= closed[low.bit_length() - 1]
+            t ^= low
+        rest = full & ~cov
+        w = floor + rest.bit_count()
+        if w <= limit:
+            limit = w
+            yield s, rest
+        c = s & -s
+        r = s + c
+        s = (((s ^ r) >> 2) // c) | r
 
 
 def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
@@ -96,32 +121,24 @@ def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
     )
 
 
-def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int]:
-    """(gamma, S) from the closed-neighborhood masks: the minimum Roman
-    weight and its first 2-set, smallest size then smallest bitmask."""
-    if n == 0:
-        return 0, 0
-    full = (1 << n) - 1
+def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
+    """(gamma, S, V outside N[S]) from the closed-neighborhood masks: the
+    minimum Roman weight, its first 2-set (smallest size, then smallest
+    bitmask) and the vertices that 2-set leaves to be labeled 1."""
     best = n
     best_s = 0
+    best_rest = (1 << n) - 1
     k = 1
     while 2 * k < best:
         floor = 2 * k
-        for s in _subsets_of_size(n, k):
-            cov = 0
-            t = s
-            while t:
-                low = t & -t
-                cov |= closed[low.bit_length() - 1]
-                t ^= low
-            w = floor + (full & ~cov).bit_count()
+        for s, rest in _light_sets(closed, n, k, best - 1):
+            w = floor + rest.bit_count()
             if w < best:
-                best = w
-                best_s = s
+                best, best_s, best_rest = w, s, rest
                 if w == floor:
                     break
         k += 1
-    return best, best_s
+    return best, best_s, best_rest
 
 
 def _closed_masks(g: Graph) -> list[int]:
@@ -140,17 +157,8 @@ def roman_number(g: Graph) -> GammaResult:
     ascending bitmask (vertex i on bit i); its 1-set is everything the
     2-set fails to dominate.
     """
-    if g.n == 0:
-        return GammaResult(0, RomanAssignment(()))
-    closed = _closed_masks(g)
-    gamma, s = gamma_mask(closed, g.n)
-    cov = 0
-    t = s
-    while t:
-        low = t & -t
-        cov |= closed[low.bit_length() - 1]
-        t ^= low
-    return GammaResult(gamma, _assignment_from_masks(g.n, s, g.full_mask & ~cov))
+    gamma, s, rest = gamma_mask(_closed_masks(g), g.n)
+    return GammaResult(gamma, _assignment_from_masks(g.n, s, rest))
 
 
 def roman_number_oracle(g: Graph) -> int:
@@ -204,17 +212,9 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
     n = g.n
     closed = _closed_masks(g)
     gamma = gamma_mask(closed, n)[0]
-    full = (1 << n) - 1
-    hits = []
-    for k in range(gamma // 2 + 1):
-        for s in _subsets_of_size(n, k):
-            cov = 0
-            t = s
-            while t:
-                low = t & -t
-                cov |= closed[low.bit_length() - 1]
-                t ^= low
-            if 2 * k + (full & ~cov).bit_count() == gamma:
-                hits.append((s, full & ~cov))
-    hits.sort()
+    hits = sorted(
+        hit
+        for k in range(gamma // 2 + 1)
+        for hit in _light_sets(closed, n, k, gamma)
+    )
     return [_assignment_from_masks(n, s, m1) for s, m1 in hits]

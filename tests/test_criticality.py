@@ -11,6 +11,7 @@ from romancrit import (
     criticality_report,
     e_critical_condition,
     edge_removal_preserves_gamma,
+    emit_graph6,
     first_gamma_changing_edge,
     first_non_critical_vertex,
     first_non_ecritical_edge,
@@ -26,6 +27,7 @@ from romancrit import (
     saturated_by_partitions,
     v_critical_by_partitions,
 )
+from romancrit import criticality, harness
 from romancrit.harness import iter_labeled_graphs
 
 
@@ -237,6 +239,89 @@ def test_criticality_report_json_shape():
     }
     assert data["gamma"] == 4
     assert data["diagnostics"] == []
+
+
+def _report_by_public_routes(g: Graph) -> dict:
+    """The JSON report from criticality.py's routes, each witness revalidated."""
+    gamma = gamma_r(g)
+    witnesses = {}
+    diagnostics = []
+    vc = first_non_critical_vertex(g)
+    if vc is not None:
+        v, after = vc
+        assert gamma_r(g.delete_vertex(v)) == after != gamma - 1
+        witnesses["v_critical"] = {"vertex": v, "gamma_after": after}
+    sat = first_unsaturated_nonedge(g)
+    if sat is not None:
+        u, v, after = sat
+        assert gamma_r(g.add_edge(u, v)) == after != gamma - 1
+        witnesses["saturated"] = {"nonedge": [u, v], "gamma_after": after}
+    if is_v_critical(g) != v_critical_by_partitions(g):
+        diagnostics.append(
+            "dual-path-disagreement: "
+            f"is_v_critical={is_v_critical(g)} "
+            f"v_critical_by_partitions={v_critical_by_partitions(g)}"
+        )
+    if is_roman_saturated(g) != saturated_by_partitions(g):
+        diagnostics.append(
+            "dual-path-disagreement: "
+            f"is_roman_saturated={is_roman_saturated(g)} "
+            f"saturated_by_partitions={saturated_by_partitions(g)}"
+        )
+    if is_v_critical(g):
+        ec = first_non_ecritical_edge(g)
+        if ec is not None:
+            assert is_v_critical(g.delete_edge(*ec))
+            witnesses["e_critical"] = {"edge": list(ec)}
+        if is_e_critical(g) != e_critical_condition(g):
+            diagnostics.append(
+                "dual-path-disagreement: "
+                f"is_e_critical={is_e_critical(g)} "
+                f"e_critical_condition={e_critical_condition(g)}"
+            )
+    return {
+        "gamma": gamma,
+        "nonelementary": is_nonelementary(g),
+        "v_critical": is_v_critical(g),
+        "e_critical": is_e_critical(g),
+        "saturated": is_roman_saturated(g),
+        "witnesses": witnesses,
+        "diagnostics": diagnostics,
+    }
+
+
+def _report_oracle_graphs():
+    for n in range(1, 6):
+        yield from iter_labeled_graphs(n)
+    rng = random.Random(2024)
+    for n in range(6, 10):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(8):
+                yield _random_graph(rng, n, p)
+
+
+@pytest.mark.parametrize("broken_partition_routes", [False, True])
+def test_criticality_report_matches_public_routes(
+    monkeypatch, broken_partition_routes
+):
+    # every labeled graph of orders 1-5 plus seeded ones of orders 6-9. The
+    # partition routes agree with the definitions on all of them, so a second
+    # pass breaks those routes in both modules alike, keeping one partition
+    # and flipping the other two, to compare the diagnostics they cause
+    if broken_partition_routes:
+        for module in (criticality, harness):
+            for name, broken in (
+                ("minimal_partitions", lambda f: lambda g: f(g)[:1]),
+                ("_saturated_over_partitions", lambda f: lambda g, p: not f(g, p)),
+                ("_pivot_condition", lambda f: lambda g, p: not f(g, p)),
+            ):
+                monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    with_diagnostics = 0
+    for g in _report_oracle_graphs():
+        data = criticality_report(g).to_json_dict()
+        assert data == _report_by_public_routes(g), emit_graph6(g)
+        with_diagnostics += bool(data["diagnostics"])
+    assert (with_diagnostics > 0) == broken_partition_routes
 
 
 def test_criticality_report_rejects_empty_graph():

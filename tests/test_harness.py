@@ -23,6 +23,7 @@ from romancrit import (
     claim_catalog,
     gen_family,
     graph_new,
+    is_isomorphic,
     parse_graph6,
     relabel,
     verify_claim,
@@ -403,6 +404,37 @@ def test_facts_lazy_predicates():
     assert all(p.weight == 4 for p in f.partitions)
 
 
+def test_class_scan_copies_carry_no_representative_witness(monkeypatch):
+    # P5 fails v-criticality at its middle vertex, which is a different
+    # vertex number in different labeled copies
+    rep = next(
+        r
+        for r, _ in isomorphism_classes(5)
+        if is_isomorphic(graph_from_edge_mask(5, r), gen_family("path", 5))
+    )
+    claim = Claim("t-not-vcrit", "", lambda f: not f.v_critical, lambda f: ["x"])
+    seen: list[Facts] = []
+    scan_one = harness._scan_one
+
+    def record(claims, f, acc):
+        seen.append(f)
+        scan_one(claims, f, acc)
+
+    monkeypatch.setattr(harness, "_scan_one", record)
+    calls = []
+    find = harness.first_non_critical_vertex
+    monkeypatch.setattr(
+        harness, "first_non_critical_vertex", lambda g: calls.append(g) or find(g)
+    )
+    harness._scan_classes([claim], 5, [(rep, 60)])
+    # the verdict reached all 60 copies from the one evaluation on rep
+    assert len(seen) == 60 and len(calls) == 1
+    witness = find(graph_from_edge_mask(5, rep))
+    copy_witnesses = [f.vcrit_witness for f in seen]
+    assert copy_witnesses == [find(f.g) for f in seen]
+    assert any(w != witness for w in copy_witnesses)
+
+
 def test_facts_empty_graph():
     f = Facts(graph_new(0))
     assert f.gamma == 0
@@ -603,16 +635,3 @@ def test_worker_counts_agree():
     parallel = verify_claims(ids, ("enumerate", 5), workers=3)
     for a, b in zip(serial, parallel):
         assert a.to_json_dict() == b.to_json_dict()
-
-
-def test_workers_env_override(monkeypatch):
-    from romancrit.harness import WORKERS_ENV, resolve_worker_count
-
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    assert resolve_worker_count() == 2
-    assert resolve_worker_count(5) == 5
-    monkeypatch.setenv(WORKERS_ENV, "zero")
-    from romancrit import RomanCritError
-
-    with pytest.raises(RomanCritError):
-        resolve_worker_count()

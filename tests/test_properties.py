@@ -1,11 +1,13 @@
 """Metamorphic properties of gamma_r and the claim verdicts, by hypothesis.
 
-Each property relates the answers on two related graphs, so it needs no
-expected value: a relabeled copy, the components, one more edge or one
-vertex less. The runs are derandomized, so every run draws the same graphs.
+Each property relates the answers on two related graphs, or gamma_r to the
+domination number, so it needs no expected value: a relabeled copy, the
+components, one more edge or one vertex less. The runs are derandomized, so every run draws the same graphs.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -90,3 +92,25 @@ def test_degree_bounds(g):
         assert 2 * g.n <= gamma * (delta + 1)
     else:
         assert gamma == g.n
+
+
+def _domination_number(g: Graph) -> int:
+    """Smallest k with a k-set whose closed neighbourhood is all of V, by
+    brute force over vertex combinations, apart from the solver's sweep."""
+    for k in range(g.n + 1):
+        for s in combinations(range(g.n), k):
+            cover = 0
+            for v in s:
+                cover |= g.closed_mask(v)
+            if cover == g.full_mask:
+                return k
+    raise AssertionError("V dominates itself")  # pragma: no cover
+
+
+@PROPERTY
+@given(graphs())
+def test_gamma_r_lies_between_gamma_and_twice_gamma(g):
+    # labeling a dominating set 2 is Roman; V2 plus V1 of a Roman
+    # assignment dominates
+    gamma = _domination_number(g)
+    assert gamma <= gamma_r(g) <= 2 * gamma
