@@ -22,6 +22,7 @@ from .solver import (
     ORACLE_MAX_ORDER,
     PARTITIONS_MAX_ORDER,
     RomanAssignment,
+    gamma_at_most,
     gamma_r,
     is_roman,
     minimal_partitions,

@@ -4,6 +4,11 @@ For these graphs criticality and saturation collapse to statements about
 vertices of degree n-3 ("high") versus lower degree ("low"). Each predicate
 here is the degree-based route; the direct-definition route lives in
 criticality.py, and the harness checks the two against each other.
+
+The predicates the harness calls take what it already knows, keyword-only:
+gamma_r as ``gamma`` and the verdicts ``v_critical``, ``saturated`` and
+``e_critical``. A value left out is computed here, and a supplied value that
+breaks a precondition raises just as a computed one does.
 """
 
 from __future__ import annotations
@@ -38,22 +43,29 @@ def degree_classes(g: Graph) -> DegreeClasses:
     return DegreeClasses(frozenset(high), frozenset(low), frozenset(other))
 
 
-def _require_gamma4(g: Graph, *, v_critical: bool = False) -> None:
-    gamma = gamma_r(g)
+def _require_gamma4(g: Graph, gamma: int | None = None) -> None:
+    if gamma is None:
+        gamma = gamma_r(g)
     if gamma != 4:
         raise PreconditionViolated(f"needs gamma_r = 4, got {gamma}")
     if gamma >= g.n:
         raise PreconditionViolated("needs a nonelementary graph (gamma_r < order)")
-    if v_critical and not is_v_critical(g):
+
+
+def _require_v_critical4(g: Graph, v_critical: bool | None = None) -> None:
+    # after _require_gamma4, so gamma_r is 4
+    if v_critical is None:
+        v_critical = is_v_critical(g, gamma=4)
+    if not v_critical:
         raise PreconditionViolated("needs a v-critical graph")
 
 
-def vcrit4_by_degrees(g: Graph) -> bool:
+def vcrit4_by_degrees(g: Graph, *, gamma: int | None = None) -> bool:
     """Degree route to v-criticality at gamma_r = 4.
 
     True iff every vertex has a non-neighbor of degree n-3.
     """
-    _require_gamma4(g)
+    _require_gamma4(g, gamma)
     high = sum(1 << v for v in degree_classes(g).high)
     return all(high & ~g.closed_mask(x) for x in range(g.n))
 
@@ -95,23 +107,26 @@ def witness_chase_ok(g: Graph, x: int) -> bool:
     return any(a2 in (x, b) for a2, _ in _witness_pairs_raw(g, a))
 
 
-def saturated4_by_degrees(g: Graph) -> bool:
+def saturated4_by_degrees(g: Graph, *, gamma: int | None = None) -> bool:
     """Degree route to saturation at gamma_r = 4.
 
     True iff every two vertices of degree below n-3 are adjacent.
     """
-    _require_gamma4(g)
+    _require_gamma4(g, gamma)
     low = sorted(degree_classes(g).low)
     return all(g.adj[u] >> v & 1 for u, v in combinations(low, 2))
 
 
-def ecrit4_by_degrees(g: Graph) -> bool:
+def ecrit4_by_degrees(
+    g: Graph, *, gamma: int | None = None, v_critical: bool | None = None
+) -> bool:
     """Degree route to e-criticality at gamma_r = 4 (v-critical inputs).
 
     True iff every edge (x, y) has a vertex v such that each degree-(n-3)
     vertex outside N[v] is x or y.
     """
-    _require_gamma4(g, v_critical=True)
+    _require_gamma4(g, gamma)
+    _require_v_critical4(g, v_critical)
     high = sum(1 << v for v in degree_classes(g).high)
     for x, y in g.edges():
         pair = 1 << x | 1 << y
@@ -122,13 +137,13 @@ def ecrit4_by_degrees(g: Graph) -> bool:
     return True
 
 
-def high_class_bounds(g: Graph) -> tuple[bool, bool]:
+def high_class_bounds(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool]:
     """(2|high| >= n, 4|high| >= 3n).
 
     The first bound is asserted for v-critical graphs, the second for
     v-critical saturated ones; this evaluates both, callers supply context.
     """
-    _require_gamma4(g)
+    _require_gamma4(g, gamma)
     high = len(degree_classes(g).high)
     return (2 * high >= g.n, 4 * high >= 3 * g.n)
 
@@ -160,9 +175,10 @@ def cut_vertex_structure(g: Graph) -> bool:
     when the graph is also e-critical and saturated, additionally checks it
     is the 5-cycle or has exactly one low vertex, pendant on a cut vertex.
     """
-    _require_gamma4(g, v_critical=True)
+    _require_gamma4(g)
+    _require_v_critical4(g)
     ok = every_cut_vertex_leaves_pendant_component(g)
-    if ok and is_roman_saturated(g) and is_e_critical(g):
+    if ok and is_roman_saturated(g, gamma=4) and is_e_critical(g, gamma=4):
         ok = _cut_structure(g)
     return ok
 
@@ -187,7 +203,14 @@ class Classification:
         return self.verdict
 
 
-def classify_critical4(g: Graph) -> Classification:
+def classify_critical4(
+    g: Graph,
+    *,
+    gamma: int | None = None,
+    v_critical: bool | None = None,
+    saturated: bool | None = None,
+    e_critical: bool | None = None,
+) -> Classification:
     """Sort a graph into the gamma_r = 4 criticality catalog.
 
     Elementary side (order 4): v-critical graphs match one of the three
@@ -198,11 +221,17 @@ def classify_critical4(g: Graph) -> Classification:
     isomorphism backtracker, so qualifying graphs above order 12 raise
     TooLarge.
     """
-    if g.n < 4 or gamma_r(g) != 4:
+    if g.n < 4:
+        return Classification(NOT_CRITICAL)
+    if gamma is None:
+        gamma = gamma_r(g)
+    if gamma != 4:
+        return Classification(NOT_CRITICAL)
+    if v_critical is None:
+        v_critical = is_v_critical(g, gamma=4)
+    if not v_critical:
         return Classification(NOT_CRITICAL)
     if g.n == 4:
-        if not is_v_critical(g):
-            return Classification(NOT_CRITICAL)
         for tag, verdict in (
             ("elem1", ELEMENTARY_G1),
             ("elem2", ELEMENTARY_G2),
@@ -211,7 +240,13 @@ def classify_critical4(g: Graph) -> Classification:
             if is_isomorphic(g, gen_family(tag)):
                 return Classification(verdict)
         return Classification(CRITICAL_BUT_UNCLASSIFIED)
-    if not (is_v_critical(g) and is_roman_saturated(g) and is_e_critical(g)):
+    if saturated is None:
+        saturated = is_roman_saturated(g, gamma=4)
+    if not saturated:
+        return Classification(NOT_CRITICAL)
+    if e_critical is None:
+        e_critical = is_e_critical(g, gamma=4)
+    if not e_critical:
         return Classification(NOT_CRITICAL)
     if g.n == 5 and is_isomorphic(g, gen_family("cycle", 5)):
         return Classification(IS_C5)
@@ -224,7 +259,7 @@ def _nonneighbors(g: Graph, v: int) -> list[int]:
     return [u for u in range(g.n) if u != v and not g.adj[v] >> u & 1]
 
 
-def local8_conditions(g: Graph) -> tuple[bool, bool, bool]:
+def local8_conditions(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool]:
     """Literal sweep of the three local adjacency conditions (order >= 8).
 
     With roles {v2,v3,v4}, {v5,v6,v7}, {v5,v6} symmetric, tuples reduce to
@@ -238,7 +273,7 @@ def local8_conditions(g: Graph) -> tuple[bool, bool, bool]:
          v5..v8 leaves v8 with at least 5 neighbors among v1..v7;
       c: in the same situation v1 is adjacent to at most one of v5, v6.
     """
-    _require_order8(g)
+    _require_order8(g, gamma)
     n = g.n
     adj = g.adj
     nonnbrs = [_nonneighbors(g, v) for v in range(n)]
@@ -294,7 +329,7 @@ def local8_conditions(g: Graph) -> tuple[bool, bool, bool]:
     return (cond_a, cond_b, cond_c)
 
 
-def local8_fast(g: Graph) -> tuple[bool, bool, bool]:
+def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool]:
     """Degree shortcuts for the three conditions of local8_conditions:
     a: some vertex has degree below n-3;
     b: at most one vertex has degree below n-3;
@@ -308,7 +343,7 @@ def local8_fast(g: Graph) -> tuple[bool, bool, bool]:
     rule on seeded gamma_r = 4 graphs of orders 8-10, random and with planted
     low vertices of degree n-4.
     """
-    _require_order8(g)
+    _require_order8(g, gamma)
     pivot = g.n - 3
     low_degs = [d for d in g.degrees() if d < pivot]
     return (
@@ -318,8 +353,9 @@ def local8_fast(g: Graph) -> tuple[bool, bool, bool]:
     )
 
 
-def _require_order8(g: Graph) -> None:
-    gamma = gamma_r(g)
+def _require_order8(g: Graph, gamma: int | None) -> None:
+    if gamma is None:
+        gamma = gamma_r(g)
     if gamma != 4:
         raise PreconditionViolated(f"needs gamma_r = 4, got {gamma}")
     if g.n < 8:

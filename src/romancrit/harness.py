@@ -292,7 +292,7 @@ class Facts:
         """(vertex, gamma_r after deleting it) for the first vertex whose
         deletion fails to drop gamma_r by 1; None when v-critical."""
         if self._vc is _UNKNOWN or self._vc is _FAILS:
-            self._vc = first_non_critical_vertex(self.g)
+            self._vc = first_non_critical_vertex(self.g, gamma=self.gamma)
         return self._vc
 
     @property
@@ -304,7 +304,7 @@ class Facts:
         """The first edge whose removal leaves the graph v-critical; None
         when there is none. Read it on v-critical graphs only."""
         if self._ec is _UNKNOWN or self._ec is _FAILS:
-            self._ec = first_non_ecritical_edge(self.g)
+            self._ec = first_non_ecritical_edge(self.g, gamma=self.gamma)
         return self._ec
 
     @property
@@ -318,7 +318,7 @@ class Facts:
         """(u, v, gamma_r after adding uv) for the first non-edge whose
         addition fails to drop gamma_r by 1; None when saturated."""
         if self._sat is _UNKNOWN or self._sat is _FAILS:
-            self._sat = first_unsaturated_nonedge(self.g)
+            self._sat = first_unsaturated_nonedge(self.g, gamma=self.gamma)
         return self._sat
 
     @property
@@ -328,7 +328,7 @@ class Facts:
     @property
     def partitions(self) -> list:
         if self._parts is None:
-            self._parts = minimal_partitions(self.g)
+            self._parts = minimal_partitions(self.g, gamma=self.gamma)
         return self._parts
 
 
@@ -500,7 +500,7 @@ def _chk_saturated_partitions(f: Facts) -> list[str]:
 
 
 def _chk_edge_removal(f: Facts) -> list[str]:
-    hit = first_gamma_changing_edge(f.g)
+    hit = first_gamma_changing_edge(f.g, gamma=f.gamma, v_critical=f.v_critical)
     if hit is not None:
         u, v, after = hit
         return [f"deleting edge ({u},{v}) changes gamma {f.gamma}->{after}"]
@@ -559,19 +559,22 @@ def _some_witness_chase_fails(g: Graph) -> bool:
 
 def _chk_carac2(f: Facts) -> list[str]:
     return _dual(
-        "is_v_critical", f.v_critical, "vcrit4_by_degrees", vcrit4_by_degrees(f.g)
+        "is_v_critical",
+        f.v_critical,
+        "vcrit4_by_degrees",
+        vcrit4_by_degrees(f.g, gamma=f.gamma),
     )
 
 
 def _chk_half_bound(f: Facts) -> list[str]:
-    ok, _ = high_class_bounds(f.g)
+    ok, _ = high_class_bounds(f.g, gamma=f.gamma)
     if not ok:
         return [f"fewer than n/2 vertices of degree n-3 (n={f.g.n})"]
     return []
 
 
 def _chk_threequarter_bound(f: Facts) -> list[str]:
-    _, ok = high_class_bounds(f.g)
+    _, ok = high_class_bounds(f.g, gamma=f.gamma)
     if not ok:
         return [f"fewer than 3n/4 vertices of degree n-3 (n={f.g.n})"]
     return []
@@ -590,13 +593,16 @@ def _chk_saturated4(f: Facts) -> list[str]:
         "is_roman_saturated",
         f.saturated,
         "saturated4_by_degrees",
-        saturated4_by_degrees(f.g),
+        saturated4_by_degrees(f.g, gamma=f.gamma),
     )
 
 
 def _chk_ecrit4(f: Facts) -> list[str]:
     return _dual(
-        "is_e_critical", f.e_critical, "ecrit4_by_degrees", ecrit4_by_degrees(f.g)
+        "is_e_critical",
+        f.e_critical,
+        "ecrit4_by_degrees",
+        ecrit4_by_degrees(f.g, gamma=f.gamma, v_critical=f.v_critical),
     )
 
 
@@ -607,7 +613,13 @@ def _chk_cut_structure(f: Facts) -> list[str]:
 
 
 def _chk_classification(f: Facts) -> list[str]:
-    cls = classify_critical4(f.g)
+    cls = classify_critical4(
+        f.g,
+        gamma=f.gamma,
+        v_critical=f.v_critical,
+        saturated=f.saturated,
+        e_critical=f.e_critical,
+    )
     n = f.g.n
     if cls.verdict == CRITICAL_BUT_UNCLASSIFIED:
         return ["classification=CriticalButUnclassified"]
@@ -619,8 +631,8 @@ def _chk_classification(f: Facts) -> list[str]:
 
 def _chk_local8(f: Facts) -> list[str]:
     g = f.g
-    lit = local8_conditions(g)
-    fast = local8_fast(g)
+    lit = local8_conditions(g, gamma=f.gamma)
+    fast = local8_fast(g, gamma=f.gamma)
     diags = []
     if lit != fast:
         diags.append(

@@ -6,7 +6,8 @@ minimum weight by sweeping 2-labeled candidate sets S in ascending-size
 order and charging 2|S| plus one for every vertex left outside N[S]: any
 minimum-weight assignment has exactly the vertices outside N[V2] labeled 1,
 so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
-gamma_r, its witness and ``minimal_partitions``. A separate oracle
+gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``, the
+yes/no question that stops at the first set light enough. A separate oracle
 enumerates labelings by ascending weight and shares nothing with that
 identity.
 """
@@ -142,12 +143,29 @@ def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
 
 
 def _closed_masks(g: Graph) -> list[int]:
-    return [g.adj[v] | (1 << v) for v in range(g.n)]
+    return [m | 1 << v for v, m in enumerate(g.adj)]
 
 
 def gamma_r(g: Graph) -> int:
     """The Roman domination number."""
     return gamma_mask(_closed_masks(g), g.n)[0]
+
+
+def gamma_at_most(g: Graph, limit: int) -> bool:
+    """True iff gamma_r(g) <= limit: some Roman assignment weighs at most limit.
+
+    Sets are swept in gamma_r's order, by ascending size and bitmask, up to
+    size limit // 2, and the sweep stops at the first one light enough: it
+    visits no set that gamma_r would not.
+    """
+    n = g.n
+    if n <= limit:  # every vertex labeled 1
+        return True
+    closed = _closed_masks(g)
+    for k in range(1, min(limit // 2, n) + 1):
+        for _ in _light_sets(closed, n, k, limit):
+            return True
+    return False
 
 
 def roman_number(g: Graph) -> GammaResult:
@@ -196,13 +214,16 @@ def roman_number_oracle(g: Graph) -> int:
     raise AssertionError("all-2 labeling is always valid")  # pragma: no cover
 
 
-def minimal_partitions(g: Graph) -> list[RomanAssignment]:
+def minimal_partitions(
+    g: Graph, *, gamma: int | None = None
+) -> list[RomanAssignment]:
     """All minimum-weight Roman assignments, by ascending 2-set bitmask.
 
     Every minimum assignment labels exactly the undominated vertices 1
     (a dominated 1 could be relabeled 0 for less weight), so enumerating
     2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive, and
-    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2.
+    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. A caller that
+    already knows gamma_r passes it as ``gamma`` to skip solving it again.
     Guard: order <= 24.
     """
     if g.n > PARTITIONS_MAX_ORDER:
@@ -211,7 +232,8 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
         )
     n = g.n
     closed = _closed_masks(g)
-    gamma = gamma_mask(closed, n)[0]
+    if gamma is None:
+        gamma = gamma_mask(closed, n)[0]
     hits = sorted(
         hit
         for k in range(gamma // 2 + 1)

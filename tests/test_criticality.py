@@ -199,6 +199,100 @@ def test_e_critical_routes_agree_random():
     assert checked >= 20
 
 
+# -- first failures against literal gamma_r loops ---------------------------
+
+
+class _GammaMemo(dict):
+    # gamma_r by adjacency table: G - v, G + e and G - e of small graphs
+    # recur across the sweep, so each distinct labeled graph is solved once
+    def __call__(self, g: Graph) -> int:
+        key = (g.n, g.adj)
+        if key not in self:
+            self[key] = gamma_r(g)
+        return self[key]
+
+
+def _first_failure(items, expected):
+    return next((item + (after,) for item, after in items if after != expected), None)
+
+
+def _v_critical_by_definition(h: Graph, gamma_of) -> bool:
+    base = gamma_of(h)
+    return all(gamma_of(h.delete_vertex(w)) == base - 1 for w in range(h.n))
+
+
+def _first_non_ecritical_by_definition(g: Graph, gamma_of):
+    return next(
+        (
+            (u, v)
+            for u, v in g.edges()
+            if _v_critical_by_definition(g.delete_edge(u, v), gamma_of)
+        ),
+        None,
+    )
+
+
+def _first_failure_oracle_graphs():
+    for n in range(1, 7):
+        yield from iter_labeled_graphs(n)
+    rng = random.Random(2077)
+    for n in range(7, 10):
+        for p in (0.3, 0.5, 0.7, 0.85):
+            for _ in range(10):
+                yield _random_graph(rng, n, p)
+
+
+@pytest.mark.parametrize("known_gamma", [False, True])
+def test_first_failures_match_definition(known_gamma):
+    # each first_* answer, witness value included, equals a literal loop over
+    # gamma_r of every G - v, G + e and G - e, whether or not the caller
+    # supplies gamma_r(G)
+    gamma_of = _GammaMemo()
+    v_critical_graphs = 0
+    for g in _first_failure_oracle_graphs():
+        base = gamma_of(g)
+        known = {"gamma": base} if known_gamma else {}
+        vertex = _first_failure(
+            (((v,), gamma_of(g.delete_vertex(v))) for v in range(g.n)), base - 1
+        )
+        nonedge = _first_failure(
+            (((u, v), gamma_of(g.add_edge(u, v))) for u, v in g.non_edges()),
+            base - 1,
+        )
+        assert first_non_critical_vertex(g, **known) == vertex
+        assert first_unsaturated_nonedge(g, **known) == nonedge
+        assert is_v_critical(g, **known) == (vertex is None)
+        if vertex is not None:
+            if g.n < 6:
+                with pytest.raises(NotVCritical):
+                    first_gamma_changing_edge(g, **known)
+                # outside its contract, yet exact; here an edge removal
+                # can raise gamma_r, which no v-critical graph tested does
+                got = first_non_ecritical_edge(g, **known)
+                assert got == _first_non_ecritical_by_definition(g, gamma_of)
+            continue
+        v_critical_graphs += 1
+        changing_edge = _first_failure(
+            (((u, v), gamma_of(g.delete_edge(u, v))) for u, v in g.edges()), base
+        )
+        non_ecritical_edge = _first_non_ecritical_by_definition(g, gamma_of)
+        assert first_gamma_changing_edge(g, **known) == changing_edge
+        assert first_gamma_changing_edge(g, **known, v_critical=True) == changing_edge
+        assert first_non_ecritical_edge(g, **known) == non_ecritical_edge
+        assert is_e_critical(g, **known) == (non_ecritical_edge is None)
+    # the v-critical branch runs on enough graphs to mean something
+    assert v_critical_graphs > 100
+
+
+def test_first_gamma_changing_edge_trusts_a_supplied_verdict():
+    with pytest.raises(NotVCritical):
+        first_gamma_changing_edge(gen_family("dn", 6), v_critical=False)
+    # the star is not v-critical; cutting a leaf off raises gamma_r from 2 to 3
+    star = graph_new(4, [(0, 1), (0, 2), (0, 3)])
+    assert not is_v_critical(star)
+    assert first_gamma_changing_edge(star, v_critical=True) == (0, 1, 3)
+
+
 # -- report ------------------------------------------------------------------
 
 
@@ -311,7 +405,7 @@ def test_criticality_report_matches_public_routes(
     if broken_partition_routes:
         for module in (criticality, harness):
             for name, broken in (
-                ("minimal_partitions", lambda f: lambda g: f(g)[:1]),
+                ("minimal_partitions", lambda f: lambda *a, **k: f(*a, **k)[:1]),
                 ("_saturated_over_partitions", lambda f: lambda g, p: not f(g, p)),
                 ("_pivot_condition", lambda f: lambda g, p: not f(g, p)),
             ):

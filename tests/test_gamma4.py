@@ -35,6 +35,7 @@ from romancrit import (
     witness_pairs,
 )
 from romancrit.gamma4 import every_cut_vertex_leaves_pendant_component
+from romancrit.harness import graph_from_edge_mask, isomorphism_classes
 
 
 def _matching_complement_plus_isolated(n: int) -> Graph:
@@ -109,6 +110,67 @@ def test_gamma4_gates():
         witness_pairs(gen_family("elem3"), 0)
     with pytest.raises(PreconditionViolated):
         saturated4_by_degrees(gen_family("complete", 6))  # gamma_r 2
+
+
+def test_gamma4_gates_check_supplied_values():
+    d6 = gen_family("dn", 6)  # gamma_r 4, v-critical
+    for predicate in (
+        vcrit4_by_degrees,
+        saturated4_by_degrees,
+        ecrit4_by_degrees,
+        high_class_bounds,
+    ):
+        for wrong in (3, 5):
+            with pytest.raises(PreconditionViolated, match=f"got {wrong}"):
+                predicate(d6, gamma=wrong)
+        # gamma_r = 4 on an order-4 graph is elementary
+        with pytest.raises(PreconditionViolated, match="nonelementary"):
+            predicate(gen_family("elem1"), gamma=4)
+    with pytest.raises(PreconditionViolated, match="v-critical"):
+        ecrit4_by_degrees(d6, gamma=4, v_critical=False)
+    d8 = gen_family("dn", 8)
+    for predicate in (local8_conditions, local8_fast):
+        with pytest.raises(PreconditionViolated, match="got 3"):
+            predicate(d8, gamma=3)
+        with pytest.raises(PreconditionViolated, match="order >= 8"):
+            predicate(d6, gamma=4)
+    assert classify_critical4(d6, gamma=3) == Classification(NOT_CRITICAL)
+    for verdict in ("v_critical", "saturated", "e_critical"):
+        got = classify_critical4(d6, **{verdict: False})
+        assert got == Classification(NOT_CRITICAL)
+
+
+def test_gamma4_predicates_agree_with_supplied_values():
+    # every nonelementary gamma_r = 4 class of orders 5-7, and the order-4
+    # catalog side of classify_critical4
+    graphs = [
+        graph_from_edge_mask(n, rep)
+        for n in range(4, 8)
+        for rep, _ in isomorphism_classes(n)
+    ]
+    checked = 0
+    for g in graphs:
+        gamma = gamma_r(g)
+        vc = is_v_critical(g)
+        known = {
+            "gamma": gamma,
+            "v_critical": vc,
+            "saturated": is_roman_saturated(g),
+            "e_critical": is_e_critical(g),
+        }
+        assert classify_critical4(g, **known) == classify_critical4(g)
+        if gamma != 4 or g.n == 4:
+            continue
+        checked += 1
+        for predicate in (vcrit4_by_degrees, saturated4_by_degrees, high_class_bounds):
+            assert predicate(g, gamma=4) == predicate(g)
+        if vc:
+            got = ecrit4_by_degrees(g, gamma=4, v_critical=True)
+            assert got == ecrit4_by_degrees(g)
+    assert checked > 100
+    for g in (gen_family("dn", 8), gen_family("xn", 8)):
+        for predicate in (local8_conditions, local8_fast):
+            assert predicate(g, gamma=4) == predicate(g)
 
 
 # -- witnesses ---------------------------------------------------------------

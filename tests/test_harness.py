@@ -424,7 +424,9 @@ def test_class_scan_copies_carry_no_representative_witness(monkeypatch):
     calls = []
     find = harness.first_non_critical_vertex
     monkeypatch.setattr(
-        harness, "first_non_critical_vertex", lambda g: calls.append(g) or find(g)
+        harness,
+        "first_non_critical_vertex",
+        lambda g, *a, **k: calls.append(g) or find(g, *a, **k),
     )
     harness._scan_classes([claim], 5, [(rep, 60)])
     # the verdict reached all 60 copies from the one evaluation on rep

@@ -81,6 +81,15 @@ def test_one_edge_or_vertex_moves_gamma_by_at_most_one(g):
 
 
 @PROPERTY
+@given(graphs())
+def test_deleting_an_edge_never_lowers_gamma(g):
+    # every Roman assignment of G - e is one of G
+    gamma = gamma_r(g)
+    for u, v in g.edges():
+        assert gamma_r(g.delete_edge(u, v)) >= gamma
+
+
+@PROPERTY
 @given(graphs(min_order=1, max_order=12))
 def test_degree_bounds(g):
     # Cockayne, Dreyer, Hedetniemi & Hedetniemi (2004): for n >= 1,

@@ -11,6 +11,7 @@ from romancrit import (
     LengthMismatch,
     RomanAssignment,
     TooLarge,
+    gamma_at_most,
     gamma_r,
     gen_family,
     graph_new,
@@ -164,6 +165,24 @@ def test_solver_matches_oracle_random():
         n = rng.randrange(1, 11)
         g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         assert gamma_r(g) == roman_number_oracle(g)
+
+
+def test_gamma_at_most_matches_gamma_r_exhaustive():
+    for n in range(7):
+        for g in iter_labeled_graphs(n):
+            gamma = gamma_r(g)
+            for limit in range(-1, 2 * n + 1):
+                assert gamma_at_most(g, limit) == (gamma <= limit), (g.adj, limit)
+
+
+def test_gamma_at_most_matches_oracle_random():
+    rng = random.Random(4343)
+    for n in range(7, 11):
+        for _ in range(25):
+            g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            gamma = roman_number_oracle(g)
+            for limit in range(-1, 2 * n + 1):
+                assert gamma_at_most(g, limit) == (gamma <= limit), (g.adj, limit)
 
 
 def test_oracle_guard():
