@@ -281,13 +281,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"romancrit: error: {exc}", file=sys.stderr)
-        return 1
-    except RomanCritError as exc:
-        print(f"romancrit: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, RomanCritError, OSError) as exc:
         print(f"romancrit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ from .criticality import (
     first_non_critical_vertex,
     first_non_ecritical_edge,
     first_unsaturated_nonedge,
+    is_v_critical,
     nonelementary_by_components,
 )
 from .gamma4 import (
@@ -115,12 +116,12 @@ class EdgePermutations:
     one Python int packs, in one fixed-width field per permutation, the image
     of those edge bits, so the images of a whole mask under every permutation
     are the OR of one int per chunk, unpacked by one ``array``. Fields are 16
-    bits up to order 6, 32 bits at orders 7 and 8 and 64 bits above. The
-    tables take 138 KB at order 6 (96 ints of 720 fields), 2.6 MB at order 7
-    (130 ints of 5040) and 27 MB at order 8 (168 ints of 40320). A class scan
-    builds them only once some class expands to its labeled copies; the
-    class sweep, which serves order 8 and writes ``_class_table``, always
-    does.
+    bits up to order 6 and 32 bits at orders 7 and 8, the largest order a
+    scan accepts. The tables take 138 KB at order 6 (96 ints of 720
+    fields), 2.6 MB at order 7 (130 ints of 5040) and 27 MB at order 8 (168
+    ints of 40320). A class scan builds them only once some class expands
+    to its labeled copies; the class sweep, which serves order 8 and writes
+    ``_class_table``, always does.
     """
 
     __slots__ = ("n", "_code", "_nbytes", "_chunks")
@@ -132,9 +133,7 @@ class EdgePermutations:
         for i, (u, v) in enumerate(pairs):
             bit[u][v] = bit[v][u] = 1 << i
         perms = list(permutations(range(n)))
-        self._code = code = (
-            "H" if len(pairs) <= 16 else "I" if len(pairs) <= 32 else "Q"
-        )
+        self._code = code = "H" if len(pairs) <= 16 else "I"
         self._nbytes = array(code).itemsize * len(perms)
         # bit_images[i]: the edge bit that edge i becomes, one field per perm
         bit_images = [
@@ -244,36 +243,23 @@ def _class_table_module() -> str:
     return "\n".join(lines) + "\n"
 
 
-# A Facts slot for a predicate holds _UNKNOWN until it is evaluated, then
-# None when the predicate holds, else its first failure: the witness tuple, or
-# _FAILS in a class-scan copy, which keeps the representative's verdict but
-# not its witness, since a witness names vertices.
-_UNKNOWN = object()
-_FAILS = object()
-
-
 class Facts:
-    """Per-graph lazy cache of gamma_r, the predicates' first failures and
+    """Per-graph lazy cache of gamma_r, the three criticality verdicts and
     the minimum partitions: the one evaluation context that the claims and
-    ``criticality_report`` read."""
+    ``criticality_report`` read. A slot holds None until it is computed."""
 
     __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts")
 
     def __init__(self, g: Graph):
         self.g = g
-        self._gamma: int | None = None
-        self._vc = self._ec = self._sat = _UNKNOWN
-        self._parts: list | None = None
+        self._gamma = self._vc = self._ec = self._sat = self._parts = None
 
     def relabeled(self, g: Graph) -> Facts:
         """Facts of g, an isomorphic copy of this graph: gamma_r and the
-        verdicts carry over; witnesses and partitions, which name vertices,
-        do not."""
+        verdicts carry over; the partitions, which name vertices, do not."""
         copy = Facts(g)
-        copy._gamma = self._gamma
-        copy._vc, copy._ec, copy._sat = (
-            w if w is None or w is _UNKNOWN else _FAILS
-            for w in (self._vc, self._ec, self._sat)
+        copy._gamma, copy._vc, copy._ec, copy._sat = (
+            self._gamma, self._vc, self._ec, self._sat
         )
         return copy
 
@@ -288,42 +274,24 @@ class Facts:
         return self.gamma < self.g.n
 
     @property
-    def vcrit_witness(self) -> tuple[int, int] | None:
-        """(vertex, gamma_r after deleting it) for the first vertex whose
-        deletion fails to drop gamma_r by 1; None when v-critical."""
-        if self._vc is _UNKNOWN or self._vc is _FAILS:
-            self._vc = first_non_critical_vertex(self.g, gamma=self.gamma)
+    def v_critical(self) -> bool:
+        if self._vc is None:
+            self._vc = is_v_critical(self.g, gamma=self.gamma)
         return self._vc
 
     @property
-    def v_critical(self) -> bool:
-        return (self.vcrit_witness if self._vc is _UNKNOWN else self._vc) is None
-
-    @property
-    def ecrit_witness(self) -> tuple[int, int] | None:
-        """The first edge whose removal leaves the graph v-critical; None
-        when there is none. Read it on v-critical graphs only."""
-        if self._ec is _UNKNOWN or self._ec is _FAILS:
-            self._ec = first_non_ecritical_edge(self.g, gamma=self.gamma)
+    def e_critical(self) -> bool:
+        if self._ec is None:
+            self._ec = self.v_critical and (
+                first_non_ecritical_edge(self.g, gamma=self.gamma) is None
+            )
         return self._ec
 
     @property
-    def e_critical(self) -> bool:
-        return self.v_critical and (
-            self.ecrit_witness if self._ec is _UNKNOWN else self._ec
-        ) is None
-
-    @property
-    def sat_witness(self) -> tuple[int, int, int] | None:
-        """(u, v, gamma_r after adding uv) for the first non-edge whose
-        addition fails to drop gamma_r by 1; None when saturated."""
-        if self._sat is _UNKNOWN or self._sat is _FAILS:
-            self._sat = first_unsaturated_nonedge(self.g, gamma=self.gamma)
-        return self._sat
-
-    @property
     def saturated(self) -> bool:
-        return (self.sat_witness if self._sat is _UNKNOWN else self._sat) is None
+        if self._sat is None:
+            self._sat = first_unsaturated_nonedge(self.g, gamma=self.gamma) is None
+        return self._sat
 
     @property
     def partitions(self) -> list:
@@ -357,21 +325,28 @@ class CriticalityReport:
 def criticality_report(g: Graph) -> CriticalityReport:
     """One-stop summary read from one ``Facts``: gamma_r, the four
     predicates, their first failures, and the diagnostics of the dual-route
-    checks, the e-critical one on v-critical graphs only."""
+    checks, the e-critical one on v-critical graphs only. Each first failure
+    also settles its verdict in the ``Facts``, so no sweep runs twice."""
     if g.n == 0:
         raise InvalidOrder("criticality report needs order >= 1")
     f = Facts(g)
     witnesses: dict = {}
-    if f.vcrit_witness is not None:
-        v, after = f.vcrit_witness
+    vc = first_non_critical_vertex(g, gamma=f.gamma)
+    f._vc = vc is None
+    if vc is not None:
+        v, after = vc
         witnesses["v_critical"] = {"vertex": v, "gamma_after": after}
-    if f.sat_witness is not None:
-        u, v, after = f.sat_witness
+    sat = first_unsaturated_nonedge(g, gamma=f.gamma)
+    f._sat = sat is None
+    if sat is not None:
+        u, v, after = sat
         witnesses["saturated"] = {"nonedge": [u, v], "gamma_after": after}
     diagnostics = _chk_vcrit_partitions(f) + _chk_saturated_partitions(f)
     if f.v_critical:
-        if f.ecrit_witness is not None:
-            witnesses["e_critical"] = {"edge": list(f.ecrit_witness)}
+        ec = first_non_ecritical_edge(g, gamma=f.gamma)
+        f._ec = ec is None
+        if ec is not None:
+            witnesses["e_critical"] = {"edge": list(ec)}
         diagnostics += _chk_ecrit_condition(f)
     return CriticalityReport(
         gamma=f.gamma,
@@ -874,36 +849,27 @@ def claim_catalog() -> list[tuple[str, str]]:
 Source = tuple
 
 
-def _source_label(source: Source) -> str:
-    kind = source[0]
+def _open_source(source: Source) -> tuple[str, Iterator[Graph] | None]:
+    """The report label of a source and its graphs, or None for an
+    enumeration, which the class scan reads instead."""
+    kind, arg = source[0], source[1]
     if kind == "enumerate":
-        return f"enumerate({source[1]})"
+        return f"enumerate({arg})", None
     if kind == "file":
-        return f"file:{source[1]}"
+        return f"file:{arg}", _read_graph6_file(arg)
     if kind == "families":
-        items = ",".join(
-            tag if n is None else f"{tag}:{n}" for tag, n in source[1]
-        )
-        return f"families:{items}"
+        items = ",".join(tag if n is None else f"{tag}:{n}" for tag, n in arg)
+        return f"families:{items}", (gen_family(tag, n) for tag, n in arg)
     if kind == "graphs":
-        return f"graphs:{len(source[1])}"
+        return f"graphs:{len(arg)}", iter(arg)
     raise ValueError(f"unknown source kind {kind!r}")
 
 
-def _iter_source(source: Source) -> Iterator[Graph]:
-    kind = source[0]
-    if kind == "file":
-        with open(source[1], "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    yield parse_graph6(line)
-    elif kind == "families":
-        for tag, n in source[1]:
-            yield gen_family(tag, n)
-    elif kind == "graphs":
-        yield from source[1]
-    else:
-        raise ValueError(f"unknown source kind {kind!r}")
+def _read_graph6_file(path: str) -> Iterator[Graph]:
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            if line.strip():
+                yield parse_graph6(line)
 
 
 def _resolve_claims(claim_ids: Sequence[str]) -> list[Claim]:
@@ -919,19 +885,30 @@ def _resolve_claims(claim_ids: Sequence[str]) -> list[Claim]:
     return out
 
 
+def _evaluate(
+    claim: Claim, f: Facts, per_class: bool = False
+) -> tuple[bool, Sequence[str]]:
+    """(hypothesis held, diagnostics) of one claim on one graph. A guard
+    error is the one diagnostic ``guard-error: ...``. Per class, a claim that
+    reads this graph's labels reports so instead of running its check, since
+    only the labeled copies can decide it."""
+    held = False
+    try:
+        if not claim.hypothesis(f):
+            return False, ()
+        held = True
+        if per_class and claim.reads_labels is not None and claim.reads_labels(f):
+            return True, ("reads labels",)
+        return True, claim.check(f)
+    except RomanCritError as exc:
+        return held, (f"guard-error: {type(exc).__name__}: {exc}",)
+
+
 def _scan_one(claims: list[Claim], f: Facts, acc: dict[str, list]) -> None:
     for claim in claims:
+        held, diags = _evaluate(claim, f)
         entry = acc[claim.id]
-        try:
-            if not claim.hypothesis(f):
-                continue
-            entry[0] += 1
-            diags = claim.check(f)
-        except RomanCritError as exc:
-            entry[1].append(
-                (emit_graph6(f.g), f"guard-error: {type(exc).__name__}: {exc}")
-            )
-            continue
+        entry[0] += held
         if diags:
             g6 = emit_graph6(f.g)
             entry[1].extend((g6, d) for d in diags)
@@ -942,12 +919,12 @@ def _scan_classes(
 ) -> dict[str, list]:
     """Evaluate each claim once per class and weight it by the class size.
 
-    A class whose check reports, whose hypothesis or check raises a guard
-    error, or whose claim reads labels is expanded: every labeled copy, in
-    ascending mask order, goes through ``_scan_one`` for those claims, so
-    its counterexamples are exactly the labeled scan's. The permutation
-    tables are built when the first class expands, so a scan that expands
-    nothing never builds them.
+    A class whose check reports, whose claim reads labels, or whose
+    hypothesis, label test or check raises a guard error is expanded: every
+    labeled copy, in ascending mask order, goes through ``_scan_one`` for
+    those claims, so its counterexamples are exactly the labeled scan's. The
+    permutation tables are built when the first class expands, so a scan
+    that expands nothing never builds them.
     """
     perms = None
     acc: dict[str, list] = {c.id: [0, []] for c in claims}
@@ -955,18 +932,11 @@ def _scan_classes(
         f = Facts(graph_from_edge_mask(n, rep))
         expand = []
         for claim in claims:
-            try:
-                if not claim.hypothesis(f):
-                    continue
-                if (
-                    claim.reads_labels is not None and claim.reads_labels(f)
-                ) or claim.check(f):
-                    expand.append(claim)
-                    continue
-            except RomanCritError:
+            held, diags = _evaluate(claim, f, per_class=True)
+            if diags:
                 expand.append(claim)
-                continue
-            acc[claim.id][0] += size
+            elif held:
+                acc[claim.id][0] += size
         if not expand:
             continue
         if perms is None:
@@ -990,16 +960,16 @@ def verify_claims(
     compatibility and ignored.
     """
     claims = _resolve_claims(claim_ids)
-    label = _source_label(source)
+    label, graphs = _open_source(source)
     start = time.monotonic()
-    if source[0] == "enumerate":
+    if graphs is None:
         classes = isomorphism_classes(source[1], allow_large)
         scanned = sum(size for _, size in classes)
         acc = _scan_classes(claims, source[1], classes)
     else:
         acc = {c.id: [0, []] for c in claims}
         scanned = 0
-        for g in _iter_source(source):
+        for g in graphs:
             _scan_one(claims, Facts(g), acc)
             scanned += 1
 

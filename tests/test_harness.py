@@ -373,6 +373,14 @@ def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch):
             _vertex0_isolated,
             reads_labels=lambda f: 0 in f.g.degrees(),
         ),
+        Claim(
+            "t-labels-raise",
+            "",
+            lambda f: True,
+            _vertex0_isolated,
+            # the two-edge class P3 + K1 expands only through the guard error
+            reads_labels=lambda f: _raise_at_two_edges(f) and 0 in f.g.degrees(),
+        ),
         Claim("t-undeclared", "", lambda f: True, _vertex0_isolated),
     )
     for claim in test_claims:
@@ -380,13 +388,14 @@ def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch):
     ids = [c.id for c in test_claims]
     by_class = verify_claims(ids, ("enumerate", 4))
     labeled = verify_claims(ids, ("graphs", tuple(iter_labeled_graphs(4))))
-    for a, b in zip(by_class[:3], labeled):
+    for a, b in zip(by_class[:4], labeled):
         assert a.graphs_in_hypothesis == b.graphs_in_hypothesis
         assert a.counterexamples == b.counterexamples
-    hyp_raises, check_raises, reads_labels, undeclared = by_class
+    hyp_raises, check_raises, reads_labels, labels_raise, undeclared = by_class
     assert len(hyp_raises.counterexamples) == 15  # C(6,2) two-edge graphs
     assert len(check_raises.counterexamples) == 20  # C(6,3) three-edge graphs
     assert len(reads_labels.counterexamples) == 8  # 2^C(3,2) graphs on 1..3
+    assert len(labels_raise.counterexamples) == 8
     # undeclared, only the edgeless class is caught: every other class's
     # smallest mask puts an edge on vertex 0
     assert len(undeclared.counterexamples) == 1
@@ -422,19 +431,34 @@ def test_class_scan_copies_carry_no_representative_witness(monkeypatch):
 
     monkeypatch.setattr(harness, "_scan_one", record)
     calls = []
-    find = harness.first_non_critical_vertex
+    decide = harness.is_v_critical
     monkeypatch.setattr(
         harness,
-        "first_non_critical_vertex",
-        lambda g, *a, **k: calls.append(g) or find(g, *a, **k),
+        "is_v_critical",
+        lambda g, *a, **k: calls.append(g) or decide(g, *a, **k),
     )
     harness._scan_classes([claim], 5, [(rep, 60)])
     # the verdict reached all 60 copies from the one evaluation on rep
     assert len(seen) == 60 and len(calls) == 1
-    witness = find(graph_from_edge_mask(5, rep))
-    copy_witnesses = [f.vcrit_witness for f in seen]
-    assert copy_witnesses == [find(f.g) for f in seen]
-    assert any(w != witness for w in copy_witnesses)
+    # and a copy reads it without deciding it again
+    assert [f.v_critical for f in seen] == [False] * 60 and len(calls) == 1
+
+
+def test_claim_scans_never_ask_for_a_vertex_witness(monkeypatch):
+    # a verdict needs no witness, and gamma_r(G - v) for one is a full solve
+    def scan():
+        return [
+            [r.to_json_dict() for r in verify_claims(block, ("enumerate", n))]
+            for block in (DUAL_CLAIMS, GAMMA4_CLAIMS)
+            for n in range(7)
+        ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a claim scan asked for a vertex witness")
+
+    expected = scan()
+    monkeypatch.setattr(harness, "first_non_critical_vertex", refuse)
+    assert scan() == expected
 
 
 def test_facts_empty_graph():
