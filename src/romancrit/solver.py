@@ -7,15 +7,20 @@ order and charging 2|S| plus one for every vertex left outside N[S]: any
 minimum-weight assignment has exactly the vertices outside N[V2] labeled 1,
 so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
 gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``, the
-yes/no question that stops at the first set light enough. A separate oracle
-enumerates labelings by ascending weight and shares nothing with that
-identity.
+yes/no question that stops at the first set light enough. It visits the
+sets of one size depth first in ascending bitmask order, each level adding
+one vertex's closed neighborhood to the cover its prefix carries. The sweep
+is exponential in gamma_r, so gamma_r, roman_number and gamma_at_most
+refuse with TooLarge, before sweeping, an input whose sweep could pass
+SWEEP_MAX_SETS sets. A separate oracle enumerates labelings by ascending weight and shares
+nothing with that identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import LengthMismatch, TooLarge
@@ -23,6 +28,13 @@ from .graphs import Graph
 
 ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
+# Most candidate 2-sets one gamma_r sweep may visit: at the measured 2.7M
+# sets/s the largest admitted sweep runs about twelve seconds. C24 (7.0M)
+# passes, C30 (459M) is refused.
+SWEEP_MAX_SETS = 1 << 25
+# Up to this order all 2^n - 1 nonempty sets fit under SWEEP_MAX_SETS, so
+# the guard cannot fire there and is not evaluated.
+_SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -88,32 +100,70 @@ def _light_sets(
 
     With limit at the minimum weight that is every minimum k-set; with a
     higher limit the weights never rise, so the first set of the least
-    weight is the first minimizer. The k-sets come from Gosper's hack and
-    the cover is built inline: the sweep makes no call per subset.
+    weight is the first minimizer. Ascending bitmask order is colex order, so
+    the sweep is depth first: it picks the largest element first, carries
+    the cover of the elements picked so far down a stack, and at the last
+    level runs the lowest element under that prefix, one OR and one
+    bit_count per set. A weight at most limit is a cover of at least
+    n + 2k - limit vertices.
     """
     full = (1 << n) - 1
     if k == 0:
         if n <= limit:
             yield 0, full
         return
-    floor = 2 * k
-    s = (1 << k) - 1
-    top = 1 << n
-    while s < top:
-        cov = 0
-        t = s
-        while t:
-            low = t & -t
-            cov |= closed[low.bit_length() - 1]
-            t ^= low
-        rest = full & ~cov
-        w = floor + rest.bit_count()
-        if w <= limit:
-            limit = w
-            yield s, rest
-        c = s & -s
-        r = s + c
-        s = (((s ^ r) >> 2) // c) | r
+    need = n + 2 * k - limit
+    if k == 1:
+        for v, c in enumerate(closed):
+            if c.bit_count() >= need:
+                need = c.bit_count()
+                yield 1 << v, full ^ c
+        return
+    # depth d picks the (d+1)-th largest element x, from k-1-d up to below
+    # the element picked one level up; the last level, k-2, picks the
+    # second smallest and runs the smallest inline
+    last = k - 2
+    picked = [0] * last
+    covs = [0] * (last + 1)
+    sets = [0] * (last + 1)
+    d = 0
+    x = k - 1
+    hi = n
+    while True:
+        if x >= hi:
+            if d == 0:
+                return
+            d -= 1
+            x = picked[d] + 1
+            hi = picked[d - 1] if d else n
+        elif d == last:
+            cov = covs[d] | closed[x]
+            y = 0
+            for c in closed[:x]:
+                if (cov | c).bit_count() >= need:
+                    c |= cov
+                    need = c.bit_count()
+                    yield sets[d] | 1 << x | 1 << y, full ^ c
+                y += 1
+            x += 1
+        else:
+            picked[d] = x
+            covs[d + 1] = covs[d] | closed[x]
+            sets[d + 1] = sets[d] | 1 << x
+            d += 1
+            hi = x
+            x = k - 1 - d
+
+
+def _check_sweep(n: int, k_max: int) -> None:
+    """Refuse a sweep over the k-sets, k = 1..k_max, of more than
+    SWEEP_MAX_SETS sets; gamma_r raises rather than truncate."""
+    sets = sum(comb(n, k) for k in range(1, k_max + 1))
+    if sets > SWEEP_MAX_SETS:
+        raise TooLarge(
+            f"gamma_r sweep of up to {sets:,} vertex sets at order {n} exceeds "
+            f"the guard of {SWEEP_MAX_SETS:,}"
+        )
 
 
 def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
@@ -125,7 +175,14 @@ def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
 def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
     """(gamma, S, V outside N[S]) from the closed-neighborhood masks: the
     minimum Roman weight, its first 2-set (smallest size, then smallest
-    bitmask) and the vertices that 2-set leaves to be labeled 1."""
+    bitmask) and the vertices that 2-set leaves to be labeled 1.
+
+    Raises TooLarge past SWEEP_MAX_SETS. A vertex of top degree Delta
+    labeled 2 and the vertices outside its closed neighborhood labeled 1
+    weigh n - Delta + 1, so the sweep stops below size (n - Delta + 1) / 2.
+    """
+    if n > _SWEEP_FREE_ORDER:
+        _check_sweep(n, (n + 1 - max(map(int.bit_count, closed))) // 2)
     best = n
     best_s = 0
     best_rest = (1 << n) - 1
@@ -156,11 +213,14 @@ def gamma_at_most(g: Graph, limit: int) -> bool:
 
     Sets are swept in gamma_r's order, by ascending size and bitmask, up to
     size limit // 2, and the sweep stops at the first one light enough: it
-    visits no set that gamma_r would not.
+    visits no set that gamma_r would not. Raises TooLarge past
+    SWEEP_MAX_SETS.
     """
     n = g.n
     if n <= limit:  # every vertex labeled 1
         return True
+    if n > _SWEEP_FREE_ORDER:
+        _check_sweep(n, limit // 2)
     closed = _closed_masks(g)
     for k in range(1, min(limit // 2, n) + 1):
         for _ in _light_sets(closed, n, k, limit):

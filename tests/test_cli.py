@@ -75,6 +75,20 @@ def test_gamma_malformed_line(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["gamma", "report"])
+def test_gamma_and_report_refuse_a_sweep_past_the_guard(
+    capsys, monkeypatch, command
+):
+    # Dhc runs, C30 would sweep some 459M 2-sets: exit 1 instead of hanging
+    _feed(monkeypatch, "Dhc\n" + emit_graph6(gen_family("cycle", 30)) + "\n")
+    code, out, err = _run(capsys, command)
+    assert code == 1
+    first = "Dhc gamma=4 " if command == "gamma" else '{"graph6":"Dhc"'
+    assert out.startswith(first)
+    assert len(out.splitlines()) == 1
+    assert err.startswith("romancrit: error: gamma_r sweep of up to 459,312,151 ")
+
+
 # -- report ------------------------------------------------------------------
 
 

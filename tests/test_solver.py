@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from romancrit import (
+    SWEEP_MAX_SETS,
     Graph,
     GammaResult,
     LengthMismatch,
@@ -19,8 +22,16 @@ from romancrit import (
     minimal_partitions,
     roman_number,
     roman_number_oracle,
+    solver,
 )
-from romancrit.harness import iter_labeled_graphs
+from romancrit.graph6 import read_graph6_lines
+from romancrit.harness import (
+    graph_from_edge_mask,
+    isomorphism_classes,
+    iter_labeled_graphs,
+)
+
+GOLDEN_GRAPHS = Path(__file__).parent / "golden" / "families.g6"
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -240,6 +251,101 @@ def test_witness_tie_break_deterministic():
 def test_witness_idempotent():
     g = gen_family("cycle", 7)
     assert roman_number(g) == roman_number(g)
+
+
+# -- the sweep primitive -----------------------------------------------------
+
+
+def _gosper_light_sets(closed, n, k, limit):
+    # oracle for solver._light_sets: the k-sets in ascending bitmask order
+    # from Gosper's hack, each cover rebuilt with a k-step OR loop, under
+    # the same running limit; it shares no prefix state with the
+    # depth-first sweep
+    full = (1 << n) - 1
+    if k == 0:
+        if n <= limit:
+            yield 0, full
+        return
+    floor = 2 * k
+    s = (1 << k) - 1
+    top = 1 << n
+    while s < top:
+        cov = 0
+        t = s
+        while t:
+            low = t & -t
+            cov |= closed[low.bit_length() - 1]
+            t ^= low
+        rest = full & ~cov
+        w = floor + rest.bit_count()
+        if w <= limit:
+            limit = w
+            yield s, rest
+        c = s & -s
+        r = s + c
+        s = (((s ^ r) >> 2) // c) | r
+
+
+def _assert_sweeps_agree(g: Graph) -> None:
+    n = g.n
+    closed = solver._closed_masks(g)
+    for k in range(n + 2):
+        for limit in range(-1, 2 * n + 2):
+            got = list(solver._light_sets(closed, n, k, limit))
+            assert got == list(_gosper_light_sets(closed, n, k, limit)), (
+                g.edges(),
+                k,
+                limit,
+            )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_light_sets_matches_gosper_sweep_on_every_class(n):
+    # same sets, same order, same running limit, for every size up to n + 1
+    # (no k-set) and every limit from -1 (nothing) to 2n + 1 (all records)
+    for rep, _ in isomorphism_classes(n):
+        _assert_sweeps_agree(graph_from_edge_mask(n, rep))
+
+
+def test_light_sets_matches_gosper_sweep_random():
+    rng = random.Random(58)
+    for n in range(8, 14):
+        for p in (0.15, 0.4):
+            _assert_sweeps_agree(_random_graph(rng, n, p))
+
+
+def test_roman_number_matches_gosper_sweep(monkeypatch):
+    rng = random.Random(59)
+    graphs = [
+        _random_graph(rng, n, p)
+        for n in range(15, 21)
+        for p in (0.15, 0.2, 0.3)
+    ]
+    graphs += [gen_family("cycle", n) for n in range(3, 22)]
+    got = [roman_number(g) for g in graphs]
+    monkeypatch.setattr(solver, "_light_sets", _gosper_light_sets)
+    assert got == [roman_number(g) for g in graphs]
+
+
+def test_sweep_guard_admits_c24_and_the_golden_corpus():
+    # n // 2 is the largest sweep size the guard can charge at order n
+    graphs = read_graph6_lines(GOLDEN_GRAPHS.read_text(encoding="ascii"))
+    for g in graphs + [gen_family("cycle", 24)]:
+        solver._check_sweep(g.n, g.n // 2)
+    c24 = gen_family("cycle", 24)
+    assert gamma_r(c24) == 16
+    assert not gamma_at_most(c24, 15)
+
+
+@pytest.mark.parametrize(
+    "g", [gen_family("cycle", 30), graph_new(30)], ids=["C30", "E30"]
+)
+def test_sweep_guard_refuses_order_30_at_once(g):
+    for call in (gamma_r, roman_number, lambda h: gamma_at_most(h, h.n - 1)):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"guard of {SWEEP_MAX_SETS:,}"):
+            call(g)
+        assert time.perf_counter() - t0 < 0.1
 
 
 # -- minimal partitions ------------------------------------------------------
