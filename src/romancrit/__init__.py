@@ -21,7 +21,6 @@ from .solver import (
     GammaResult,
     ORACLE_MAX_ORDER,
     PARTITIONS_MAX_ORDER,
-    SWEEP_MAX_SETS,
     RomanAssignment,
     gamma_at_most,
     gamma_r,

@@ -11,9 +11,10 @@ yes/no question that stops at the first set light enough. It visits the
 sets of one size depth first in ascending bitmask order, each level adding
 one vertex's closed neighborhood to the cover its prefix carries. The sweep
 is exponential in gamma_r, so gamma_r, roman_number and gamma_at_most
-refuse with TooLarge, before sweeping, an input whose sweep could pass
-SWEEP_MAX_SETS sets. A separate oracle enumerates labelings by ascending weight and shares
-nothing with that identity.
+refuse with TooLarge, before sweeping, an input whose sets of every size the
+sweep may reach number more than SWEEP_MAX_SETS. A separate oracle
+enumerates labelings by ascending weight and shares nothing with that
+identity.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .graphs import Graph
 ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
 # Most candidate 2-sets one gamma_r sweep may visit: at the measured 2.7M
-# sets/s the largest admitted sweep runs about twelve seconds. C24 (7.0M)
+# sets/s the largest admitted sweep runs about twelve seconds (2^25 / 2.7M). C24 (7.0M)
 # passes, C30 (459M) is refused.
 SWEEP_MAX_SETS = 1 << 25
 # Up to this order all 2^n - 1 nonempty sets fit under SWEEP_MAX_SETS, so
@@ -155,9 +156,18 @@ def _light_sets(
             x = k - 1 - d
 
 
-def _check_sweep(n: int, k_max: int) -> None:
-    """Refuse a sweep over the k-sets, k = 1..k_max, of more than
-    SWEEP_MAX_SETS sets; gamma_r raises rather than truncate."""
+def _check_sweep(closed: Sequence[int], n: int, limit: int) -> None:
+    """Refuse a sweep for a Roman weight at most limit whose sets of sizes
+    1..K, K = min(limit, n - Delta) // 2, number more than SWEEP_MAX_SETS;
+    gamma_r raises rather than truncate.
+
+    A vertex of top degree Delta labeled 2 and the vertices outside its
+    closed neighborhood labeled 1 weigh n - Delta + 1, so no sweep passes
+    size (n - Delta) // 2, and gamma_at_most refuses no graph gamma_r
+    admits. Callers skip it up to order _SWEEP_FREE_ORDER, where it cannot
+    fire.
+    """
+    k_max = min(limit, n + 1 - max(map(int.bit_count, closed))) // 2
     sets = sum(comb(n, k) for k in range(1, k_max + 1))
     if sets > SWEEP_MAX_SETS:
         raise TooLarge(
@@ -177,12 +187,10 @@ def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
     minimum Roman weight, its first 2-set (smallest size, then smallest
     bitmask) and the vertices that 2-set leaves to be labeled 1.
 
-    Raises TooLarge past SWEEP_MAX_SETS. A vertex of top degree Delta
-    labeled 2 and the vertices outside its closed neighborhood labeled 1
-    weigh n - Delta + 1, so the sweep stops below size (n - Delta + 1) / 2.
+    Raises TooLarge past SWEEP_MAX_SETS (see _check_sweep).
     """
     if n > _SWEEP_FREE_ORDER:
-        _check_sweep(n, (n + 1 - max(map(int.bit_count, closed))) // 2)
+        _check_sweep(closed, n, n)
     best = n
     best_s = 0
     best_rest = (1 << n) - 1
@@ -214,14 +222,14 @@ def gamma_at_most(g: Graph, limit: int) -> bool:
     Sets are swept in gamma_r's order, by ascending size and bitmask, up to
     size limit // 2, and the sweep stops at the first one light enough: it
     visits no set that gamma_r would not. Raises TooLarge past
-    SWEEP_MAX_SETS.
+    SWEEP_MAX_SETS (see _check_sweep).
     """
     n = g.n
     if n <= limit:  # every vertex labeled 1
         return True
-    if n > _SWEEP_FREE_ORDER:
-        _check_sweep(n, limit // 2)
     closed = _closed_masks(g)
+    if n > _SWEEP_FREE_ORDER:
+        _check_sweep(closed, n, limit)
     for k in range(1, min(limit // 2, n) + 1):
         for _ in _light_sets(closed, n, k, limit):
             return True

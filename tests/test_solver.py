@@ -3,12 +3,10 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from romancrit import (
-    SWEEP_MAX_SETS,
     Graph,
     GammaResult,
     LengthMismatch,
@@ -24,14 +22,11 @@ from romancrit import (
     roman_number_oracle,
     solver,
 )
-from romancrit.graph6 import read_graph6_lines
 from romancrit.harness import (
     graph_from_edge_mask,
     isomorphism_classes,
     iter_labeled_graphs,
 )
-
-GOLDEN_GRAPHS = Path(__file__).parent / "golden" / "families.g6"
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -327,23 +322,36 @@ def test_roman_number_matches_gosper_sweep(monkeypatch):
     assert got == [roman_number(g) for g in graphs]
 
 
-def test_sweep_guard_admits_c24_and_the_golden_corpus():
-    # n // 2 is the largest sweep size the guard can charge at order n
-    graphs = read_graph6_lines(GOLDEN_GRAPHS.read_text(encoding="ascii"))
-    for g in graphs + [gen_family("cycle", 24)]:
-        solver._check_sweep(g.n, g.n // 2)
-    c24 = gen_family("cycle", 24)
-    assert gamma_r(c24) == 16
-    assert not gamma_at_most(c24, 15)
+def test_sweep_guard_boundary_between_c26_and_c27():
+    # gamma_r charges the sizes 1..(n - 2) // 2 on a cycle: C26's 28.4M
+    # sets pass the guard, C27's 47.1M do not
+    c26 = gen_family("cycle", 26)
+    assert gamma_r(c26) == 18
+    assert not gamma_at_most(c26, 17)
+    with pytest.raises(TooLarge, match="of up to 47,050,563 vertex sets"):
+        gamma_r(gen_family("cycle", 27))
+
+
+def test_sweep_guard_charges_gamma_at_most_no_more_than_gamma_r():
+    # the star of order 30 has n - Delta = 1, so no limit is refused,
+    # though a charge of limit // 2 would refuse every limit from 20 up
+    star = graph_new(30, [(0, v) for v in range(1, 30)])
+    assert gamma_r(star) == 2
+    assert [gamma_at_most(star, limit) for limit in range(30)] == [
+        limit >= 2 for limit in range(30)
+    ]
 
 
 @pytest.mark.parametrize(
     "g", [gen_family("cycle", 30), graph_new(30)], ids=["C30", "E30"]
 )
 def test_sweep_guard_refuses_order_30_at_once(g):
-    for call in (gamma_r, roman_number, lambda h: gamma_at_most(h, h.n - 1)):
+    # a limit of 20 charges the sizes 1..10, 53.0M sets; it stays below
+    # n - Delta + 1, where gamma_at_most would be charged as gamma_r is
+    guard = f"guard of {solver.SWEEP_MAX_SETS:,}"
+    for call in (gamma_r, roman_number, lambda h: gamma_at_most(h, 20)):
         t0 = time.perf_counter()
-        with pytest.raises(TooLarge, match=f"guard of {SWEEP_MAX_SETS:,}"):
+        with pytest.raises(TooLarge, match=guard):
             call(g)
         assert time.perf_counter() - t0 < 0.1
 

@@ -11,7 +11,7 @@ another, and the record holds one column per source, side by side. Every
 timing is the best of three calls on:
 
   C15 .. C24              cycles, where gamma_r = ceil(2n/3) makes the sweep long
-  G(24, 0.1) #0 .. #4     seeded random graphs (stdlib ``random``, --seed)
+  G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
 
 and the three operations are ``gamma_r(g)``, ``gamma_at_most(g, gamma - 1)``
 (a full sweep that finds nothing) and ``minimal_partitions(g)``. Stdlib only;
@@ -34,12 +34,13 @@ CYCLES = range(15, 25)
 RANDOM_ORDER = 24
 RANDOM_P = 0.1
 RANDOM_COUNT = 5
+SEED = 9
 OPS = ("gamma_r", "gamma_at_most", "minimal_partitions")
 
 
-def _graphs(rc, seed: int) -> list[tuple[str, object]]:
+def _graphs(rc) -> list[tuple[str, object]]:
     out = [(f"C{n}", rc.gen_family("cycle", n)) for n in CYCLES]
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     n = RANDOM_ORDER
     for i in range(RANDOM_COUNT):
         edges = [
@@ -61,13 +62,13 @@ def _best(call) -> float:
     return best
 
 
-def time_source(src: str, seed: int) -> list[dict]:
+def time_source(src: str) -> list[dict]:
     """One column: a row per (operation, graph), seconds best of REPEATS."""
     sys.path.insert(0, os.path.abspath(src))
     import romancrit as rc
 
     rows = []
-    for name, g in _graphs(rc, seed):
+    for name, g in _graphs(rc):
         gamma = rc.gamma_r(g)
         calls = {
             "gamma_r": lambda: rc.gamma_r(g),
@@ -99,18 +100,17 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="time DIR in this process and print its rows as JSON",
     )
-    parser.add_argument("--seed", type=int, default=9)
     parser.add_argument("--out", metavar="FILE", default=None)
     args = parser.parse_args(argv)
     if args.column:
-        print(json.dumps(time_source(args.column, args.seed)))
+        print(json.dumps(time_source(args.column)))
         return 0
 
     sources = dict(_parse_source(s) for s in args.src or ["src"])
     columns = {}
     for name, path in sources.items():
         child = subprocess.run(
-            [sys.executable, __file__, "--column", path, "--seed", str(args.seed)],
+            [sys.executable, __file__, "--column", path],
             check=True,
             capture_output=True,
             text=True,
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     record = {
         "what": f"solver layer, best of {REPEATS} calls per operation, seconds",
-        "seed": args.seed,
+        "seed": SEED,
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
