@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import PreconditionViolated
 from .graphs import Graph, gen_family
@@ -97,14 +98,14 @@ def neighborhood_witness(g: Graph, x: int) -> tuple[int, int] | None:
 
 
 def witness_chase_ok(g: Graph, x: int) -> bool:
-    """Chase the smallest witness: some witness pair at a lands back in
-    {x, b}. Vacuously false when x has no witness at all."""
+    """Chase every witness pair (a, b) of x: each needs some witness pair
+    at a that lands back in {x, b}. Vacuously false when x has no witness
+    at all."""
     _require_gamma4(g)
     pairs = _witness_pairs_raw(g, x)
-    if not pairs:
-        return False
-    a, b = pairs[0]
-    return any(a2 in (x, b) for a2, _ in _witness_pairs_raw(g, a))
+    return bool(pairs) and all(
+        any(a2 in (x, b) for a2, _ in _witness_pairs_raw(g, a)) for a, b in pairs
+    )
 
 
 def saturated4_by_degrees(g: Graph, *, gamma: int | None = None) -> bool:
@@ -274,59 +275,30 @@ def local8_conditions(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool
       c: in the same situation v1 is adjacent to at most one of v5, v6.
     """
     _require_order8(g, gamma)
-    n = g.n
     adj = g.adj
-    nonnbrs = [_nonneighbors(g, v) for v in range(n)]
-
-    cond_a = False
-    for v1 in range(n):
-        for _ in combinations(nonnbrs[v1], 3):
-            cond_a = True
-            break
-        if cond_a:
-            break
-
-    cond_b = True
-    for v1 in range(n):
-        if not cond_b:
-            break
-        for triple in combinations(nonnbrs[v1], 3):
-            if not cond_b:
-                break
-            used = 1 << v1 | 1 << triple[0] | 1 << triple[1] | 1 << triple[2]
-            pool = [u for u in range(n) if not used >> u & 1]
-            for v8 in pool:
-                a8 = adj[v8]
-                fixed = (a8 >> v1 & 1) + sum(a8 >> t & 1 for t in triple)
-                rest = [u for u in pool if u != v8]
-                stop = False
-                for chosen in combinations(rest, 3):
-                    cnt = fixed + sum(a8 >> c & 1 for c in chosen)
-                    if cnt < 5:
-                        cond_b = False
-                        stop = True
-                        break
-                if stop:
-                    break
-
-    cond_c = True
-    for v1 in range(n):
-        if not cond_c:
-            break
-        av = adj[v1]
-        for triple in combinations(nonnbrs[v1], 3):
-            used = 1 << v1 | 1 << triple[0] | 1 << triple[1] | 1 << triple[2]
-            pool = [u for u in range(n) if not used >> u & 1]
-            stop = False
-            for v5, v6 in combinations(pool, 2):
-                if av >> v5 & 1 and av >> v6 & 1:
-                    cond_c = False
-                    stop = True
-                    break
-            if stop:
-                break
-
+    cond_a = any(True for _ in _local8_situations(g))
+    cond_b = all(
+        (adj[v8] & (used | 1 << v5 | 1 << v6 | 1 << v7)).bit_count() >= 5
+        for _, used, rest in _local8_situations(g)
+        for v8 in rest
+        for v5, v6, v7 in combinations([u for u in rest if u != v8], 3)
+    )
+    cond_c = not any(
+        adj[v1] >> v5 & 1 and adj[v1] >> v6 & 1
+        for v1, _, rest in _local8_situations(g)
+        for v5, v6 in combinations(rest, 2)
+    )
     return (cond_a, cond_b, cond_c)
+
+
+def _local8_situations(g: Graph) -> Iterator[tuple[int, int, list[int]]]:
+    """Each (v1, mask of v1..v4, the other vertices) with v2, v3, v4
+    non-neighbors of v1, ascending by v1 and then by the triple."""
+    n = g.n
+    for v1 in range(n):
+        for v2, v3, v4 in combinations(_nonneighbors(g, v1), 3):
+            used = 1 << v1 | 1 << v2 | 1 << v3 | 1 << v4
+            yield v1, used, [u for u in range(n) if not used >> u & 1]
 
 
 def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool]:
@@ -354,9 +326,6 @@ def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool
 
 
 def _require_order8(g: Graph, gamma: int | None) -> None:
-    if gamma is None:
-        gamma = gamma_r(g)
-    if gamma != 4:
-        raise PreconditionViolated(f"needs gamma_r = 4, got {gamma}")
+    _require_gamma4(g, gamma)
     if g.n < 8:
         raise PreconditionViolated(f"needs order >= 8, got {g.n}")

@@ -7,9 +7,10 @@ raised while evaluating a graph become counterexample entries too: the
 harness never silently skips a graph it was asked to verify.
 
 An enumeration source evaluates one graph per isomorphism class and counts
-it once per labeled copy; the copies themselves are checked only where the
-representative reports, raises, or reads labels, so the reports equal those
-of a scan over every labeled graph. The classes of orders up to
+it once per labeled copy. Whether a claim's hypothesis holds and whether its
+check reports are isomorphism invariants, so the copies are checked only
+where the representative reports or raises, and the reports equal those of
+a scan over every labeled graph. The classes of orders up to
 ``ENUMERATION_MAX_ORDER`` come from the checked-in ``_class_table``; only
 order 8, behind allow_large, sweeps the labeled masks to find them.
 
@@ -326,10 +327,12 @@ def criticality_report(g: Graph) -> CriticalityReport:
     """One-stop summary read from one ``Facts``: gamma_r, the four
     predicates, their first failures, and the diagnostics of the dual-route
     checks, the e-critical one on v-critical graphs only. Each first failure
-    also settles its verdict in the ``Facts``, so no sweep runs twice."""
+    also settles its verdict in the ``Facts``, so no sweep runs twice. The
+    partitions are read first, so an order they refuse fails at once."""
     if g.n == 0:
         raise InvalidOrder("criticality report needs order >= 1")
     f = Facts(g)
+    f.partitions
     witnesses: dict = {}
     vc = first_non_critical_vertex(g, gamma=f.gamma)
     f._vc = vc is None
@@ -365,10 +368,6 @@ class Claim:
     description: str
     hypothesis: Callable[[Facts], bool]
     check: Callable[[Facts], list[str]]
-    # When this returns True on a graph inside the hypothesis, the check's
-    # outcome may depend on the vertex labels, not only on the isomorphism
-    # class, so an enumeration scan runs it on every labeled copy.
-    reads_labels: Callable[[Facts], bool] | None = None
 
 
 @dataclass(frozen=True)
@@ -512,24 +511,13 @@ def _chk_carac_lemma(f: Facts) -> list[str]:
     )
     if f.v_critical and all_witnessed:
         for x in range(g.n):
-            a, b = pairs[x][0]
-            if not _chase_lands(pairs, x, a, b):
-                diags.append(
-                    f"witness chase fails at vertex {x}: no witness of {a} lands in ({x},{b})"
-                )
+            for a, b in pairs[x]:
+                if not _chase_lands(pairs, x, a, b):
+                    diags.append(
+                        f"witness chase fails at vertex {x}: no witness of {a} lands in ({x},{b})"
+                    )
+                    break
     return diags
-
-
-def _some_witness_chase_fails(g: Graph) -> bool:
-    """True iff the chase fails for some witness pair of some vertex.
-
-    Relabeling maps witness pairs to witness pairs, so this is invariant
-    even though ``_chk_carac_lemma`` chases only each smallest pair.
-    """
-    pairs = [_witness_pairs_raw(g, x) for x in range(g.n)]
-    return any(
-        not _chase_lands(pairs, x, a, b) for x in range(g.n) for a, b in pairs[x]
-    )
 
 
 def _chk_carac2(f: Facts) -> list[str]:
@@ -756,9 +744,6 @@ _CLAIM_LIST = [
         "witness from a lands back in {x, b}.",
         _hyp_gamma4,
         _chk_carac_lemma,
-        # the chase follows only each vertex's smallest witness pair, which
-        # decides the check alone when some pair's chase fails
-        reads_labels=lambda f: f.v_critical and _some_witness_chase_fails(f.g),
     ),
     Claim(
         "carac2-theorem",
@@ -885,20 +870,14 @@ def _resolve_claims(claim_ids: Sequence[str]) -> list[Claim]:
     return out
 
 
-def _evaluate(
-    claim: Claim, f: Facts, per_class: bool = False
-) -> tuple[bool, Sequence[str]]:
+def _evaluate(claim: Claim, f: Facts) -> tuple[bool, Sequence[str]]:
     """(hypothesis held, diagnostics) of one claim on one graph. A guard
-    error is the one diagnostic ``guard-error: ...``. Per class, a claim that
-    reads this graph's labels reports so instead of running its check, since
-    only the labeled copies can decide it."""
+    error is the one diagnostic ``guard-error: ...``."""
     held = False
     try:
         if not claim.hypothesis(f):
             return False, ()
         held = True
-        if per_class and claim.reads_labels is not None and claim.reads_labels(f):
-            return True, ("reads labels",)
         return True, claim.check(f)
     except RomanCritError as exc:
         return held, (f"guard-error: {type(exc).__name__}: {exc}",)
@@ -919,12 +898,12 @@ def _scan_classes(
 ) -> dict[str, list]:
     """Evaluate each claim once per class and weight it by the class size.
 
-    A class whose check reports, whose claim reads labels, or whose
-    hypothesis, label test or check raises a guard error is expanded: every
-    labeled copy, in ascending mask order, goes through ``_scan_one`` for
-    those claims, so its counterexamples are exactly the labeled scan's. The
-    permutation tables are built when the first class expands, so a scan
-    that expands nothing never builds them.
+    A class is expanded for the claims whose evaluation of it yields a
+    diagnostic, a check report or a guard error: every labeled copy, in
+    ascending mask order, goes through ``_scan_one`` for those claims, so
+    its counterexamples are exactly the labeled scan's. The permutation
+    tables are built when the first class expands, so a scan that expands
+    nothing never builds them.
     """
     perms = None
     acc: dict[str, list] = {c.id: [0, []] for c in claims}
@@ -932,7 +911,7 @@ def _scan_classes(
         f = Facts(graph_from_edge_mask(n, rep))
         expand = []
         for claim in claims:
-            held, diags = _evaluate(claim, f, per_class=True)
+            held, diags = _evaluate(claim, f)
             if diags:
                 expand.append(claim)
             elif held:

@@ -8,6 +8,7 @@ from romancrit import (
     Graph,
     InvalidOrder,
     NotVCritical,
+    TooLarge,
     criticality_report,
     e_critical_condition,
     edge_removal_preserves_gamma,
@@ -421,3 +422,15 @@ def test_criticality_report_matches_public_routes(
 def test_criticality_report_rejects_empty_graph():
     with pytest.raises(InvalidOrder):
         criticality_report(graph_new(0))
+
+
+def test_criticality_report_refuses_partition_order_before_witness_sweeps(
+    monkeypatch,
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("witness sweep ran on a refused order")
+
+    monkeypatch.setattr(harness, "first_non_critical_vertex", no_sweep)
+    star = graph_new(25, [(0, v) for v in range(1, 25)])
+    with pytest.raises(TooLarge, match="capped at order 24"):
+        criticality_report(star)

@@ -211,6 +211,16 @@ def test_witness_chase():
     assert not witness_chase_ok(gen_family("cycle", 6), 0)
 
 
+def test_witness_chase_follows_every_pair():
+    # the path 3-1-2-0-4: the smallest pairs of vertices 3 and 4 land, but
+    # their second pairs, (2, 4) and (2, 3), do not
+    g = graph_new(5, [(0, 2), (0, 4), (1, 2), (1, 3)])
+    assert witness_pairs(g, 3) == [(0, 1), (2, 4)]
+    assert witness_pairs(g, 4) == [(1, 0), (2, 3)]
+    assert not witness_chase_ok(g, 3)
+    assert not witness_chase_ok(g, 4)
+
+
 # -- saturation and e-criticality by degrees ----------------------------------
 
 

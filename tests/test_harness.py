@@ -37,7 +37,6 @@ from romancrit.harness import (
     Facts,
     _chase_lands,
     _class_table_module,
-    _some_witness_chase_fails,
     _sweep_classes,
     graph_from_edge_mask,
     isomorphism_classes,
@@ -266,16 +265,14 @@ def _outcome(claim: Claim, f: Facts):
     try:
         if not claim.hypothesis(f):
             return (False, None)
-        if claim.reads_labels is not None and claim.reads_labels(f):
-            return (True, "reads labels")
         return (True, bool(claim.check(f)))
     except RomanCritError:
         return "raises"
 
 
 def test_claim_outcomes_are_isomorphism_invariant():
-    # what the class scan relies on: outside the graphs a claim declares
-    # label-reading, one labeled copy decides for its whole class
+    # what the class scan relies on: one labeled copy decides every claim
+    # for its whole class
     for n in range(6):
         perms, classes = EdgePermutations(n), isomorphism_classes(n)
         for rep, _ in classes:
@@ -306,7 +303,7 @@ def test_witness_chase_lands_iff_a_degree_is_n_minus_3():
     assert checked == 3970
 
 
-def test_carac_lemma_reads_no_labels_up_to_order7():
+def test_carac_lemma_reports_nothing_on_the_vcritical_classes_up_to_order7():
     # no v-critical gamma_r = 4 class has a failing chase, so the class scan
     # expands none of them for carac-lemma
     claim = CLAIMS["carac-lemma"]
@@ -317,7 +314,7 @@ def test_carac_lemma_reads_no_labels_up_to_order7():
             f = Facts(graph_from_edge_mask(n, rep))
             if claim.hypothesis(f) and f.v_critical:
                 reached += 1
-                assert not claim.reads_labels(f), (n, rep)
+                assert claim.check(f) == [], (n, rep)
     assert reached == 16
 
 
@@ -329,8 +326,6 @@ def test_witness_chase_failure_beyond_the_smallest_pairs():
     assert pairs[3] == [(0, 1), (2, 4)] and pairs[4] == [(1, 0), (2, 3)]
     assert all(_chase_lands(pairs, x, *pairs[x][0]) for x in range(5) if pairs[x])
     assert not _chase_lands(pairs, 3, 2, 4)
-    assert _some_witness_chase_fails(g)
-    assert not _some_witness_chase_fails(gen_family("dn", 6))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -362,25 +357,10 @@ def _vertex0_isolated(f: Facts) -> list[str]:
     return ["vertex 0 isolated"] if f.g.adj[0] == 0 else []
 
 
-def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch):
+def test_class_scan_expands_guard_errors(monkeypatch):
     test_claims = (
         Claim("t-hyp-raises", "", _raise_at_two_edges, lambda f: []),
         Claim("t-check-raises", "", lambda f: True, _raise_at_three_edges),
-        Claim(
-            "t-reads-labels",
-            "",
-            lambda f: True,
-            _vertex0_isolated,
-            reads_labels=lambda f: 0 in f.g.degrees(),
-        ),
-        Claim(
-            "t-labels-raise",
-            "",
-            lambda f: True,
-            _vertex0_isolated,
-            # the two-edge class P3 + K1 expands only through the guard error
-            reads_labels=lambda f: _raise_at_two_edges(f) and 0 in f.g.degrees(),
-        ),
         Claim("t-undeclared", "", lambda f: True, _vertex0_isolated),
     )
     for claim in test_claims:
@@ -388,16 +368,15 @@ def test_class_scan_expands_guard_errors_and_label_reads(monkeypatch):
     ids = [c.id for c in test_claims]
     by_class = verify_claims(ids, ("enumerate", 4))
     labeled = verify_claims(ids, ("graphs", tuple(iter_labeled_graphs(4))))
-    for a, b in zip(by_class[:4], labeled):
+    for a, b in zip(by_class[:2], labeled):
         assert a.graphs_in_hypothesis == b.graphs_in_hypothesis
         assert a.counterexamples == b.counterexamples
-    hyp_raises, check_raises, reads_labels, labels_raise, undeclared = by_class
+    hyp_raises, check_raises, undeclared = by_class
     assert len(hyp_raises.counterexamples) == 15  # C(6,2) two-edge graphs
     assert len(check_raises.counterexamples) == 20  # C(6,3) three-edge graphs
-    assert len(reads_labels.counterexamples) == 8  # 2^C(3,2) graphs on 1..3
-    assert len(labels_raise.counterexamples) == 8
-    # undeclared, only the edgeless class is caught: every other class's
-    # smallest mask puts an edge on vertex 0
+    # a check that reads labels breaks the scan's premise: only the edgeless
+    # class is caught, since every other class's smallest mask puts an edge
+    # on vertex 0
     assert len(undeclared.counterexamples) == 1
 
 
