@@ -102,6 +102,7 @@ def witness_chase_ok(g: Graph, x: int) -> bool:
     at a that lands back in {x, b}. Vacuously false when x has no witness
     at all."""
     _require_gamma4(g)
+    g._check_vertex(x)
     pairs = _witness_pairs_raw(g, x)
     return bool(pairs) and all(
         any(a2 in (x, b) for a2, _ in _witness_pairs_raw(g, a)) for a, b in pairs

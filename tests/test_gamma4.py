@@ -221,6 +221,14 @@ def test_witness_chase_follows_every_pair():
     assert not witness_chase_ok(g, 4)
 
 
+@pytest.mark.parametrize("x", [7, -1])
+def test_witness_chase_vertex_range(x):
+    # checked as witness_pairs checks it: 7 would read no bits and answer
+    # False, -1 a negative shift
+    with pytest.raises(IndexOutOfRange):
+        witness_chase_ok(gen_family("cycle", 5), x)
+
+
 # -- saturation and e-criticality by degrees ----------------------------------
 
 

@@ -11,9 +11,19 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from romancrit import CLAIMS, Graph, gamma_r, graph_new, relabel
+from romancrit import (
+    CLAIMS,
+    ORACLE_MAX_ORDER,
+    Graph,
+    gamma_r,
+    graph_new,
+    relabel,
+    roman_number_oracle,
+    solver,
+)
 from romancrit.harness import Facts, graph_from_edge_mask, isomorphism_classes
 from test_harness import _outcome
+from test_solver import _disjoint_union
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -68,6 +78,25 @@ def test_gamma_is_additive_over_components(a, b, data):
     union = graph_new(a.n + b.n, edges)
     mixed = relabel(union, data.draw(st.permutations(range(union.n))))
     assert gamma_r(mixed) == gamma_r(a) + gamma_r(b)
+
+
+@st.composite
+def disjoint_unions(draw):
+    # two to five graphs side by side, at the orders where the solver splits
+    # up to the oracle's cap, with the vertices interleaved by a permutation
+    n = draw(st.integers(solver._SPLIT_ORDER, ORACLE_MAX_ORDER))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4)))
+    parts = [draw(graphs(b - a, b - a)) for a, b in zip([0, *cuts], [*cuts, n])]
+    return parts, relabel(_disjoint_union(*parts), draw(st.permutations(range(n))))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(disjoint_unions())
+def test_gamma_is_additive_by_the_oracle(case):
+    parts, union = case
+    gamma = gamma_r(union)
+    assert gamma == sum(roman_number_oracle(h) for h in parts)
+    assert gamma == roman_number_oracle(union)
 
 
 @PROPERTY

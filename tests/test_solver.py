@@ -18,6 +18,7 @@ from romancrit import (
     graph_new,
     is_roman,
     minimal_partitions,
+    relabel,
     roman_number,
     roman_number_oracle,
     solver,
@@ -343,7 +344,7 @@ def test_sweep_guard_charges_gamma_at_most_no_more_than_gamma_r():
 
 
 @pytest.mark.parametrize(
-    "g", [gen_family("cycle", 30), graph_new(30)], ids=["C30", "E30"]
+    "g", [gen_family("cycle", 30), gen_family("path", 30)], ids=["C30", "P30"]
 )
 def test_sweep_guard_refuses_order_30_at_once(g):
     # a limit of 20 charges the sizes 1..10, 53.0M sets; it stays below
@@ -354,6 +355,91 @@ def test_sweep_guard_refuses_order_30_at_once(g):
         with pytest.raises(TooLarge, match=guard):
             call(g)
         assert time.perf_counter() - t0 < 0.1
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, base = [], 0
+    for h in parts:
+        edges += [(u + base, v + base) for u, v in h.edges()]
+        base += h.n
+    return graph_new(base, edges)
+
+
+def test_empty_graph_of_order_30_is_solved_by_components():
+    # 30 K1 components, nothing to sweep: charged whole, it was 614M sets
+    e30 = graph_new(30)
+    res = roman_number(e30)
+    assert (res.gamma, res.witness.labels) == (30, (1,) * 30)
+    assert gamma_at_most(e30, 30) and not gamma_at_most(e30, 29)
+
+
+def test_sweep_guard_admits_two_c20_by_components():
+    # each C20 is charged 0.43M sets, where the whole order-40 graph would
+    # be charged 481G; the witness is the two C20 witnesses side by side
+    c20 = gen_family("cycle", 20)
+    g = _disjoint_union(c20, c20)
+    assert gamma_r(g) == 28
+    assert gamma_at_most(g, 28) and not gamma_at_most(g, 27)
+    one = roman_number(c20).witness
+    both = roman_number(g).witness
+    for label in (1, 2):
+        assert both.label_mask(label) == one.label_mask(label) * (1 | 1 << 20)
+
+
+def test_sweep_guard_sums_the_charge_over_components():
+    # each C26 alone is charged 28.4M sets and admitted; together 56.7M
+    # pass SWEEP_MAX_SETS, refused before either is swept
+    c26 = gen_family("cycle", 26)
+    g = _disjoint_union(c26, c26)
+    for call in (gamma_r, roman_number, lambda h: gamma_at_most(h, 35)):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="of up to 56,708,262 vertex sets"):
+            call(g)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def _relabeled_union(rng: random.Random, parts: list[Graph]) -> Graph:
+    g = _disjoint_union(*parts)
+    return relabel(g, rng.sample(range(g.n), g.n))
+
+
+def _disconnected_graphs() -> list[Graph]:
+    # components interleaved by a seeded relabeling, so each one's
+    # renumbering is not a shift
+    rng = random.Random(61)
+    out = []
+    for n in range(solver._SPLIT_ORDER, 23):
+        # G(n, p) sparse enough to fall apart
+        out.append(_random_graph(rng, n, rng.choice((0.08, 0.12, 0.16))))
+        # many small components, isolated vertices and K2s among them
+        parts, left = [], n
+        while left:
+            m = min(left, rng.randrange(1, 6))
+            parts.append(_random_graph(rng, m, 0.6))
+            left -= m
+        out.append(_relabeled_union(rng, parts))
+        # one large component with K1s
+        k1s = rng.randrange(1, 4)
+        big = _random_graph(rng, n - k1s, 0.3)
+        out.append(_relabeled_union(rng, [big] + [graph_new(1)] * k1s))
+        # a perfect matching, plus an isolated vertex at odd order
+        out.append(
+            _relabeled_union(rng, [graph_new(2, [(0, 1)])] * (n // 2) + [graph_new(n % 2)])
+        )
+    return out
+
+
+def test_split_matches_whole_graph_sweep():
+    # the split's oracle: the unsplit sweep over all n vertices gives the
+    # same gamma, first 2-set and 1-set, and gamma_at_most agrees with it
+    graphs = _disconnected_graphs()
+    assert all(len(g.connected_components()) > 1 for g in graphs)
+    for g in graphs:
+        closed = solver._closed_masks(g)
+        whole = solver._gamma_whole(closed, g.n)
+        assert solver.gamma_mask(closed, g.n) == whole, g.edges()
+        for limit in range(-1, 2 * g.n + 1):
+            assert gamma_at_most(g, limit) == (whole[0] <= limit), (g.edges(), limit)
 
 
 # -- minimal partitions ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Time the solver layer: gamma_r, gamma_at_most and minimal_partitions.
 
     python3 tools/bench_solver.py --src parent=/path/to/parent/src \\
-        --src change=src --out BENCH_9.json
+        --src change=src --out BENCH_11.json
     python3 tools/bench_solver.py              # one column, ./src, to stdout
 
 Each ``--src [NAME=]DIR`` names a directory that holds the ``romancrit``
@@ -12,10 +12,15 @@ timing is the best of three calls on:
 
   C15 .. C24              cycles, where gamma_r = ceil(2n/3) makes the sweep long
   G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
+  C20+C20, C12+C12+C12    disjoint unions of cycles, orders 40 and 36
+  G(40, 0.03)             a sparse random graph from the same seeded stream
 
 and the three operations are ``gamma_r(g)``, ``gamma_at_most(g, gamma - 1)``
-(a full sweep that finds nothing) and ``minimal_partitions(g)``. Stdlib only;
-nothing is installed.
+(a full sweep that finds nothing) and ``minimal_partitions(g)``. An operation
+that raises ``TooLarge`` is recorded as "refused"; ``gamma_at_most`` takes
+its limit from this column's ``gamma_r``, so it is refused with it. The
+totals add only the rows every column timed. Stdlib only; nothing is
+installed.
 """
 
 from __future__ import annotations
@@ -34,8 +39,21 @@ CYCLES = range(15, 25)
 RANDOM_ORDER = 24
 RANDOM_P = 0.1
 RANDOM_COUNT = 5
+SPARSE = (40, 0.03)
 SEED = 9
 OPS = ("gamma_r", "gamma_at_most", "minimal_partitions")
+
+
+def _random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def _cycles(rc, *orders: int):
+    edges, base = [], 0
+    for n in orders:
+        edges += [(base + v, base + (v + 1) % n) for v in range(n)]
+        base += n
+    return rc.graph_new(base, edges)
 
 
 def _graphs(rc) -> list[tuple[str, object]]:
@@ -43,42 +61,48 @@ def _graphs(rc) -> list[tuple[str, object]]:
     rng = random.Random(SEED)
     n = RANDOM_ORDER
     for i in range(RANDOM_COUNT):
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < RANDOM_P
-        ]
-        out.append((f"G({n},{RANDOM_P})#{i}", rc.graph_new(n, edges)))
+        g = rc.graph_new(n, _random_edges(rng, n, RANDOM_P))
+        out.append((f"G({n},{RANDOM_P})#{i}", g))
+    out.append(("C20+C20", _cycles(rc, 20, 20)))
+    out.append(("C12+C12+C12", _cycles(rc, 12, 12, 12)))
+    n, p = SPARSE
+    out.append((f"G({n},{p})", rc.graph_new(n, _random_edges(rng, n, p))))
     return out
 
 
-def _best(call) -> float:
+def _best(rc, call) -> float | str:
     best = float("inf")
     for _ in range(REPEATS):
         t0 = perf_counter()
-        call()
+        try:
+            call()
+        except rc.TooLarge:
+            return "refused"
         best = min(best, perf_counter() - t0)
-    return best
+    return round(best, 5)
 
 
 def time_source(src: str) -> list[dict]:
-    """One column: a row per (operation, graph), seconds best of REPEATS."""
+    """One column: a row per (operation, graph), seconds best of REPEATS
+    or "refused"."""
     sys.path.insert(0, os.path.abspath(src))
     import romancrit as rc
 
     rows = []
     for name, g in _graphs(rc):
-        gamma = rc.gamma_r(g)
+        try:
+            gamma = rc.gamma_r(g)
+        except rc.TooLarge:
+            gamma = None
         calls = {
             "gamma_r": lambda: rc.gamma_r(g),
             "gamma_at_most": lambda: rc.gamma_at_most(g, gamma - 1),
             "minimal_partitions": lambda: rc.minimal_partitions(g),
         }
         for op in OPS:
-            rows.append(
-                {"op": op, "graph": name, "gamma": gamma, "s": _best(calls[op])}
-            )
+            refused = gamma is None and op == "gamma_at_most"
+            s = "refused" if refused else _best(rc, calls[op])
+            rows.append({"op": op, "graph": name, "gamma": gamma, "s": s})
     return rows
 
 
@@ -117,17 +141,26 @@ def main(argv: list[str] | None = None) -> int:
         )
         columns[name] = json.loads(child.stdout)
     names = list(columns)
-    rows = [
-        {
-            "op": row["op"],
-            "graph": row["graph"],
-            "gamma": row["gamma"],
-            "seconds": {name: round(columns[name][i]["s"], 5) for name in names},
-        }
-        for i, row in enumerate(columns[names[0]])
+    rows = []
+    for i, row in enumerate(columns[names[0]]):
+        cells = [columns[name][i] for name in names]
+        solved = [c["gamma"] for c in cells if c["gamma"] is not None]
+        rows.append(
+            {
+                "op": row["op"],
+                "graph": row["graph"],
+                "gamma": solved[0] if solved else None,
+                "seconds": {name: c["s"] for name, c in zip(names, cells)},
+            }
+        )
+    timed = [
+        r for r in rows if not any(isinstance(s, str) for s in r["seconds"].values())
     ]
     record = {
-        "what": f"solver layer, best of {REPEATS} calls per operation, seconds",
+        "what": (
+            f"solver layer, best of {REPEATS} calls per operation, seconds;"
+            " totals over the rows every column timed"
+        ),
         "seed": SEED,
         "environment": {
             "python": platform.python_version(),
@@ -137,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         "columns": names,
         "totals": {
             op: {
-                name: round(sum(r["seconds"][name] for r in rows if r["op"] == op), 4)
+                name: round(sum(r["seconds"][name] for r in timed if r["op"] == op), 4)
                 for name in names
             }
             for op in OPS
