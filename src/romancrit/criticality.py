@@ -17,13 +17,36 @@ one vertex or edge a witness reports, and not even there for a non-edge:
 adding an edge never raises gamma_r, so a failing non-edge leaves it as it
 was. Each predicate takes the caller's known gamma_r(g) as ``gamma``; left
 out, it is solved here.
+
+The definitions work on closed-neighborhood masks, not Graph objects. Each
+takes G's masks once and derives every modified graph's masks in a copied
+list: G - v by dropping v's mask and shifting every bit above v down by one,
+G + uv and G - uv by flipping bit v of u's mask and bit u of v's. The yes/no
+question goes to the solver's ``_at_most`` on those masks, and a Graph is
+built only for the one vertex or edge whose gamma_r a witness reports. Each
+derived graph is swept whole, never only over the sets that touch the
+changed vertex or edge: with gamma_r(G) known, "G + uv has a set of weight
+gamma - 1 through u or v" says exactly that some minimum assignment of G
+splits u and v 1/2, which is the partition route, so the definition would
+no longer be an independent check of it.
+
+The partition routes read each minimum assignment as its (V2, V1) masks, in
+ascending V2 order, from the solver's ``_partition_pairs``.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidOrder, NotVCritical
 from .graphs import Graph
-from .solver import RomanAssignment, gamma_at_most, gamma_r, minimal_partitions
+# minimal_partitions is not called here; bench/tracer.py wraps this binding
+from .solver import (
+    _at_most,
+    _closed_masks,
+    _partition_pairs,
+    gamma_mask,
+    gamma_r,
+    minimal_partitions,  # noqa: F401
+)
 
 
 def is_nonelementary(g: Graph) -> bool:
@@ -36,18 +59,35 @@ def nonelementary_by_components(g: Graph) -> bool:
     return any(len(c) >= 3 for c in g.connected_components())
 
 
-def _first_non_critical(g: Graph, gamma: int | None) -> tuple[int, Graph] | None:
-    """(v, G - v) for the smallest v whose deletion fails to drop gamma_r by
-    exactly 1, else None."""
+def _toggle_edge(closed: list[int], u: int, v: int) -> list[int]:
+    """A copy of the closed-neighborhood masks with the pair uv flipped: G + uv
+    for a non-edge, G - uv for an edge."""
+    h = closed.copy()
+    h[u] ^= 1 << v
+    h[v] ^= 1 << u
+    return h
+
+
+def _critical_miss(closed: list[int], n: int, gamma: int) -> int | None:
+    """The smallest v whose deletion fails to drop gamma_r from gamma to
+    gamma - 1, else None. G - v keeps each mask's bits below v and shifts
+    those above it down by one, as Graph.delete_vertex renumbers."""
+    for v in range(n):
+        low = (1 << v) - 1
+        h = [m & low | m >> 1 & ~low for m in closed]
+        del h[v]
+        if not _at_most(h, n - 1, gamma - 1):
+            return v
+    return None
+
+
+def _first_non_critical(g: Graph, gamma: int | None) -> int | None:
+    """The smallest v whose deletion fails to drop gamma_r by exactly 1."""
     if g.n == 0:
         raise InvalidOrder("criticality needs order >= 1")
     if gamma is None:
         gamma = gamma_r(g)
-    for v in range(g.n):
-        h = g.delete_vertex(v)
-        if not gamma_at_most(h, gamma - 1):
-            return v, h
-    return None
+    return _critical_miss(_closed_masks(g), g.n, gamma)
 
 
 def first_non_critical_vertex(
@@ -55,11 +95,10 @@ def first_non_critical_vertex(
 ) -> tuple[int, int] | None:
     """Smallest v where deletion fails to drop gamma_r by exactly 1, with
     gamma_r after the deletion."""
-    hit = _first_non_critical(g, gamma)
-    if hit is None:
+    v = _first_non_critical(g, gamma)
+    if v is None:
         return None
-    v, h = hit
-    return v, gamma_r(h)
+    return v, gamma_r(g.delete_vertex(v))
 
 
 def is_v_critical(g: Graph, *, gamma: int | None = None) -> bool:
@@ -67,13 +106,17 @@ def is_v_critical(g: Graph, *, gamma: int | None = None) -> bool:
     return _first_non_critical(g, gamma) is None
 
 
+def _pairs(g: Graph) -> list[tuple[int, int]]:
+    return _partition_pairs(_closed_masks(g), g.n)
+
+
 def v_critical_by_partitions(g: Graph) -> bool:
     """Partition route: every vertex is labeled 1 in some minimum assignment."""
     if g.n == 0:
         raise InvalidOrder("criticality needs order >= 1")
     union = 0
-    for p in minimal_partitions(g):
-        union |= p.label_mask(1)
+    for _, m1 in _pairs(g):
+        union |= m1
     return union == g.full_mask
 
 
@@ -83,8 +126,9 @@ def first_unsaturated_nonedge(
     """Smallest non-edge whose addition fails to drop gamma_r by exactly 1,
     with gamma_r after the addition."""
     limit = (gamma_r(g) if gamma is None else gamma) - 1
+    closed = _closed_masks(g)
     for u, v in g.non_edges():
-        if not gamma_at_most(g.add_edge(u, v), limit):
+        if not _at_most(_toggle_edge(closed, u, v), g.n, limit):
             return u, v, limit + 1
     return None
 
@@ -97,12 +141,19 @@ def is_roman_saturated(g: Graph, *, gamma: int | None = None) -> bool:
     return first_unsaturated_nonedge(g, gamma=gamma) is None
 
 
-def _saturated_over_partitions(g: Graph, parts: list[RomanAssignment]) -> bool:
-    for u, v in g.non_edges():
-        if not any(
-            {p.labels[u], p.labels[v]} == {1, 2}
-            for p in parts
-        ):
+def _saturated_over_partitions(g: Graph, pairs: list[tuple[int, int]]) -> bool:
+    # each vertex's split partners: the vertices some minimum (V2, V1)
+    # labels 1 while it is labeled 2, or 2 while it is labeled 1
+    full = g.full_mask
+    for u, adj in enumerate(g.adj):
+        bit = 1 << u
+        partners = 0
+        for m2, m1 in pairs:
+            if m2 & bit:
+                partners |= m1
+            elif m1 & bit:
+                partners |= m2
+        if full & ~(adj | bit | partners):
             return False
     return True
 
@@ -110,7 +161,7 @@ def _saturated_over_partitions(g: Graph, parts: list[RomanAssignment]) -> bool:
 def saturated_by_partitions(g: Graph) -> bool:
     """Partition route: each non-adjacent pair is split 1/2 by some minimum
     assignment."""
-    return _saturated_over_partitions(g, minimal_partitions(g))
+    return _saturated_over_partitions(g, _pairs(g))
 
 
 def first_gamma_changing_edge(
@@ -128,10 +179,10 @@ def first_gamma_changing_edge(
         v_critical = is_v_critical(g, gamma=gamma)
     if not v_critical:
         raise NotVCritical("edge-removal invariance is stated for v-critical graphs")
+    closed = _closed_masks(g)
     for u, v in g.edges():
-        h = g.delete_edge(u, v)
-        if not gamma_at_most(h, gamma):
-            return u, v, gamma_r(h)
+        if not _at_most(_toggle_edge(closed, u, v), g.n, gamma):
+            return u, v, gamma_r(g.delete_edge(u, v))
     return None
 
 
@@ -149,10 +200,12 @@ def first_non_ecritical_edge(
     """
     if gamma is None:
         gamma = gamma_r(g)
+    n = g.n
+    closed = _closed_masks(g)
     for u, v in g.edges():
-        h = g.delete_edge(u, v)
-        after = gamma if gamma_at_most(h, gamma) else gamma_r(h)
-        if is_v_critical(h, gamma=after):
+        h = _toggle_edge(closed, u, v)
+        after = gamma if _at_most(h, n, gamma) else gamma_mask(h, n)[0]
+        if _critical_miss(h, n, after) is None:
             return u, v
     return None
 
@@ -169,29 +222,22 @@ def is_e_critical(g: Graph, *, gamma: int | None = None) -> bool:
     return first_non_ecritical_edge(g, gamma=gamma) is None
 
 
-def _edge_pinned(g: Graph, x: int, y: int, m0: int, m2: int) -> bool:
-    # One endpoint labeled 0 whose only 2-labeled closed neighbor is the other.
-    if m0 >> x & 1 and m2 >> y & 1 and g.closed_mask(x) & m2 == 1 << y:
-        return True
-    if m0 >> y & 1 and m2 >> x & 1 and g.closed_mask(y) & m2 == 1 << x:
-        return True
-    return False
-
-
-def _pivot_condition(g: Graph, parts: list[RomanAssignment]) -> bool:
-    masks = [(p.label_mask(0), p.label_mask(1), p.label_mask(2)) for p in parts]
+def _pivot_condition(g: Graph, pairs: list[tuple[int, int]]) -> bool:
+    # An edge xy is pinned by (V2, V1) when one endpoint is labeled 0 and
+    # the other is its only 2-labeled closed neighbor. A pivot serves the
+    # edge iff no minimum assignment labels it 1 without pinning the edge,
+    # so some vertex does iff those assignments' V1 do not cover V.
+    closed = _closed_masks(g)
+    full = g.full_mask
     for x, y in g.edges():
-        found = False
-        for pivot in range(g.n):
-            bit = 1 << pivot
-            if all(
-                _edge_pinned(g, x, y, m0, m2)
-                for m0, m1, m2 in masks
-                if m1 & bit
+        unpinned = 0
+        for m2, m1 in pairs:
+            if not (
+                closed[x] & m2 == 1 << y and not m1 >> x & 1
+                or closed[y] & m2 == 1 << x and not m1 >> y & 1
             ):
-                found = True
-                break
-        if not found:
+                unpinned |= m1
+        if unpinned == full:
             return False
     return True
 
@@ -206,4 +252,4 @@ def e_critical_condition(g: Graph) -> bool:
     gamma = gamma_r(g)
     if not is_v_critical(g, gamma=gamma):
         raise NotVCritical("the pivot condition is stated for v-critical graphs")
-    return _pivot_condition(g, minimal_partitions(g, gamma=gamma))
+    return _pivot_condition(g, _partition_pairs(_closed_masks(g), g.n, gamma))

@@ -6,9 +6,10 @@ here is the degree-based route; the direct-definition route lives in
 criticality.py, and the harness checks the two against each other.
 
 The predicates the harness calls take what it already knows, keyword-only:
-gamma_r as ``gamma`` and the verdicts ``v_critical``, ``saturated`` and
-``e_critical``. A value left out is computed here, and a supplied value that
-breaks a precondition raises just as a computed one does.
+gamma_r as ``gamma``, the verdicts ``v_critical``, ``saturated`` and
+``e_critical``, and the degree classes as ``classes``. A value left out is
+computed here, and a supplied value that breaks a precondition raises just as
+a computed one does; ``classes`` has no precondition and is used as given.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ def _require_v_critical4(g: Graph, v_critical: bool | None = None) -> None:
         raise PreconditionViolated("needs a v-critical graph")
 
 
-def vcrit4_by_degrees(g: Graph, *, gamma: int | None = None) -> bool:
+def vcrit4_by_degrees(
+    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
+) -> bool:
     """Degree route to v-criticality at gamma_r = 4.
 
     True iff every vertex has a non-neighbor of degree n-3.
     """
     _require_gamma4(g, gamma)
-    high = sum(1 << v for v in degree_classes(g).high)
+    high = sum(1 << v for v in (classes or degree_classes(g)).high)
     return all(high & ~g.closed_mask(x) for x in range(g.n))
 
 
@@ -109,18 +112,24 @@ def witness_chase_ok(g: Graph, x: int) -> bool:
     )
 
 
-def saturated4_by_degrees(g: Graph, *, gamma: int | None = None) -> bool:
+def saturated4_by_degrees(
+    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
+) -> bool:
     """Degree route to saturation at gamma_r = 4.
 
     True iff every two vertices of degree below n-3 are adjacent.
     """
     _require_gamma4(g, gamma)
-    low = sorted(degree_classes(g).low)
+    low = sorted((classes or degree_classes(g)).low)
     return all(g.adj[u] >> v & 1 for u, v in combinations(low, 2))
 
 
 def ecrit4_by_degrees(
-    g: Graph, *, gamma: int | None = None, v_critical: bool | None = None
+    g: Graph,
+    *,
+    gamma: int | None = None,
+    v_critical: bool | None = None,
+    classes: DegreeClasses | None = None,
 ) -> bool:
     """Degree route to e-criticality at gamma_r = 4 (v-critical inputs).
 
@@ -129,7 +138,7 @@ def ecrit4_by_degrees(
     """
     _require_gamma4(g, gamma)
     _require_v_critical4(g, v_critical)
-    high = sum(1 << v for v in degree_classes(g).high)
+    high = sum(1 << v for v in (classes or degree_classes(g)).high)
     for x, y in g.edges():
         pair = 1 << x | 1 << y
         if not any(
@@ -139,14 +148,16 @@ def ecrit4_by_degrees(
     return True
 
 
-def high_class_bounds(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool]:
+def high_class_bounds(
+    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
+) -> tuple[bool, bool]:
     """(2|high| >= n, 4|high| >= 3n).
 
     The first bound is asserted for v-critical graphs, the second for
     v-critical saturated ones; this evaluates both, callers supply context.
     """
     _require_gamma4(g, gamma)
-    high = len(degree_classes(g).high)
+    high = len((classes or degree_classes(g)).high)
     return (2 * high >= g.n, 4 * high >= 3 * g.n)
 
 

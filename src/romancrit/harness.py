@@ -32,7 +32,13 @@ from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
 from .graphs import Graph, gen_family
 from .graph6 import emit_graph6, parse_graph6
 from .iso import is_isomorphic
-from .solver import gamma_r, minimal_partitions
+# minimal_partitions is not called here; bench/tracer.py wraps this binding
+from .solver import (
+    _closed_masks,
+    _partition_pairs,
+    gamma_r,
+    minimal_partitions,  # noqa: F401
+)
 from .criticality import (
     _pivot_condition,
     _saturated_over_partitions,
@@ -47,9 +53,11 @@ from .gamma4 import (
     CRITICAL_BUT_UNCLASSIFIED,
     IS_C5,
     IS_DN,
+    DegreeClasses,
     _cut_structure,
     _witness_pairs_raw,
     classify_critical4,
+    degree_classes,
     ecrit4_by_degrees,
     high_class_bounds,
     local8_conditions,
@@ -245,19 +253,23 @@ def _class_table_module() -> str:
 
 
 class Facts:
-    """Per-graph lazy cache of gamma_r, the three criticality verdicts and
-    the minimum partitions: the one evaluation context that the claims and
-    ``criticality_report`` read. A slot holds None until it is computed."""
+    """Per-graph lazy cache of gamma_r, the three criticality verdicts, the
+    minimum partitions and the degree classes: the one evaluation context
+    that the claims and ``criticality_report`` read. It holds each minimum
+    partition as its (V2, V1) masks, by ascending V2. A slot holds None
+    until it is computed."""
 
-    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts")
+    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes")
 
     def __init__(self, g: Graph):
         self.g = g
-        self._gamma = self._vc = self._ec = self._sat = self._parts = None
+        self._gamma = self._vc = self._ec = self._sat = None
+        self._parts = self._classes = None
 
     def relabeled(self, g: Graph) -> Facts:
         """Facts of g, an isomorphic copy of this graph: gamma_r and the
-        verdicts carry over; the partitions, which name vertices, do not."""
+        verdicts carry over; the partitions and degree classes, which name
+        vertices, do not."""
         copy = Facts(g)
         copy._gamma, copy._vc, copy._ec, copy._sat = (
             self._gamma, self._vc, self._ec, self._sat
@@ -295,10 +307,16 @@ class Facts:
         return self._sat
 
     @property
-    def partitions(self) -> list:
+    def partitions(self) -> list[tuple[int, int]]:
         if self._parts is None:
-            self._parts = minimal_partitions(self.g, gamma=self.gamma)
+            self._parts = _partition_pairs(_closed_masks(self.g), self.g.n, self.gamma)
         return self._parts
+
+    @property
+    def degree_classes(self) -> DegreeClasses:
+        if self._classes is None:
+            self._classes = degree_classes(self.g)
+        return self._classes
 
 
 @dataclass(frozen=True)
@@ -454,8 +472,8 @@ def _chk_gamma_le_3(f: Facts) -> list[str]:
 
 def _chk_vcrit_partitions(f: Facts) -> list[str]:
     union = 0
-    for p in f.partitions:
-        union |= p.label_mask(1)
+    for _, m1 in f.partitions:
+        union |= m1
     return _dual(
         "is_v_critical",
         f.v_critical,
@@ -525,19 +543,19 @@ def _chk_carac2(f: Facts) -> list[str]:
         "is_v_critical",
         f.v_critical,
         "vcrit4_by_degrees",
-        vcrit4_by_degrees(f.g, gamma=f.gamma),
+        vcrit4_by_degrees(f.g, gamma=f.gamma, classes=f.degree_classes),
     )
 
 
 def _chk_half_bound(f: Facts) -> list[str]:
-    ok, _ = high_class_bounds(f.g, gamma=f.gamma)
+    ok, _ = high_class_bounds(f.g, gamma=f.gamma, classes=f.degree_classes)
     if not ok:
         return [f"fewer than n/2 vertices of degree n-3 (n={f.g.n})"]
     return []
 
 
 def _chk_threequarter_bound(f: Facts) -> list[str]:
-    _, ok = high_class_bounds(f.g, gamma=f.gamma)
+    _, ok = high_class_bounds(f.g, gamma=f.gamma, classes=f.degree_classes)
     if not ok:
         return [f"fewer than 3n/4 vertices of degree n-3 (n={f.g.n})"]
     return []
@@ -556,7 +574,7 @@ def _chk_saturated4(f: Facts) -> list[str]:
         "is_roman_saturated",
         f.saturated,
         "saturated4_by_degrees",
-        saturated4_by_degrees(f.g, gamma=f.gamma),
+        saturated4_by_degrees(f.g, gamma=f.gamma, classes=f.degree_classes),
     )
 
 
@@ -565,7 +583,9 @@ def _chk_ecrit4(f: Facts) -> list[str]:
         "is_e_critical",
         f.e_critical,
         "ecrit4_by_degrees",
-        ecrit4_by_degrees(f.g, gamma=f.gamma, v_critical=f.v_critical),
+        ecrit4_by_degrees(
+            f.g, gamma=f.gamma, v_critical=f.v_critical, classes=f.degree_classes
+        ),
     )
 
 

@@ -10,15 +10,19 @@ gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``, the
 yes/no question that stops at the first set light enough. It visits the
 sets of one size depth first in ascending bitmask order, each level adding
 one vertex's closed neighborhood to the cover its prefix carries.
+``gamma_at_most`` wraps ``_at_most``, the same question on the masks,
+which the criticality predicates ask of each graph they derive.
 
-From order _SPLIT_ORDER up, gamma_r and gamma_at_most solve a disconnected
-graph one connected component at a time. A Roman assignment of G is one per
-component, so weight, 2-set size and 2-set bitmask (on disjoint bits) all
-add over the components: gamma_r is the sum of the components' values, and
-the first minimizer, smallest 2-set size then smallest bitmask, is the
-union of the components' first minimizers. Each component of order 3 or
-more is renumbered in ascending vertex order, which keeps bitmask order,
-and swept on its own; K1 and K2 components weigh their order, all labeled 1.
+From order _SPLIT_ORDER up, gamma_r, gamma_at_most and minimal_partitions
+solve a disconnected graph one connected component at a time. A Roman
+assignment of G is one per component, so weight, 2-set size and 2-set
+bitmask (on disjoint bits) all add over the components: gamma_r is the sum
+of the components' values, the first minimizer, smallest 2-set size then
+smallest bitmask, is the union of the components' first minimizers, and the
+minimum assignments are the products of the components' own. Each component
+of order 3 or more is renumbered in ascending vertex order, which keeps
+bitmask order, and swept on its own; K1 and K2 components weigh their order,
+all labeled 1.
 
 The sweep is exponential in gamma_r, so gamma_r, roman_number and
 gamma_at_most refuse with TooLarge, before sweeping, an input whose sets of
@@ -325,28 +329,26 @@ def gamma_r(g: Graph) -> int:
     return gamma_mask(_closed_masks(g), g.n)[0]
 
 
-def gamma_at_most(g: Graph, limit: int) -> bool:
-    """True iff gamma_r(g) <= limit: some Roman assignment weighs at most limit.
+def _at_most(closed: Sequence[int], n: int, limit: int) -> bool:
+    """True iff some Roman assignment of the graph with these closed
+    neighborhoods weighs at most limit; gamma_at_most on masks.
 
-    On a connected graph, or one below order _SPLIT_ORDER, sets are swept in
-    gamma_r's order, by ascending size and bitmask, up to size limit // 2,
-    and the sweep stops at the first one light enough. A disconnected graph
-    from order _SPLIT_ORDER up is asked whether the sum of its components'
-    gamma_r is at most limit: each component is swept only for a weight the
-    rest leaves room for, counting 2 for each component not yet swept. Either
-    way no set is visited that gamma_r would not. Raises TooLarge past
-    SWEEP_MAX_SETS, charged as the sum over the components swept (see
-    _check_sweep).
+    Size 1 is one pass over the masks: a vertex labeled 2 and the vertices
+    outside its closed neighborhood labeled 1 weigh at most limit iff that
+    neighborhood has at least n + 2 - limit vertices. Sizes 2 up go
+    through _light_sets.
     """
-    n = g.n
     if n <= limit:  # every vertex labeled 1
         return True
-    closed = _closed_masks(g)
     split = _split(closed, n) if n >= _SPLIT_ORDER else None
     if split is None:
         if n > _SWEEP_FREE_ORDER:
             _check_sweep([closed], n, limit)
-        for k in range(1, min(limit // 2, n) + 1):
+        if limit < 2:
+            return False
+        if max(map(int.bit_count, closed)) >= n + 2 - limit:
+            return True
+        for k in range(2, min(limit // 2, n) + 1):
             for _ in _light_sets(closed, n, k, limit):
                 return True
         return False
@@ -365,6 +367,22 @@ def gamma_at_most(g: Graph, limit: int) -> bool:
             return False
         slack -= w - 2
     return True
+
+
+def gamma_at_most(g: Graph, limit: int) -> bool:
+    """True iff gamma_r(g) <= limit: some Roman assignment weighs at most limit.
+
+    On a connected graph, or one below order _SPLIT_ORDER, sets are swept in
+    gamma_r's order, by ascending size and bitmask, up to size limit // 2,
+    and the sweep stops at the first one light enough. A disconnected graph
+    from order _SPLIT_ORDER up is asked whether the sum of its components'
+    gamma_r is at most limit: each component is swept only for a weight the
+    rest leaves room for, counting 2 for each component not yet swept. Either
+    way no set is visited that gamma_r would not. Raises TooLarge past
+    SWEEP_MAX_SETS, charged as the sum over the components swept (see
+    _check_sweep).
+    """
+    return _at_most(_closed_masks(g), g.n, limit)
 
 
 def roman_number(g: Graph) -> GammaResult:
@@ -413,6 +431,71 @@ def roman_number_oracle(g: Graph) -> int:
     raise AssertionError("all-2 labeling is always valid")  # pragma: no cover
 
 
+def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, int]]:
+    """(V2, V1) of every minimum Roman assignment by one sweep over all n
+    vertices, by ascending V2 bitmask; gamma is the minimum weight."""
+    return sorted(
+        hit
+        for k in range(gamma // 2 + 1)
+        for hit in _light_sets(closed, n, k, gamma)
+    )
+
+
+def _partition_pairs(
+    closed: Sequence[int], n: int, gamma: int | None = None
+) -> list[tuple[int, int]]:
+    """(V2, V1) masks of every minimum Roman assignment, by ascending V2
+    bitmask: minimal_partitions on closed-neighborhood masks.
+
+    From order _SPLIT_ORDER up, a disconnected graph's minimum assignments
+    are the products of its components': a K1 is labeled 1, a K2 has (1, 1),
+    (2, 0) and (0, 2), and every other component is swept on its own for
+    its own gamma_r. A known gamma_r passed as gamma spares one solve either
+    way: gamma_r adds over the components, so the last component weighs what
+    the others leave. The order cap comes first, before gamma_r is solved.
+    """
+    if n > PARTITIONS_MAX_ORDER:
+        raise TooLarge(
+            f"partition enumeration capped at order {PARTITIONS_MAX_ORDER}, got {n}"
+        )
+    split = _split(closed, n) if n >= _SPLIT_ORDER else None
+    if split is None:
+        if gamma is None:
+            gamma = _gamma_whole(closed, n)[0]
+        return _sweep_pairs(closed, n, gamma)
+    small, parts = split
+    left = None if gamma is None else gamma - small.bit_count()
+    lone = 0
+    choices = []
+    while small:
+        v = small & -small
+        comp = closed[v.bit_length() - 1]
+        small ^= comp
+        if comp == v:
+            lone |= v
+        else:
+            choices.append(((0, comp), (v, 0), (comp ^ v, 0)))
+    for i, (verts, sub) in enumerate(parts):
+        m = len(sub)
+        if left is not None and i == len(parts) - 1:
+            w = left
+        else:
+            w = _lightest(sub, m, m)[0]
+            if left is not None:
+                left -= w
+        choices.append(
+            [
+                (_lift(s, verts), _lift(rest, verts))
+                for s, rest in _sweep_pairs(sub, m, w)
+            ]
+        )
+    pairs = [(0, lone)]
+    for options in choices:
+        pairs = [(s | s2, r | r2) for s, r in pairs for s2, r2 in options]
+    pairs.sort()
+    return pairs
+
+
 def minimal_partitions(
     g: Graph, *, gamma: int | None = None
 ) -> list[RomanAssignment]:
@@ -423,19 +506,11 @@ def minimal_partitions(
     2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive, and
     2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. A caller that
     already knows gamma_r passes it as ``gamma`` to skip solving it again.
-    Guard: order <= 24.
+    A disconnected graph from order _SPLIT_ORDER up is solved one component
+    at a time (see _partition_pairs). Guard: order <= 24.
     """
-    if g.n > PARTITIONS_MAX_ORDER:
-        raise TooLarge(
-            f"partition enumeration capped at order {PARTITIONS_MAX_ORDER}, got {g.n}"
-        )
     n = g.n
-    closed = _closed_masks(g)
-    if gamma is None:
-        gamma = gamma_mask(closed, n)[0]
-    hits = sorted(
-        hit
-        for k in range(gamma // 2 + 1)
-        for hit in _light_sets(closed, n, k, gamma)
-    )
-    return [_assignment_from_masks(n, s, m1) for s, m1 in hits]
+    return [
+        _assignment_from_masks(n, s, m1)
+        for s, m1 in _partition_pairs(_closed_masks(g), n, gamma)
+    ]

@@ -20,11 +20,13 @@ from romancrit import (
     gamma_r,
     gen_family,
     graph_new,
+    gamma_at_most,
     is_e_critical,
     is_nonelementary,
     is_roman_saturated,
     is_v_critical,
     nonelementary_by_components,
+    relabel,
     saturated_by_partitions,
     v_critical_by_partitions,
 )
@@ -294,6 +296,90 @@ def test_first_gamma_changing_edge_trusts_a_supplied_verdict():
     assert first_gamma_changing_edge(star, v_critical=True) == (0, 1, 3)
 
 
+# -- mask kernels against the Graph-object predicates ------------------------
+# The four direct predicates as they were written on Graph objects: each
+# G - v, G + uv and G - uv is built as a Graph and asked through
+# gamma_at_most. They check the derived closed-neighborhood masks.
+
+
+def _graph_first_non_critical(g: Graph, gamma: int) -> int | None:
+    return next(
+        (v for v in range(g.n) if not gamma_at_most(g.delete_vertex(v), gamma - 1)),
+        None,
+    )
+
+
+def _graph_first_unsaturated_nonedge(g: Graph, gamma: int):
+    for u, v in g.non_edges():
+        if not gamma_at_most(g.add_edge(u, v), gamma - 1):
+            return u, v, gamma
+    return None
+
+
+def _graph_first_gamma_changing_edge(g: Graph, gamma: int):
+    for u, v in g.edges():
+        h = g.delete_edge(u, v)
+        if not gamma_at_most(h, gamma):
+            return u, v, gamma_r(h)
+    return None
+
+
+def _graph_first_non_ecritical_edge(g: Graph, gamma: int):
+    for u, v in g.edges():
+        h = g.delete_edge(u, v)
+        after = gamma if gamma_at_most(h, gamma) else gamma_r(h)
+        if _graph_first_non_critical(h, after) is None:
+            return u, v
+    return None
+
+
+def _mask_kernel_graphs():
+    for n in range(1, 7):
+        yield from iter_labeled_graphs(n)
+    rng = random.Random(3301)
+    for n in range(7, 15):
+        for p in (0.15, 0.3, 0.5, 0.8):
+            for _ in range(3):
+                yield _random_graph(rng, n, p)
+        if n >= 10:
+            # disconnected: two random parts, interleaved by a relabeling
+            for _ in range(4):
+                m = rng.randrange(3, n - 2)
+                a, b = _random_graph(rng, m, 0.5), _random_graph(rng, n - m, 0.5)
+                edges = a.edges() + [(u + m, v + m) for u, v in b.edges()]
+                yield relabel(graph_new(n, edges), rng.sample(range(n), n))
+
+
+def test_mask_kernels_match_graph_object_predicates():
+    # every labeled graph of orders 1-6 and seeded ones of orders 7-14,
+    # disconnected ones among them from order 10; the edge predicates run
+    # off their v-critical contract too, since their loops do not depend on it
+    disconnected = 0
+    for g in _mask_kernel_graphs():
+        gamma = gamma_r(g)
+        v = _graph_first_non_critical(g, gamma)
+        assert criticality._first_non_critical(g, gamma) == v, emit_graph6(g)
+        if v is not None:
+            assert first_non_critical_vertex(g, gamma=gamma) == (
+                v,
+                gamma_r(g.delete_vertex(v)),
+            )
+        assert first_unsaturated_nonedge(
+            g, gamma=gamma
+        ) == _graph_first_unsaturated_nonedge(g, gamma), emit_graph6(g)
+        assert first_gamma_changing_edge(
+            g, gamma=gamma, v_critical=True
+        ) == _graph_first_gamma_changing_edge(g, gamma), emit_graph6(g)
+        if v is None or g.n != 6:
+            # its contract is v-critical graphs; off it, an edge removal can
+            # raise gamma_r, a branch the other orders cover at less cost
+            assert first_non_ecritical_edge(
+                g, gamma=gamma
+            ) == _graph_first_non_ecritical_edge(g, gamma), emit_graph6(g)
+        disconnected += g.n >= 10 and len(g.connected_components()) > 1
+    assert disconnected >= 15
+
+
 # -- report ------------------------------------------------------------------
 
 
@@ -401,12 +487,13 @@ def test_criticality_report_matches_public_routes(
 ):
     # every labeled graph of orders 1-5 plus seeded ones of orders 6-9. The
     # partition routes agree with the definitions on all of them, so a second
-    # pass breaks those routes in both modules alike, keeping one partition
-    # and flipping the other two, to compare the diagnostics they cause
+    # pass breaks the partition bindings both modules call, in both alike:
+    # it keeps one (V2, V1) pair and flips the other two routes, to compare
+    # the diagnostics they cause
     if broken_partition_routes:
         for module in (criticality, harness):
             for name, broken in (
-                ("minimal_partitions", lambda f: lambda *a, **k: f(*a, **k)[:1]),
+                ("_partition_pairs", lambda f: lambda *a, **k: f(*a, **k)[:1]),
                 ("_saturated_over_partitions", lambda f: lambda g, p: not f(g, p)),
                 ("_pivot_condition", lambda f: lambda g, p: not f(g, p)),
             ):

@@ -34,6 +34,7 @@ from romancrit import (
     witness_chase_ok,
     witness_pairs,
 )
+import romancrit.gamma4 as gamma4
 from romancrit.gamma4 import every_cut_vertex_leaves_pendant_component
 from romancrit.harness import graph_from_edge_mask, isomorphism_classes
 
@@ -162,15 +163,44 @@ def test_gamma4_predicates_agree_with_supplied_values():
         if gamma != 4 or g.n == 4:
             continue
         checked += 1
+        classes = degree_classes(g)
         for predicate in (vcrit4_by_degrees, saturated4_by_degrees, high_class_bounds):
             assert predicate(g, gamma=4) == predicate(g)
+            assert predicate(g, gamma=4, classes=classes) == predicate(g)
         if vc:
-            got = ecrit4_by_degrees(g, gamma=4, v_critical=True)
+            got = ecrit4_by_degrees(g, gamma=4, v_critical=True, classes=classes)
             assert got == ecrit4_by_degrees(g)
     assert checked > 100
     for g in (gen_family("dn", 8), gen_family("xn", 8)):
         for predicate in (local8_conditions, local8_fast):
             assert predicate(g, gamma=4) == predicate(g)
+
+
+def test_gamma4_degree_predicates_given_classes_do_not_rebuild_them(monkeypatch):
+    # the harness builds each graph's degree classes once and passes them to
+    # all four predicates; with the classes given, none rebuilds them
+    graphs = [gen_family("dn", 6), gen_family("dn", 8), gen_family("xn", 8)]
+    given = [degree_classes(g) for g in graphs]
+    want = [
+        (vcrit4_by_degrees(g), saturated4_by_degrees(g), high_class_bounds(g),
+         ecrit4_by_degrees(g))
+        for g in graphs
+    ]
+
+    def rebuilt(g):
+        raise AssertionError("degree classes rebuilt")
+
+    monkeypatch.setattr(gamma4, "degree_classes", rebuilt)
+    got = [
+        (
+            vcrit4_by_degrees(g, gamma=4, classes=c),
+            saturated4_by_degrees(g, gamma=4, classes=c),
+            high_class_bounds(g, gamma=4, classes=c),
+            ecrit4_by_degrees(g, gamma=4, v_critical=True, classes=c),
+        )
+        for g, c in zip(graphs, given)
+    ]
+    assert got == want
 
 
 # -- witnesses ---------------------------------------------------------------

@@ -21,9 +21,11 @@ from romancrit import (
     TooLarge,
     UnknownClaim,
     claim_catalog,
+    degree_classes,
     gen_family,
     graph_new,
     is_isomorphic,
+    minimal_partitions,
     parse_graph6,
     relabel,
     verify_claim,
@@ -389,7 +391,11 @@ def test_facts_lazy_predicates():
     assert f.nonelementary
     assert f.v_critical and f.e_critical and f.saturated
     assert len(f.partitions) >= 1
-    assert all(p.weight == 4 for p in f.partitions)
+    assert all(2 * m2.bit_count() + m1.bit_count() == 4 for m2, m1 in f.partitions)
+    assert f.partitions == [
+        (a.label_mask(2), a.label_mask(1)) for a in minimal_partitions(f.g)
+    ]
+    assert f.degree_classes == degree_classes(f.g)
 
 
 def test_class_scan_copies_carry_no_representative_witness(monkeypatch):

@@ -192,6 +192,41 @@ def test_gamma_at_most_matches_oracle_random():
                 assert gamma_at_most(g, limit) == (gamma <= limit), (g.adj, limit)
 
 
+@pytest.mark.parametrize(
+    "g, gamma",
+    [
+        (graph_new(0), 0),
+        (graph_new(1), 1),
+        (gen_family("complete", 2), 2),
+        (gen_family("complete", 3), 2),
+        (graph_new(3), 3),
+        (gen_family("path", 4), 3),
+        (graph_new(4, [(0, 1), (0, 2)]), 3),
+        (gen_family("elem3"), 4),
+        (gen_family("path", 5), 4),
+    ],
+    ids=["E0", "K1", "K2", "K3", "E3", "P4", "P3+K1", "2K2", "P5"],
+)
+def test_at_most_boundaries(g, gamma):
+    # the limits where _at_most changes branch: below 0, the all-1 shortcut
+    # (n <= limit), below 2, and the size-1 exit at n + 2 - limit
+    closed = solver._closed_masks(g)
+    for limit in (-1, 0, 1, 2, 3):
+        assert solver._at_most(closed, g.n, limit) == (gamma <= limit), limit
+
+
+def test_at_most_guard_sits_before_the_size_one_exit():
+    # one 2 and the rest at 1 weigh n - 1 on a cycle; C26 at limit 25 is
+    # charged 28.4M sets and answered by that 2, while C27 at limit 26 is
+    # refused (47.1M) although the same 2 would answer it, and at limit 27
+    # the all-1 labeling answers before any charge
+    c26, c27 = gen_family("cycle", 26), gen_family("cycle", 27)
+    assert solver._at_most(solver._closed_masks(c26), 26, 25)
+    with pytest.raises(TooLarge, match="of up to 47,050,563 vertex sets"):
+        solver._at_most(solver._closed_masks(c27), 27, 26)
+    assert solver._at_most(solver._closed_masks(c27), 27, 27)
+
+
 def test_oracle_guard():
     with pytest.raises(TooLarge):
         roman_number_oracle(graph_new(13))
@@ -565,8 +600,74 @@ def test_minimal_partitions_complete_all_orders_to_9():
 
 
 def test_minimal_partitions_guard():
-    with pytest.raises(TooLarge):
-        minimal_partitions(graph_new(25))
+    for g in (graph_new(25), gen_family("cycle", 30)):
+        with pytest.raises(TooLarge, match="capped at order 24, got"):
+            minimal_partitions(g)
+
+
+def test_partitions_split_matches_whole_graph_sweep():
+    # the products of the components' partitions against one sweep over all
+    # n vertices: the same (V2, V1) pairs in the same order
+    checked = 0
+    for g in _disconnected_graphs():
+        if g.n > 16:  # the whole sweep of a perfect matching grows as 3^(n/2)
+            continue
+        closed = solver._closed_masks(g)
+        whole = solver._sweep_pairs(closed, g.n, gamma_r(g))
+        assert solver._partition_pairs(closed, g.n) == whole, g.edges()
+        assert solver._partition_pairs(closed, g.n, gamma_r(g)) == whole
+        checked += 1
+    assert checked == 28
+
+
+def test_partitions_split_with_known_gamma_solves_all_but_the_last(monkeypatch):
+    # gamma_r adds over the components, so a supplied gamma leaves the last
+    # component's weight known: one large component plus K1s is swept once,
+    # never solved
+    rng = random.Random(62)
+    big = _random_graph(rng, 11, 0.4)
+    while len(big.connected_components()) > 1:
+        big = _random_graph(rng, 11, 0.4)
+    solved = []
+    real = solver._lightest
+    monkeypatch.setattr(
+        solver, "_lightest", lambda *a: solved.append(a[1]) or real(*a)
+    )
+    for parts, solves in (([big, graph_new(1), graph_new(1)], 0), ([big, big], 1)):
+        g = _relabeled_union(rng, parts)
+        gamma = gamma_r(g)
+        closed = solver._closed_masks(g)
+        solved.clear()
+        got = solver._partition_pairs(closed, g.n, gamma)
+        assert len(solved) == solves
+        assert got == solver._sweep_pairs(closed, g.n, gamma)
+
+
+def test_minimal_partitions_of_small_components():
+    # a K1 is labeled 1 and a K2 is (1, 1), (2, 0) or (0, 2), so C5 with
+    # a K1 and a K2 has C5's partitions times three
+    g = _disjoint_union(gen_family("cycle", 5), graph_new(1), gen_family("complete", 2))
+    c5 = [a.labels for a in minimal_partitions(gen_family("cycle", 5))]
+    got = [a.labels for a in minimal_partitions(g)]
+    assert sorted(got) == sorted(
+        c + (1,) + k2 for c in c5 for k2 in ((1, 1), (2, 0), (0, 2))
+    )
+    masks = [a.label_mask(2) for a in minimal_partitions(g)]
+    assert masks == sorted(masks)
+
+
+def test_minimal_partitions_of_two_c12_by_components():
+    # order 24, the cap: 3 x 3 partitions from the two C12s, where one sweep
+    # over all 24 vertices took a few hundred times longer than C12 alone
+    c12 = gen_family("cycle", 12)
+    one = [(a.label_mask(2), a.label_mask(1)) for a in minimal_partitions(c12)]
+    t0 = time.perf_counter()
+    both = minimal_partitions(_disjoint_union(c12, c12))
+    assert time.perf_counter() - t0 < 0.05
+    assert [(a.label_mask(2), a.label_mask(1)) for a in both] == sorted(
+        (s | t << 12, r | q << 12) for s, r in one for t, q in one
+    )
+    assert all(a.weight == 16 for a in both)
 
 
 # -- monotonicity ------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Time the solver layer: gamma_r, gamma_at_most and minimal_partitions.
+"""Time the solver and criticality layers.
 
     python3 tools/bench_solver.py --src parent=/path/to/parent/src \\
-        --src change=src --out BENCH_11.json
+        --src change=src --out BENCH_12.json
     python3 tools/bench_solver.py              # one column, ./src, to stdout
 
 Each ``--src [NAME=]DIR`` names a directory that holds the ``romancrit``
@@ -16,11 +16,17 @@ timing is the best of three calls on:
   G(40, 0.03)             a sparse random graph from the same seeded stream
 
 and the three operations are ``gamma_r(g)``, ``gamma_at_most(g, gamma - 1)``
-(a full sweep that finds nothing) and ``minimal_partitions(g)``. An operation
-that raises ``TooLarge`` is recorded as "refused"; ``gamma_at_most`` takes
-its limit from this column's ``gamma_r``, so it is refused with it. The
-totals add only the rows every column timed. Stdlib only; nothing is
-installed.
+(a full sweep that finds nothing) and ``minimal_partitions(g)``. The
+criticality rows time ``is_v_critical``, ``is_roman_saturated``,
+``is_e_critical`` and ``minimal_partitions`` on:
+
+  order-6 classes         one call per class representative, summed (156)
+  C12+C12                 order 24, the largest minimal_partitions accepts
+
+An operation that raises ``TooLarge`` is recorded as "refused";
+``gamma_at_most`` takes its limit from this column's ``gamma_r``, so it is
+refused with it. The totals add only the rows every column timed. Stdlib
+only; nothing is installed.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ RANDOM_COUNT = 5
 SPARSE = (40, 0.03)
 SEED = 9
 OPS = ("gamma_r", "gamma_at_most", "minimal_partitions")
+CRITICALITY_OPS = (
+    "is_v_critical",
+    "is_roman_saturated",
+    "is_e_critical",
+    "minimal_partitions",
+)
 
 
 def _random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
@@ -68,6 +80,13 @@ def _graphs(rc) -> list[tuple[str, object]]:
     n, p = SPARSE
     out.append((f"G({n},{p})", rc.graph_new(n, _random_edges(rng, n, p))))
     return out
+
+
+def _criticality_sets(rc) -> list[tuple[str, list]]:
+    from romancrit.harness import graph_from_edge_mask, isomorphism_classes
+
+    reps = [graph_from_edge_mask(6, rep) for rep, _ in isomorphism_classes(6)]
+    return [("order-6 classes", reps), ("C12+C12", [_cycles(rc, 12, 12)])]
 
 
 def _best(rc, call) -> float | str:
@@ -102,6 +121,12 @@ def time_source(src: str) -> list[dict]:
         for op in OPS:
             refused = gamma is None and op == "gamma_at_most"
             s = "refused" if refused else _best(rc, calls[op])
+            rows.append({"op": op, "graph": name, "gamma": gamma, "s": s})
+    for name, graphs in _criticality_sets(rc):
+        gamma = rc.gamma_r(graphs[0]) if len(graphs) == 1 else None
+        for op in CRITICALITY_OPS:
+            call = getattr(rc, op)
+            s = _best(rc, lambda: [call(g) for g in graphs])
             rows.append({"op": op, "graph": name, "gamma": gamma, "s": s})
     return rows
 
@@ -158,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     ]
     record = {
         "what": (
-            f"solver layer, best of {REPEATS} calls per operation, seconds;"
-            " totals over the rows every column timed"
+            f"solver and criticality layers, best of {REPEATS} calls per"
+            " operation, seconds; totals over the rows every column timed"
         ),
         "seed": SEED,
         "environment": {
@@ -173,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
                 name: round(sum(r["seconds"][name] for r in timed if r["op"] == op), 4)
                 for name in names
             }
-            for op in OPS
+            for op in dict.fromkeys(OPS + CRITICALITY_OPS)
         },
         "rows": rows,
     }
