@@ -30,6 +30,9 @@ from .solver import (
     roman_number_oracle,
 )
 from .criticality import (
+    DegreeClasses,
+    Facts,
+    degree_classes,
     e_critical_condition,
     edge_removal_preserves_gamma,
     first_gamma_changing_edge,
@@ -53,10 +56,8 @@ from .gamma4 import (
     IS_DN,
     NOT_CRITICAL,
     Classification,
-    DegreeClasses,
     classify_critical4,
     cut_vertex_structure,
-    degree_classes,
     ecrit4_by_degrees,
     high_class_bounds,
     local8_conditions,
@@ -73,7 +74,6 @@ from .harness import (
     Counterexample,
     CriticalityReport,
     ENUMERATION_MAX_ORDER,
-    Facts,
     VerificationReport,
     claim_catalog,
     criticality_report,

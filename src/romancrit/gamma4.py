@@ -5,11 +5,10 @@ vertices of degree n-3 ("high") versus lower degree ("low"). Each predicate
 here is the degree-based route; the direct-definition route lives in
 criticality.py, and the harness checks the two against each other.
 
-The predicates the harness calls take what it already knows, keyword-only:
-gamma_r as ``gamma``, the verdicts ``v_critical``, ``saturated`` and
-``e_critical``, and the degree classes as ``classes``. A value left out is
-computed here, and a supplied value that breaks a precondition raises just as
-a computed one does; ``classes`` has no precondition and is used as given.
+Every public predicate takes a ``Graph`` or a ``Facts`` as its first
+positional argument and reads gamma_r, the verdicts and the degree classes
+from that ``Facts`` (a bare Graph gets a fresh one). Its preconditions are
+checked on those values, so a Facts raises exactly where its graph does.
 """
 
 from __future__ import annotations
@@ -21,57 +20,34 @@ from typing import Iterator
 from .errors import PreconditionViolated
 from .graphs import Graph, gen_family
 from .iso import is_isomorphic
-from .criticality import is_e_critical, is_roman_saturated, is_v_critical
-from .solver import gamma_r
+# DegreeClasses and degree_classes are re-exported from here
+from .criticality import DegreeClasses, Facts, _facts, degree_classes  # noqa: F401
+# not called here; bench/tracer.py wraps these bindings
+from .criticality import is_e_critical, is_roman_saturated, is_v_critical  # noqa: F401
+from .solver import gamma_r  # noqa: F401
 
 
-@dataclass(frozen=True)
-class DegreeClasses:
-    high: frozenset[int]  # degree exactly n-3
-    low: frozenset[int]  # degree below n-3
-    other: frozenset[int]  # degree above n-3
-
-
-def degree_classes(g: Graph) -> DegreeClasses:
-    pivot = g.n - 3
-    high, low, other = [], [], []
-    for v, d in enumerate(g.degrees()):
-        if d == pivot:
-            high.append(v)
-        elif d < pivot:
-            low.append(v)
-        else:
-            other.append(v)
-    return DegreeClasses(frozenset(high), frozenset(low), frozenset(other))
-
-
-def _require_gamma4(g: Graph, gamma: int | None = None) -> None:
-    if gamma is None:
-        gamma = gamma_r(g)
-    if gamma != 4:
-        raise PreconditionViolated(f"needs gamma_r = 4, got {gamma}")
-    if gamma >= g.n:
+def _require_gamma4(f: Facts) -> None:
+    if f.gamma != 4:
+        raise PreconditionViolated(f"needs gamma_r = 4, got {f.gamma}")
+    if f.gamma >= f.g.n:
         raise PreconditionViolated("needs a nonelementary graph (gamma_r < order)")
 
 
-def _require_v_critical4(g: Graph, v_critical: bool | None = None) -> None:
-    # after _require_gamma4, so gamma_r is 4
-    if v_critical is None:
-        v_critical = is_v_critical(g, gamma=4)
-    if not v_critical:
+def _require_v_critical4(f: Facts) -> None:
+    if not f.v_critical:
         raise PreconditionViolated("needs a v-critical graph")
 
 
-def vcrit4_by_degrees(
-    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
-) -> bool:
+def vcrit4_by_degrees(g: Graph | Facts) -> bool:
     """Degree route to v-criticality at gamma_r = 4.
 
     True iff every vertex has a non-neighbor of degree n-3.
     """
-    _require_gamma4(g, gamma)
-    high = sum(1 << v for v in (classes or degree_classes(g)).high)
-    return all(high & ~g.closed_mask(x) for x in range(g.n))
+    f = _facts(g)
+    _require_gamma4(f)
+    high = sum(1 << v for v in f.degree_classes.high)
+    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))
 
 
 def _witness_pairs_raw(g: Graph, x: int) -> list[tuple[int, int]]:
@@ -87,58 +63,53 @@ def _witness_pairs_raw(g: Graph, x: int) -> list[tuple[int, int]]:
     return out
 
 
-def witness_pairs(g: Graph, x: int) -> list[tuple[int, int]]:
+def witness_pairs(g: Graph | Facts, x: int) -> list[tuple[int, int]]:
     """All pairs (a, b) with N[a] = V minus {x, b}, ascending by a."""
-    _require_gamma4(g)
-    g._check_vertex(x)
-    return _witness_pairs_raw(g, x)
+    f = _facts(g)
+    _require_gamma4(f)
+    f.g._check_vertex(x)
+    return _witness_pairs_raw(f.g, x)
 
 
-def neighborhood_witness(g: Graph, x: int) -> tuple[int, int] | None:
+def neighborhood_witness(g: Graph | Facts, x: int) -> tuple[int, int] | None:
     """Smallest pair (a, b) with N[a] = V minus {x, b}, or None."""
     pairs = witness_pairs(g, x)
     return pairs[0] if pairs else None
 
 
-def witness_chase_ok(g: Graph, x: int) -> bool:
+def witness_chase_ok(g: Graph | Facts, x: int) -> bool:
     """Chase every witness pair (a, b) of x: each needs some witness pair
     at a that lands back in {x, b}. Vacuously false when x has no witness
     at all."""
-    _require_gamma4(g)
-    g._check_vertex(x)
-    pairs = _witness_pairs_raw(g, x)
+    f = _facts(g)
+    pairs = witness_pairs(f, x)
     return bool(pairs) and all(
-        any(a2 in (x, b) for a2, _ in _witness_pairs_raw(g, a)) for a, b in pairs
+        any(a2 in (x, b) for a2, _ in _witness_pairs_raw(f.g, a)) for a, b in pairs
     )
 
 
-def saturated4_by_degrees(
-    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
-) -> bool:
+def saturated4_by_degrees(g: Graph | Facts) -> bool:
     """Degree route to saturation at gamma_r = 4.
 
     True iff every two vertices of degree below n-3 are adjacent.
     """
-    _require_gamma4(g, gamma)
-    low = sorted((classes or degree_classes(g)).low)
-    return all(g.adj[u] >> v & 1 for u, v in combinations(low, 2))
+    f = _facts(g)
+    _require_gamma4(f)
+    low = sorted(f.degree_classes.low)
+    return all(f.g.adj[u] >> v & 1 for u, v in combinations(low, 2))
 
 
-def ecrit4_by_degrees(
-    g: Graph,
-    *,
-    gamma: int | None = None,
-    v_critical: bool | None = None,
-    classes: DegreeClasses | None = None,
-) -> bool:
+def ecrit4_by_degrees(g: Graph | Facts) -> bool:
     """Degree route to e-criticality at gamma_r = 4 (v-critical inputs).
 
     True iff every edge (x, y) has a vertex v such that each degree-(n-3)
     vertex outside N[v] is x or y.
     """
-    _require_gamma4(g, gamma)
-    _require_v_critical4(g, v_critical)
-    high = sum(1 << v for v in (classes or degree_classes(g)).high)
+    f = _facts(g)
+    _require_gamma4(f)
+    _require_v_critical4(f)
+    g = f.g
+    high = sum(1 << v for v in f.degree_classes.high)
     for x, y in g.edges():
         pair = 1 << x | 1 << y
         if not any(
@@ -148,30 +119,31 @@ def ecrit4_by_degrees(
     return True
 
 
-def high_class_bounds(
-    g: Graph, *, gamma: int | None = None, classes: DegreeClasses | None = None
-) -> tuple[bool, bool]:
+def high_class_bounds(g: Graph | Facts) -> tuple[bool, bool]:
     """(2|high| >= n, 4|high| >= 3n).
 
     The first bound is asserted for v-critical graphs, the second for
     v-critical saturated ones; this evaluates both, callers supply context.
     """
-    _require_gamma4(g, gamma)
-    high = len((classes or degree_classes(g)).high)
-    return (2 * high >= g.n, 4 * high >= 3 * g.n)
+    f = _facts(g)
+    _require_gamma4(f)
+    high = len(f.degree_classes.high)
+    return (2 * high >= f.g.n, 4 * high >= 3 * f.g.n)
 
 
-def every_cut_vertex_leaves_pendant_component(g: Graph) -> bool:
+def every_cut_vertex_leaves_pendant_component(g: Graph | Facts) -> bool:
+    g = _facts(g).g
     return all(
-        any(len(c) == 1 for c in g.delete_vertex(v).connected_components())
+        any(c.bit_count() == 1 for c in g.component_masks(1 << v))
         for v in g.cut_vertices()
     )
 
 
-def _cut_structure(g: Graph) -> bool:
+def _cut_structure(f: Facts) -> bool:
+    g = f.g
     if is_isomorphic(g, gen_family("cycle", 5)):
         return True
-    low = sorted(degree_classes(g).low)
+    low = sorted(f.degree_classes.low)
     if len(low) != 1:
         return False
     v = low[0]
@@ -181,18 +153,19 @@ def _cut_structure(g: Graph) -> bool:
     return neighbor in g.cut_vertices()
 
 
-def cut_vertex_structure(g: Graph) -> bool:
+def cut_vertex_structure(g: Graph | Facts) -> bool:
     """Cut-vertex facts for nonelementary v-critical graphs at gamma_r = 4.
 
     Always checks that every cut vertex leaves a single-vertex component;
     when the graph is also e-critical and saturated, additionally checks it
     is the 5-cycle or has exactly one low vertex, pendant on a cut vertex.
     """
-    _require_gamma4(g)
-    _require_v_critical4(g)
-    ok = every_cut_vertex_leaves_pendant_component(g)
-    if ok and is_roman_saturated(g, gamma=4) and is_e_critical(g, gamma=4):
-        ok = _cut_structure(g)
+    f = _facts(g)
+    _require_gamma4(f)
+    _require_v_critical4(f)
+    ok = every_cut_vertex_leaves_pendant_component(f)
+    if ok and f.saturated and f.e_critical:
+        ok = _cut_structure(f)
     return ok
 
 
@@ -216,14 +189,7 @@ class Classification:
         return self.verdict
 
 
-def classify_critical4(
-    g: Graph,
-    *,
-    gamma: int | None = None,
-    v_critical: bool | None = None,
-    saturated: bool | None = None,
-    e_critical: bool | None = None,
-) -> Classification:
+def classify_critical4(g: Graph | Facts) -> Classification:
     """Sort a graph into the gamma_r = 4 criticality catalog.
 
     Elementary side (order 4): v-critical graphs match one of the three
@@ -234,15 +200,9 @@ def classify_critical4(
     isomorphism backtracker, so qualifying graphs above order 12 raise
     TooLarge.
     """
-    if g.n < 4:
-        return Classification(NOT_CRITICAL)
-    if gamma is None:
-        gamma = gamma_r(g)
-    if gamma != 4:
-        return Classification(NOT_CRITICAL)
-    if v_critical is None:
-        v_critical = is_v_critical(g, gamma=4)
-    if not v_critical:
+    f = _facts(g)
+    g = f.g
+    if g.n < 4 or f.gamma != 4 or not f.v_critical:
         return Classification(NOT_CRITICAL)
     if g.n == 4:
         for tag, verdict in (
@@ -253,13 +213,7 @@ def classify_critical4(
             if is_isomorphic(g, gen_family(tag)):
                 return Classification(verdict)
         return Classification(CRITICAL_BUT_UNCLASSIFIED)
-    if saturated is None:
-        saturated = is_roman_saturated(g, gamma=4)
-    if not saturated:
-        return Classification(NOT_CRITICAL)
-    if e_critical is None:
-        e_critical = is_e_critical(g, gamma=4)
-    if not e_critical:
+    if not f.saturated or not f.e_critical:
         return Classification(NOT_CRITICAL)
     if g.n == 5 and is_isomorphic(g, gen_family("cycle", 5)):
         return Classification(IS_C5)
@@ -272,7 +226,7 @@ def _nonneighbors(g: Graph, v: int) -> list[int]:
     return [u for u in range(g.n) if u != v and not g.adj[v] >> u & 1]
 
 
-def local8_conditions(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool]:
+def local8_conditions(g: Graph | Facts) -> tuple[bool, bool, bool]:
     """Literal sweep of the three local adjacency conditions (order >= 8).
 
     With roles {v2,v3,v4}, {v5,v6,v7}, {v5,v6} symmetric, tuples reduce to
@@ -286,7 +240,7 @@ def local8_conditions(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool
          v5..v8 leaves v8 with at least 5 neighbors among v1..v7;
       c: in the same situation v1 is adjacent to at most one of v5, v6.
     """
-    _require_order8(g, gamma)
+    g = _require_order8(g)
     adj = g.adj
     cond_a = any(True for _ in _local8_situations(g))
     cond_b = all(
@@ -313,7 +267,7 @@ def _local8_situations(g: Graph) -> Iterator[tuple[int, int, list[int]]]:
             yield v1, used, [u for u in range(n) if not used >> u & 1]
 
 
-def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool]:
+def local8_fast(g: Graph | Facts) -> tuple[bool, bool, bool]:
     """Degree shortcuts for the three conditions of local8_conditions:
     a: some vertex has degree below n-3;
     b: at most one vertex has degree below n-3;
@@ -327,7 +281,7 @@ def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool
     rule on seeded gamma_r = 4 graphs of orders 8-10, random and with planted
     low vertices of degree n-4.
     """
-    _require_order8(g, gamma)
+    g = _require_order8(g)
     pivot = g.n - 3
     low_degs = [d for d in g.degrees() if d < pivot]
     return (
@@ -337,7 +291,10 @@ def local8_fast(g: Graph, *, gamma: int | None = None) -> tuple[bool, bool, bool
     )
 
 
-def _require_order8(g: Graph, gamma: int | None) -> None:
-    _require_gamma4(g, gamma)
-    if g.n < 8:
-        raise PreconditionViolated(f"needs order >= 8, got {g.n}")
+def _require_order8(g: Graph | Facts) -> Graph:
+    """The graph of g, once its gamma_r = 4 and order >= 8 are checked."""
+    f = _facts(g)
+    _require_gamma4(f)
+    if f.g.n < 8:
+        raise PreconditionViolated(f"needs order >= 8, got {f.g.n}")
+    return f.g

@@ -58,25 +58,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        return _pairs_above(self.adj)
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All non-adjacent pairs (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not self.adj[u] >> v & 1:
-                    out.append((u, v))
-        return out
+        full = self.full_mask
+        return _pairs_above([full & ~m for m in self.adj])
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -125,35 +112,32 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
+    def component_masks(self, without: int = 0) -> list[int]:
+        """Vertex masks of the connected components of the graph minus the
+        vertices in the mask ``without``, ordered by smallest member; the
+        vertices keep their numbers."""
+        left = self.full_mask & ~without
+        comps = []
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                low = frontier & -frontier
+                new = self.adj[low.bit_length() - 1] & left & ~comp
+                comp |= new
+                frontier ^= low | new
+            left ^= comp
+            comps.append(comp)
+        return comps
+
     def connected_components(self) -> list[frozenset[int]]:
         """Maximal connected vertex sets, ordered by smallest member."""
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = 1 << v
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    nxt |= self.adj[low.bit_length() - 1]
-                    m ^= low
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            comps.append(_mask_to_set(comp))
-        return comps
+        return [_mask_to_set(c) for c in self.component_masks()]
 
     def cut_vertices(self) -> frozenset[int]:
         """Vertices whose deletion increases the number of components."""
-        base = len(self.connected_components())
+        base = len(self.component_masks())
         return frozenset(
-            v
-            for v in range(self.n)
-            if len(self.delete_vertex(v).connected_components()) > base
+            v for v in range(self.n) if len(self.component_masks(1 << v)) > base
         )
 
     # -- value semantics ---------------------------------------------------
@@ -170,6 +154,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+def _pairs_above(rows: Iterable[int]) -> list[tuple[int, int]]:
+    """(u, v) for every bit v above u of rows[u], ascending by u, then v."""
+    out = []
+    for u, m in enumerate(rows):
+        m &= -2 << u
+        while m:
+            low = m & -m
+            out.append((u, low.bit_length() - 1))
+            m ^= low
+    return out
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

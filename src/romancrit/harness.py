@@ -14,8 +14,9 @@ a scan over every labeled graph. The classes of orders up to
 ``ENUMERATION_MAX_ORDER`` come from the checked-in ``_class_table``; only
 order 8, behind allow_large, sweeps the labeled masks to find them.
 
-``Facts`` is the one per-graph evaluation context: the claims read it, and
-so does ``criticality_report``.
+Each scanned graph gets one ``Facts`` (defined in ``criticality``), which
+every claim and ``criticality_report`` read and hand to the predicates; a
+class-scan copy gets its representative's ``Facts.relabeled``.
 """
 
 from __future__ import annotations
@@ -32,32 +33,27 @@ from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
 from .graphs import Graph, gen_family
 from .graph6 import emit_graph6, parse_graph6
 from .iso import is_isomorphic
-# minimal_partitions is not called here; bench/tracer.py wraps this binding
-from .solver import (
-    _closed_masks,
-    _partition_pairs,
-    gamma_r,
-    minimal_partitions,  # noqa: F401
-)
+# not called here; bench/tracer.py wraps these bindings
+from .solver import gamma_r, minimal_partitions  # noqa: F401
+from .criticality import _pivot_condition, _saturated_over_partitions  # noqa: F401
 from .criticality import (
-    _pivot_condition,
-    _saturated_over_partitions,
+    Facts,
+    e_critical_condition,
     first_gamma_changing_edge,
     first_non_critical_vertex,
     first_non_ecritical_edge,
     first_unsaturated_nonedge,
-    is_v_critical,
     nonelementary_by_components,
+    saturated_by_partitions,
+    v_critical_by_partitions,
 )
 from .gamma4 import (
     CRITICAL_BUT_UNCLASSIFIED,
     IS_C5,
     IS_DN,
-    DegreeClasses,
     _cut_structure,
     _witness_pairs_raw,
     classify_critical4,
-    degree_classes,
     ecrit4_by_degrees,
     high_class_bounds,
     local8_conditions,
@@ -252,73 +248,6 @@ def _class_table_module() -> str:
     return "\n".join(lines) + "\n"
 
 
-class Facts:
-    """Per-graph lazy cache of gamma_r, the three criticality verdicts, the
-    minimum partitions and the degree classes: the one evaluation context
-    that the claims and ``criticality_report`` read. It holds each minimum
-    partition as its (V2, V1) masks, by ascending V2. A slot holds None
-    until it is computed."""
-
-    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._gamma = self._vc = self._ec = self._sat = None
-        self._parts = self._classes = None
-
-    def relabeled(self, g: Graph) -> Facts:
-        """Facts of g, an isomorphic copy of this graph: gamma_r and the
-        verdicts carry over; the partitions and degree classes, which name
-        vertices, do not."""
-        copy = Facts(g)
-        copy._gamma, copy._vc, copy._ec, copy._sat = (
-            self._gamma, self._vc, self._ec, self._sat
-        )
-        return copy
-
-    @property
-    def gamma(self) -> int:
-        if self._gamma is None:
-            self._gamma = gamma_r(self.g)
-        return self._gamma
-
-    @property
-    def nonelementary(self) -> bool:
-        return self.gamma < self.g.n
-
-    @property
-    def v_critical(self) -> bool:
-        if self._vc is None:
-            self._vc = is_v_critical(self.g, gamma=self.gamma)
-        return self._vc
-
-    @property
-    def e_critical(self) -> bool:
-        if self._ec is None:
-            self._ec = self.v_critical and (
-                first_non_ecritical_edge(self.g, gamma=self.gamma) is None
-            )
-        return self._ec
-
-    @property
-    def saturated(self) -> bool:
-        if self._sat is None:
-            self._sat = first_unsaturated_nonedge(self.g, gamma=self.gamma) is None
-        return self._sat
-
-    @property
-    def partitions(self) -> list[tuple[int, int]]:
-        if self._parts is None:
-            self._parts = _partition_pairs(_closed_masks(self.g), self.g.n, self.gamma)
-        return self._parts
-
-    @property
-    def degree_classes(self) -> DegreeClasses:
-        if self._classes is None:
-            self._classes = degree_classes(self.g)
-        return self._classes
-
-
 @dataclass(frozen=True)
 class CriticalityReport:
     gamma: int
@@ -345,27 +274,24 @@ def criticality_report(g: Graph) -> CriticalityReport:
     """One-stop summary read from one ``Facts``: gamma_r, the four
     predicates, their first failures, and the diagnostics of the dual-route
     checks, the e-critical one on v-critical graphs only. Each first failure
-    also settles its verdict in the ``Facts``, so no sweep runs twice. The
-    partitions are read first, so an order they refuse fails at once."""
+    settles its verdict in the ``Facts`` it reads, so no sweep runs twice.
+    The partitions are read first, so an order they refuse fails at once."""
     if g.n == 0:
         raise InvalidOrder("criticality report needs order >= 1")
     f = Facts(g)
     f.partitions
     witnesses: dict = {}
-    vc = first_non_critical_vertex(g, gamma=f.gamma)
-    f._vc = vc is None
+    vc = first_non_critical_vertex(f)
     if vc is not None:
         v, after = vc
         witnesses["v_critical"] = {"vertex": v, "gamma_after": after}
-    sat = first_unsaturated_nonedge(g, gamma=f.gamma)
-    f._sat = sat is None
+    sat = first_unsaturated_nonedge(f)
     if sat is not None:
         u, v, after = sat
         witnesses["saturated"] = {"nonedge": [u, v], "gamma_after": after}
     diagnostics = _chk_vcrit_partitions(f) + _chk_saturated_partitions(f)
     if f.v_critical:
-        ec = first_non_ecritical_edge(g, gamma=f.gamma)
-        f._ec = ec is None
+        ec = first_non_ecritical_edge(f)
         if ec is not None:
             witnesses["e_critical"] = {"edge": list(ec)}
         diagnostics += _chk_ecrit_condition(f)
@@ -429,7 +355,7 @@ def _is_cycle(g: Graph) -> bool:
     return (
         g.n >= 3
         and all(d == 2 for d in g.degrees())
-        and len(g.connected_components()) == 1
+        and len(g.component_masks()) == 1
     )
 
 
@@ -460,7 +386,7 @@ def _chk_nonelementary(f: Facts) -> list[str]:
         "is_nonelementary",
         f.nonelementary,
         "by_components",
-        nonelementary_by_components(f.g),
+        nonelementary_by_components(f),
     )
 
 
@@ -471,14 +397,11 @@ def _chk_gamma_le_3(f: Facts) -> list[str]:
 
 
 def _chk_vcrit_partitions(f: Facts) -> list[str]:
-    union = 0
-    for _, m1 in f.partitions:
-        union |= m1
     return _dual(
         "is_v_critical",
         f.v_critical,
         "v_critical_by_partitions",
-        union == f.g.full_mask,
+        v_critical_by_partitions(f),
     )
 
 
@@ -487,12 +410,12 @@ def _chk_saturated_partitions(f: Facts) -> list[str]:
         "is_roman_saturated",
         f.saturated,
         "saturated_by_partitions",
-        _saturated_over_partitions(f.g, f.partitions),
+        saturated_by_partitions(f),
     )
 
 
 def _chk_edge_removal(f: Facts) -> list[str]:
-    hit = first_gamma_changing_edge(f.g, gamma=f.gamma, v_critical=f.v_critical)
+    hit = first_gamma_changing_edge(f)
     if hit is not None:
         u, v, after = hit
         return [f"deleting edge ({u},{v}) changes gamma {f.gamma}->{after}"]
@@ -504,7 +427,7 @@ def _chk_ecrit_condition(f: Facts) -> list[str]:
         "is_e_critical",
         f.e_critical,
         "e_critical_condition",
-        _pivot_condition(f.g, f.partitions),
+        e_critical_condition(f),
     )
 
 
@@ -543,19 +466,19 @@ def _chk_carac2(f: Facts) -> list[str]:
         "is_v_critical",
         f.v_critical,
         "vcrit4_by_degrees",
-        vcrit4_by_degrees(f.g, gamma=f.gamma, classes=f.degree_classes),
+        vcrit4_by_degrees(f),
     )
 
 
 def _chk_half_bound(f: Facts) -> list[str]:
-    ok, _ = high_class_bounds(f.g, gamma=f.gamma, classes=f.degree_classes)
+    ok, _ = high_class_bounds(f)
     if not ok:
         return [f"fewer than n/2 vertices of degree n-3 (n={f.g.n})"]
     return []
 
 
 def _chk_threequarter_bound(f: Facts) -> list[str]:
-    _, ok = high_class_bounds(f.g, gamma=f.gamma, classes=f.degree_classes)
+    _, ok = high_class_bounds(f)
     if not ok:
         return [f"fewer than 3n/4 vertices of degree n-3 (n={f.g.n})"]
     return []
@@ -564,7 +487,7 @@ def _chk_threequarter_bound(f: Facts) -> list[str]:
 def _chk_cutvertex(f: Facts) -> list[str]:
     g = f.g
     for v in sorted(g.cut_vertices()):
-        if not any(len(c) == 1 for c in g.delete_vertex(v).connected_components()):
+        if not any(c.bit_count() == 1 for c in g.component_masks(1 << v)):
             return [f"cut vertex {v} leaves no single-vertex component"]
     return []
 
@@ -574,7 +497,7 @@ def _chk_saturated4(f: Facts) -> list[str]:
         "is_roman_saturated",
         f.saturated,
         "saturated4_by_degrees",
-        saturated4_by_degrees(f.g, gamma=f.gamma, classes=f.degree_classes),
+        saturated4_by_degrees(f),
     )
 
 
@@ -583,26 +506,18 @@ def _chk_ecrit4(f: Facts) -> list[str]:
         "is_e_critical",
         f.e_critical,
         "ecrit4_by_degrees",
-        ecrit4_by_degrees(
-            f.g, gamma=f.gamma, v_critical=f.v_critical, classes=f.degree_classes
-        ),
+        ecrit4_by_degrees(f),
     )
 
 
 def _chk_cut_structure(f: Facts) -> list[str]:
-    if not _cut_structure(f.g):
+    if not _cut_structure(f):
         return ["neither the 5-cycle nor a single pendant low vertex on a cut vertex"]
     return []
 
 
 def _chk_classification(f: Facts) -> list[str]:
-    cls = classify_critical4(
-        f.g,
-        gamma=f.gamma,
-        v_critical=f.v_critical,
-        saturated=f.saturated,
-        e_critical=f.e_critical,
-    )
+    cls = classify_critical4(f)
     n = f.g.n
     if cls.verdict == CRITICAL_BUT_UNCLASSIFIED:
         return ["classification=CriticalButUnclassified"]
@@ -614,8 +529,8 @@ def _chk_classification(f: Facts) -> list[str]:
 
 def _chk_local8(f: Facts) -> list[str]:
     g = f.g
-    lit = local8_conditions(g, gamma=f.gamma)
-    fast = local8_fast(g, gamma=f.gamma)
+    lit = local8_conditions(f)
+    fast = local8_fast(f)
     diags = []
     if lit != fast:
         diags.append(

@@ -496,21 +496,18 @@ def _partition_pairs(
     return pairs
 
 
-def minimal_partitions(
-    g: Graph, *, gamma: int | None = None
-) -> list[RomanAssignment]:
+def minimal_partitions(g: Graph) -> list[RomanAssignment]:
     """All minimum-weight Roman assignments, by ascending 2-set bitmask.
 
     Every minimum assignment labels exactly the undominated vertices 1
     (a dominated 1 could be relabeled 0 for less weight), so enumerating
     2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive, and
-    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. A caller that
-    already knows gamma_r passes it as ``gamma`` to skip solving it again.
-    A disconnected graph from order _SPLIT_ORDER up is solved one component
-    at a time (see _partition_pairs). Guard: order <= 24.
+    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. A disconnected
+    graph from order _SPLIT_ORDER up is solved one component at a time (see
+    _partition_pairs). Guard: order <= 24.
     """
     n = g.n
     return [
         _assignment_from_masks(n, s, m1)
-        for s, m1 in _partition_pairs(_closed_masks(g), n, gamma)
+        for s, m1 in _partition_pairs(_closed_masks(g), n)
     ]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from romancrit import (
+    Facts,
     Graph,
     InvalidOrder,
     NotVCritical,
@@ -30,8 +31,13 @@ from romancrit import (
     saturated_by_partitions,
     v_critical_by_partitions,
 )
-from romancrit import criticality, harness
-from romancrit.harness import iter_labeled_graphs
+from romancrit import RomanCritError, criticality, gamma4, harness
+from romancrit.harness import (
+    graph_from_edge_mask,
+    isomorphism_classes,
+    iter_labeled_graphs,
+)
+from test_gamma4 import _matching_complement_plus_isolated, _warm_facts
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -245,16 +251,16 @@ def _first_failure_oracle_graphs():
                 yield _random_graph(rng, n, p)
 
 
-@pytest.mark.parametrize("known_gamma", [False, True])
-def test_first_failures_match_definition(known_gamma):
+@pytest.mark.parametrize("warm", [False, True])
+def test_first_failures_match_definition(warm):
     # each first_* answer, witness value included, equals a literal loop over
-    # gamma_r of every G - v, G + e and G - e, whether or not the caller
-    # supplies gamma_r(G)
+    # gamma_r of every G - v, G + e and G - e, whether the caller passes the
+    # bare graph or a Facts that already holds gamma_r(G) and the verdicts
     gamma_of = _GammaMemo()
     v_critical_graphs = 0
     for g in _first_failure_oracle_graphs():
         base = gamma_of(g)
-        known = {"gamma": base} if known_gamma else {}
+        arg = _warm_facts(g) if warm else g
         vertex = _first_failure(
             (((v,), gamma_of(g.delete_vertex(v))) for v in range(g.n)), base - 1
         )
@@ -262,16 +268,17 @@ def test_first_failures_match_definition(known_gamma):
             (((u, v), gamma_of(g.add_edge(u, v))) for u, v in g.non_edges()),
             base - 1,
         )
-        assert first_non_critical_vertex(g, **known) == vertex
-        assert first_unsaturated_nonedge(g, **known) == nonedge
-        assert is_v_critical(g, **known) == (vertex is None)
+        assert first_non_critical_vertex(arg) == vertex
+        assert first_unsaturated_nonedge(arg) == nonedge
+        assert is_v_critical(arg) == (vertex is None)
+        assert is_roman_saturated(arg) == (nonedge is None)
         if vertex is not None:
             if g.n < 6:
                 with pytest.raises(NotVCritical):
-                    first_gamma_changing_edge(g, **known)
+                    first_gamma_changing_edge(arg)
                 # outside its contract, yet exact; here an edge removal
                 # can raise gamma_r, which no v-critical graph tested does
-                got = first_non_ecritical_edge(g, **known)
+                got = first_non_ecritical_edge(arg)
                 assert got == _first_non_ecritical_by_definition(g, gamma_of)
             continue
         v_critical_graphs += 1
@@ -279,21 +286,26 @@ def test_first_failures_match_definition(known_gamma):
             (((u, v), gamma_of(g.delete_edge(u, v))) for u, v in g.edges()), base
         )
         non_ecritical_edge = _first_non_ecritical_by_definition(g, gamma_of)
-        assert first_gamma_changing_edge(g, **known) == changing_edge
-        assert first_gamma_changing_edge(g, **known, v_critical=True) == changing_edge
-        assert first_non_ecritical_edge(g, **known) == non_ecritical_edge
-        assert is_e_critical(g, **known) == (non_ecritical_edge is None)
+        assert first_gamma_changing_edge(arg) == changing_edge
+        assert first_non_ecritical_edge(arg) == non_ecritical_edge
+        assert is_e_critical(arg) == (non_ecritical_edge is None)
     # the v-critical branch runs on enough graphs to mean something
     assert v_critical_graphs > 100
 
 
-def test_first_gamma_changing_edge_trusts_a_supplied_verdict():
+def test_first_gamma_changing_edge_trusts_a_supplied_verdict(monkeypatch):
+    # a Facts that holds the v-critical verdict is not asked for it again
+    c6, d6 = _warm_facts(gen_family("cycle", 6)), _warm_facts(gen_family("dn", 6))
+
+    def refuse(*args):
+        raise AssertionError("v-criticality decided again")
+
+    monkeypatch.setattr(criticality, "is_v_critical", refuse)
+    monkeypatch.setattr(criticality, "_first_non_critical", refuse)
     with pytest.raises(NotVCritical):
-        first_gamma_changing_edge(gen_family("dn", 6), v_critical=False)
-    # the star is not v-critical; cutting a leaf off raises gamma_r from 2 to 3
-    star = graph_new(4, [(0, 1), (0, 2), (0, 3)])
-    assert not is_v_critical(star)
-    assert first_gamma_changing_edge(star, v_critical=True) == (0, 1, 3)
+        first_gamma_changing_edge(c6)
+    assert first_gamma_changing_edge(d6) is None
+    assert edge_removal_preserves_gamma(d6)
 
 
 # -- mask kernels against the Graph-object predicates ------------------------
@@ -353,31 +365,167 @@ def _mask_kernel_graphs():
 def test_mask_kernels_match_graph_object_predicates():
     # every labeled graph of orders 1-6 and seeded ones of orders 7-14,
     # disconnected ones among them from order 10; the edge predicates run
-    # off their v-critical contract too, since their loops do not depend on it
+    # off their v-critical contract too, since their loops do not depend on
+    # it. The edge-removal sweep gets there through a Facts whose verdict
+    # slot says v-critical: no v-critical graph tested has an edge whose
+    # removal changes gamma_r, so only off its contract does it find one
     disconnected = 0
     for g in _mask_kernel_graphs():
-        gamma = gamma_r(g)
+        f = Facts(g)
+        gamma = f.gamma
         v = _graph_first_non_critical(g, gamma)
-        assert criticality._first_non_critical(g, gamma) == v, emit_graph6(g)
+        assert criticality._first_non_critical(f) == v, emit_graph6(g)
         if v is not None:
-            assert first_non_critical_vertex(g, gamma=gamma) == (
-                v,
-                gamma_r(g.delete_vertex(v)),
-            )
-        assert first_unsaturated_nonedge(
-            g, gamma=gamma
-        ) == _graph_first_unsaturated_nonedge(g, gamma), emit_graph6(g)
-        assert first_gamma_changing_edge(
-            g, gamma=gamma, v_critical=True
-        ) == _graph_first_gamma_changing_edge(g, gamma), emit_graph6(g)
+            assert first_non_critical_vertex(f) == (v, gamma_r(g.delete_vertex(v)))
+        assert first_unsaturated_nonedge(f) == _graph_first_unsaturated_nonedge(
+            g, gamma
+        ), emit_graph6(g)
         if v is None or g.n != 6:
             # its contract is v-critical graphs; off it, an edge removal can
             # raise gamma_r, a branch the other orders cover at less cost
-            assert first_non_ecritical_edge(
-                g, gamma=gamma
-            ) == _graph_first_non_ecritical_edge(g, gamma), emit_graph6(g)
-        disconnected += g.n >= 10 and len(g.connected_components()) > 1
+            assert first_non_ecritical_edge(f) == _graph_first_non_ecritical_edge(
+                g, gamma
+            ), emit_graph6(g)
+        f._vc = True
+        assert first_gamma_changing_edge(f) == _graph_first_gamma_changing_edge(
+            g, gamma
+        ), emit_graph6(g)
+        disconnected += g.n >= 10 and len(g.component_masks()) > 1
     assert disconnected >= 15
+
+
+# -- one Facts for every predicate ---------------------------------------------
+
+
+def _vertexwise(predicate):
+    # a witness finder, asked of every vertex
+    def ask(g):
+        n = g.g.n if isinstance(g, Facts) else g.n
+        return tuple(predicate(g, x) for x in range(n))
+
+    return ask
+
+
+PREDICATES = (
+    criticality.is_nonelementary,
+    criticality.nonelementary_by_components,
+    criticality.first_non_critical_vertex,
+    criticality.is_v_critical,
+    criticality.v_critical_by_partitions,
+    criticality.first_unsaturated_nonedge,
+    criticality.is_roman_saturated,
+    criticality.saturated_by_partitions,
+    criticality.first_gamma_changing_edge,
+    criticality.edge_removal_preserves_gamma,
+    criticality.first_non_ecritical_edge,
+    criticality.is_e_critical,
+    criticality.e_critical_condition,
+    gamma4.vcrit4_by_degrees,
+    _vertexwise(gamma4.witness_pairs),
+    _vertexwise(gamma4.neighborhood_witness),
+    _vertexwise(gamma4.witness_chase_ok),
+    gamma4.saturated4_by_degrees,
+    gamma4.ecrit4_by_degrees,
+    gamma4.high_class_bounds,
+    gamma4.every_cut_vertex_leaves_pendant_component,
+    gamma4.cut_vertex_structure,
+    gamma4.classify_critical4,
+    gamma4.local8_conditions,
+    gamma4.local8_fast,
+)
+
+
+def _outcome(predicate, arg):
+    try:
+        return predicate(arg)
+    except RomanCritError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _warm_facts_graphs(rng: random.Random) -> list[Graph]:
+    """Every labeled graph of orders 1-5, every order-6 class in two
+    labelings, and seeded gamma_r = 4 graphs of orders 7-10: random ones and
+    relabeled v-critical ones."""
+    out = [g for n in range(1, 6) for g in iter_labeled_graphs(n)]
+    for rep, _ in isomorphism_classes(6):
+        g = graph_from_edge_mask(6, rep)
+        out += [g, relabel(g, rng.sample(range(6), 6))]
+    for n in range(7, 11):
+        found = 0
+        while found < 12:
+            g = _random_graph(rng, n, rng.choice((0.6, 0.7, 0.8)))
+            if gamma_r(g) == 4:
+                out.append(g)
+                found += 1
+    for g in (
+        gen_family("dn", 8),
+        gen_family("dn", 10),
+        gen_family("xn", 7),
+        gen_family("xn", 8),
+        _matching_complement_plus_isolated(7),
+        _matching_complement_plus_isolated(9),
+    ):
+        out.append(relabel(g, rng.sample(range(g.n), g.n)))
+    return out
+
+
+def test_every_predicate_reads_a_warm_facts_as_its_graph(monkeypatch):
+    # every public predicate of criticality and gamma4 answers a warm Facts
+    # as it answers the bare graph, guard errors included. While the warm
+    # Facts is read, solving gamma_r(G), building G's degree classes or
+    # sweeping its partitions raises: only the derived graphs a witness
+    # reports may be solved
+    current = [None]
+    real_gamma_r = criticality.gamma_r
+
+    def refuse(what):
+        def patched(*args):
+            if current[0] is not None:
+                raise AssertionError(f"{what} recomputed from a warm Facts")
+            return patched.real(*args)
+
+        patched.real = getattr(criticality, what)
+        return patched
+
+    def gamma_of_derived(h):
+        if current[0] is not None and h == current[0]:
+            raise AssertionError("gamma_r recomputed from a warm Facts")
+        return real_gamma_r(h)
+
+    monkeypatch.setattr(criticality, "gamma_r", gamma_of_derived)
+    monkeypatch.setattr(criticality, "degree_classes", refuse("degree_classes"))
+    monkeypatch.setattr(criticality, "_partition_pairs", refuse("_partition_pairs"))
+    answered = 0
+    for g in _warm_facts_graphs(random.Random(4471)):
+        want = [_outcome(p, g) for p in PREDICATES]
+        f = _warm_facts(g)
+        current[0] = g
+        try:
+            got = [_outcome(p, f) for p in PREDICATES]
+        finally:
+            current[0] = None
+        assert got == want, emit_graph6(g)
+        answered += g.n >= 7 and f.v_critical and f.gamma == 4
+    # the gamma_r = 4 predicates answer, not only refuse, on enough graphs
+    assert answered >= 6
+
+
+def test_relabeled_facts_carry_only_what_names_no_vertex():
+    # P5's minimum partitions and degree classes name vertices that move
+    # under a relabeling; gamma_r and the verdicts do not
+    g = gen_family("path", 5)
+    f = _warm_facts(g)
+    perm = [2, 0, 4, 1, 3]
+    h = relabel(g, perm)
+    copy = f.relabeled(h)
+    fresh = _warm_facts(h)
+    assert copy.g is h
+    assert (copy._gamma, copy._vc, copy._ec, copy._sat) == (
+        fresh.gamma, fresh.v_critical, fresh.e_critical, fresh.saturated
+    )
+    assert copy._parts is None and copy._classes is None
+    assert copy.partitions == fresh.partitions != f.partitions
+    assert copy.degree_classes == fresh.degree_classes != f.degree_classes
 
 
 # -- report ------------------------------------------------------------------
@@ -487,17 +635,16 @@ def test_criticality_report_matches_public_routes(
 ):
     # every labeled graph of orders 1-5 plus seeded ones of orders 6-9. The
     # partition routes agree with the definitions on all of them, so a second
-    # pass breaks the partition bindings both modules call, in both alike:
-    # it keeps one (V2, V1) pair and flips the other two routes, to compare
-    # the diagnostics they cause
+    # pass breaks the partition bindings that Facts and the routes call: it
+    # keeps one (V2, V1) pair and flips the other two routes, to compare the
+    # diagnostics they cause
     if broken_partition_routes:
-        for module in (criticality, harness):
-            for name, broken in (
-                ("_partition_pairs", lambda f: lambda *a, **k: f(*a, **k)[:1]),
-                ("_saturated_over_partitions", lambda f: lambda g, p: not f(g, p)),
-                ("_pivot_condition", lambda f: lambda g, p: not f(g, p)),
-            ):
-                monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        for name, broken in (
+            ("_partition_pairs", lambda f: lambda *a, **k: f(*a, **k)[:1]),
+            ("_saturated_over_partitions", lambda f: lambda g, p: not f(g, p)),
+            ("_pivot_condition", lambda f: lambda g, p: not f(g, p)),
+        ):
+            monkeypatch.setattr(criticality, name, broken(getattr(criticality, name)))
     with_diagnostics = 0
     for g in _report_oracle_graphs():
         data = criticality_report(g).to_json_dict()

@@ -6,6 +6,7 @@ import pytest
 
 from romancrit import (
     CRITICAL_BUT_UNCLASSIFIED,
+    Facts,
     IS_C5,
     IS_DN,
     NOT_CRITICAL,
@@ -34,6 +35,7 @@ from romancrit import (
     witness_chase_ok,
     witness_pairs,
 )
+import romancrit.criticality as criticality
 import romancrit.gamma4 as gamma4
 from romancrit.gamma4 import every_cut_vertex_leaves_pendant_component
 from romancrit.harness import graph_from_edge_mask, isomorphism_classes
@@ -113,37 +115,60 @@ def test_gamma4_gates():
         saturated4_by_degrees(gen_family("complete", 6))  # gamma_r 2
 
 
+def _warm_facts(g: Graph) -> Facts:
+    """A Facts of g that already holds gamma_r, the three verdicts, the
+    partitions and the degree classes."""
+    f = Facts(g)
+    f.gamma, f.v_critical, f.saturated, f.e_critical, f.degree_classes
+    f.partitions
+    return f
+
+
 def test_gamma4_gates_check_supplied_values():
+    # each precondition raises on a real graph that breaks it, whether the
+    # graph comes bare or as a warm Facts
     d6 = gen_family("dn", 6)  # gamma_r 4, v-critical
-    for predicate in (
-        vcrit4_by_degrees,
-        saturated4_by_degrees,
-        ecrit4_by_degrees,
-        high_class_bounds,
-    ):
-        for wrong in (3, 5):
-            with pytest.raises(PreconditionViolated, match=f"got {wrong}"):
-                predicate(d6, gamma=wrong)
-        # gamma_r = 4 on an order-4 graph is elementary
-        with pytest.raises(PreconditionViolated, match="nonelementary"):
-            predicate(gen_family("elem1"), gamma=4)
-    with pytest.raises(PreconditionViolated, match="v-critical"):
-        ecrit4_by_degrees(d6, gamma=4, v_critical=False)
-    d8 = gen_family("dn", 8)
-    for predicate in (local8_conditions, local8_fast):
+    c6 = gen_family("cycle", 6)  # gamma_r 4, not v-critical
+    p4 = gen_family("path", 4)  # gamma_r 3
+    c7 = gen_family("cycle", 7)  # gamma_r 5
+    # a star K_{1,6} and an isolated vertex: order 8, gamma_r 3
+    star8 = graph_new(8, [(0, v) for v in range(1, 7)])
+    for arg in (lambda g: g, _warm_facts):
+        for predicate in (
+            vcrit4_by_degrees,
+            saturated4_by_degrees,
+            ecrit4_by_degrees,
+            high_class_bounds,
+            cut_vertex_structure,
+        ):
+            for g, wrong in ((p4, 3), (c7, 5)):
+                with pytest.raises(PreconditionViolated, match=f"got {wrong}"):
+                    predicate(arg(g))
+            # gamma_r = 4 on an order-4 graph is elementary
+            with pytest.raises(PreconditionViolated, match="nonelementary"):
+                predicate(arg(gen_family("elem1")))
+        for predicate in (ecrit4_by_degrees, cut_vertex_structure):
+            with pytest.raises(PreconditionViolated, match="v-critical"):
+                predicate(arg(c6))
         with pytest.raises(PreconditionViolated, match="got 3"):
-            predicate(d8, gamma=3)
-        with pytest.raises(PreconditionViolated, match="order >= 8"):
-            predicate(d6, gamma=4)
-    assert classify_critical4(d6, gamma=3) == Classification(NOT_CRITICAL)
-    for verdict in ("v_critical", "saturated", "e_critical"):
-        got = classify_critical4(d6, **{verdict: False})
-        assert got == Classification(NOT_CRITICAL)
+            witness_pairs(arg(p4), 0)
+        with pytest.raises(PreconditionViolated, match="got 3"):
+            witness_chase_ok(arg(p4), 0)
+        for predicate in (local8_conditions, local8_fast):
+            with pytest.raises(PreconditionViolated, match="got 3"):
+                predicate(arg(star8))
+            with pytest.raises(PreconditionViolated, match="order >= 8"):
+                predicate(arg(d6))
+        # gamma_r 3; not v-critical; v-critical but not saturated (EFz?);
+        # v-critical and saturated but not e-critical (X6)
+        for g in (p4, c6, parse_graph6("EFz?"), gen_family("xn", 6)):
+            assert classify_critical4(arg(g)) == Classification(NOT_CRITICAL)
 
 
 def test_gamma4_predicates_agree_with_supplied_values():
-    # every nonelementary gamma_r = 4 class of orders 5-7, and the order-4
-    # catalog side of classify_critical4
+    # a warm Facts gets the bare graph's answer from every gamma_r = 4
+    # predicate, on every nonelementary gamma_r = 4 class of orders 5-7 and
+    # the order-4 catalog side of classify_critical4
     graphs = [
         graph_from_edge_mask(n, rep)
         for n in range(4, 8)
@@ -151,56 +176,68 @@ def test_gamma4_predicates_agree_with_supplied_values():
     ]
     checked = 0
     for g in graphs:
-        gamma = gamma_r(g)
-        vc = is_v_critical(g)
-        known = {
-            "gamma": gamma,
-            "v_critical": vc,
-            "saturated": is_roman_saturated(g),
-            "e_critical": is_e_critical(g),
-        }
-        assert classify_critical4(g, **known) == classify_critical4(g)
-        if gamma != 4 or g.n == 4:
+        f = _warm_facts(g)
+        assert classify_critical4(f) == classify_critical4(g)
+        if f.gamma != 4 or g.n == 4:
             continue
         checked += 1
-        classes = degree_classes(g)
-        for predicate in (vcrit4_by_degrees, saturated4_by_degrees, high_class_bounds):
-            assert predicate(g, gamma=4) == predicate(g)
-            assert predicate(g, gamma=4, classes=classes) == predicate(g)
-        if vc:
-            got = ecrit4_by_degrees(g, gamma=4, v_critical=True, classes=classes)
-            assert got == ecrit4_by_degrees(g)
+        for predicate in (
+            vcrit4_by_degrees,
+            saturated4_by_degrees,
+            high_class_bounds,
+            every_cut_vertex_leaves_pendant_component,
+        ):
+            assert predicate(f) == predicate(g)
+        for x in range(g.n):
+            assert witness_pairs(f, x) == witness_pairs(g, x)
+            assert witness_chase_ok(f, x) == witness_chase_ok(g, x)
+        if f.v_critical:
+            assert ecrit4_by_degrees(f) == ecrit4_by_degrees(g)
+            assert cut_vertex_structure(f) == cut_vertex_structure(g)
     assert checked > 100
     for g in (gen_family("dn", 8), gen_family("xn", 8)):
         for predicate in (local8_conditions, local8_fast):
-            assert predicate(g, gamma=4) == predicate(g)
+            assert predicate(_warm_facts(g)) == predicate(g)
 
 
 def test_gamma4_degree_predicates_given_classes_do_not_rebuild_them(monkeypatch):
-    # the harness builds each graph's degree classes once and passes them to
-    # all four predicates; with the classes given, none rebuilds them
+    # the harness builds each graph's Facts once and every predicate reads
+    # its degree classes and gamma_r; given a warm Facts, none rebuilds the
+    # classes or solves gamma_r again
     graphs = [gen_family("dn", 6), gen_family("dn", 8), gen_family("xn", 8)]
-    given = [degree_classes(g) for g in graphs]
-    want = [
-        (vcrit4_by_degrees(g), saturated4_by_degrees(g), high_class_bounds(g),
-         ecrit4_by_degrees(g))
-        for g in graphs
-    ]
+    predicates = (
+        vcrit4_by_degrees,
+        saturated4_by_degrees,
+        high_class_bounds,
+        ecrit4_by_degrees,
+        cut_vertex_structure,
+        classify_critical4,
+        local8_fast,
+    )
 
-    def rebuilt(g):
-        raise AssertionError("degree classes rebuilt")
+    def outcomes(arg):
+        out = []
+        for predicate in predicates:
+            try:
+                out.append(predicate(arg))
+            except PreconditionViolated as exc:
+                out.append(str(exc))
+        return out
 
-    monkeypatch.setattr(gamma4, "degree_classes", rebuilt)
-    got = [
-        (
-            vcrit4_by_degrees(g, gamma=4, classes=c),
-            saturated4_by_degrees(g, gamma=4, classes=c),
-            high_class_bounds(g, gamma=4, classes=c),
-            ecrit4_by_degrees(g, gamma=4, v_critical=True, classes=c),
-        )
-        for g, c in zip(graphs, given)
-    ]
-    assert got == want
+    want = [outcomes(g) for g in graphs]
+    given = [_warm_facts(g) for g in graphs]
+
+    def rebuilt(*args):
+        raise AssertionError("degree classes rebuilt or gamma_r solved again")
+
+    for module, name in (
+        (criticality, "degree_classes"),
+        (criticality, "gamma_r"),
+        (gamma4, "degree_classes"),
+        (gamma4, "gamma_r"),
+    ):
+        monkeypatch.setattr(module, name, rebuilt)
+    assert [outcomes(f) for f in given] == want
 
 
 # -- witnesses ---------------------------------------------------------------

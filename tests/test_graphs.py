@@ -81,13 +81,14 @@ def test_neighbor_queries():
 
 
 def test_non_edges_partition_pairs():
+    # both lists in lexicographic order, against a literal loop over pairs
     rng = random.Random(71)
     for _ in range(50):
         n = rng.randrange(0, 9)
         g = _random_graph(rng, n)
-        pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
-        assert set(g.edges()) | set(g.non_edges()) == pairs
-        assert not set(g.edges()) & set(g.non_edges())
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert g.edges() == [(u, v) for u, v in pairs if v in g.neighbors(u)]
+        assert g.non_edges() == [(u, v) for u, v in pairs if v not in g.neighbors(u)]
 
 
 # -- mutations ---------------------------------------------------------------
@@ -166,6 +167,41 @@ def test_connected_components():
         frozenset({3}),
         frozenset({4, 5}),
     ]
+
+
+def _components_by_search(g: Graph, removed: set[int]) -> list[frozenset[int]]:
+    """Components of g minus the removed vertices, by a search over
+    neighbor sets, ordered by smallest member."""
+    left = set(range(g.n)) - removed
+    comps = []
+    while left:
+        stack = [min(left)]
+        comp = set(stack)
+        while stack:
+            for w in g.neighbors(stack.pop()) - comp - removed:
+                comp.add(w)
+                stack.append(w)
+        left -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def test_component_masks_match_a_search_over_neighbor_sets():
+    rng = random.Random(73)
+    for _ in range(120):
+        n = rng.randrange(0, 11)
+        g = _random_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        want = _components_by_search(g, set())
+        assert g.connected_components() == want
+        assert [frozenset(v for v in range(n) if m >> v & 1) for m in g.component_masks()] == want
+        cuts = set()
+        for v in range(n):
+            without = _components_by_search(g, {v})
+            got = g.component_masks(1 << v)
+            assert [frozenset(w for w in range(n) if m >> w & 1) for m in got] == without
+            if len(without) > len(want):
+                cuts.add(v)
+        assert g.cut_vertices() == cuts
 
 
 def test_cut_vertices_path_and_cycle():

@@ -31,7 +31,7 @@ from romancrit import (
     verify_claim,
     verify_claims,
 )
-from romancrit import _class_table, harness
+from romancrit import _class_table, criticality, harness
 from romancrit.gamma4 import _witness_pairs_raw
 from romancrit.harness import (
     ENUMERATION_MAX_ORDER,
@@ -416,11 +416,9 @@ def test_class_scan_copies_carry_no_representative_witness(monkeypatch):
 
     monkeypatch.setattr(harness, "_scan_one", record)
     calls = []
-    decide = harness.is_v_critical
+    decide = criticality.is_v_critical
     monkeypatch.setattr(
-        harness,
-        "is_v_critical",
-        lambda g, *a, **k: calls.append(g) or decide(g, *a, **k),
+        criticality, "is_v_critical", lambda f: calls.append(f) or decide(f)
     )
     harness._scan_classes([claim], 5, [(rep, 60)])
     # the verdict reached all 60 copies from the one evaluation on rep
@@ -442,7 +440,8 @@ def test_claim_scans_never_ask_for_a_vertex_witness(monkeypatch):
         raise AssertionError("a claim scan asked for a vertex witness")
 
     expected = scan()
-    monkeypatch.setattr(harness, "first_non_critical_vertex", refuse)
+    for module in (criticality, harness):
+        monkeypatch.setattr(module, "first_non_critical_vertex", refuse)
     assert scan() == expected
 
 

@@ -1,5 +1,5 @@
-"""Hand-made mutants of the solver and criticality kernels, and the tests
-that must catch them.
+"""Hand-made mutants of the solver, criticality and graph kernels and of
+``Facts``, and the tests that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -33,6 +33,7 @@ TIMEOUT_S = 600
 
 CRIT = "src/romancrit/criticality.py"
 SOLVER = "src/romancrit/solver.py"
+GRAPHS = "src/romancrit/graphs.py"
 
 T_KERNELS = "tests/test_criticality.py::test_mask_kernels_match_graph_object_predicates"
 T_FIRST = "tests/test_criticality.py::test_first_failures_match_definition"
@@ -49,6 +50,12 @@ T_KNOWN_GAMMA = (
 )
 T_ROUTES = "tests/test_criticality.py::test_e_critical_routes_agree_random"
 T_SAT_ROUTES = "tests/test_criticality.py::test_saturated_routes_agree_random"
+T_REPORT = "tests/test_criticality.py::test_criticality_report_matches_public_routes"
+T_WARM = "tests/test_criticality.py::test_every_predicate_reads_a_warm_facts_as_its_graph"
+T_RELABELED = (
+    "tests/test_criticality.py::test_relabeled_facts_carry_only_what_names_no_vertex"
+)
+T_COMPONENTS = "tests/test_graphs.py::test_component_masks_match_a_search_over_neighbor_sets"
 
 
 @dataclass(frozen=True)
@@ -240,6 +247,33 @@ MUTANTS = (
         "            elif m1 & bit:\n                partners |= m2\n",
         "",
         (T_SAT_ROUTES,),
+    ),
+    # Facts
+    Mutant(
+        "unsaturated-nonedge-settles-wrong-verdict",
+        CRIT,
+        "    f._sat = hit is None\n",
+        "    f._sat = hit is not None\n",
+        (T_REPORT, T_FIRST, T_WARM),
+    ),
+    Mutant(
+        "relabeled-carries-degree-classes",
+        CRIT,
+        "        copy._gamma, copy._vc, copy._ec, copy._sat = (\n"
+        "            self._gamma, self._vc, self._ec, self._sat\n"
+        "        )\n",
+        "        copy._gamma, copy._vc, copy._ec, copy._sat, copy._classes = (\n"
+        "            self._gamma, self._vc, self._ec, self._sat, self._classes\n"
+        "        )\n",
+        (T_RELABELED,),
+    ),
+    # the component walk in graphs.py
+    Mutant(
+        "component-walk-keeps-removed-vertices",
+        GRAPHS,
+        "        left = self.full_mask & ~without\n",
+        "        left = self.full_mask\n",
+        (T_COMPONENTS,),
     ),
 )
 
