@@ -54,6 +54,7 @@ from .solver import (
     _at_most,
     _closed_masks,
     _partition_pairs,
+    _partitions_guard,
     gamma_mask,
     gamma_r,
     minimal_partitions,  # noqa: F401
@@ -135,6 +136,8 @@ class Facts:
     @property
     def partitions(self) -> list[tuple[int, int]]:
         if self._parts is None:
+            # refuse the order before gamma_r is solved for it
+            _partitions_guard(self.g.n)
             self._parts = _partition_pairs(_closed_masks(self.g), self.g.n, self.gamma)
         return self._parts
 

@@ -10,9 +10,10 @@ An enumeration source evaluates one graph per isomorphism class and counts
 it once per labeled copy. Whether a claim's hypothesis holds and whether its
 check reports are isomorphism invariants, so the copies are checked only
 where the representative reports or raises, and the reports equal those of
-a scan over every labeled graph. The classes of orders up to
-``ENUMERATION_MAX_ORDER`` come from the checked-in ``_class_table``; only
-order 8, behind allow_large, sweeps the labeled masks to find them.
+a scan over every labeled graph. The classes come from the checked-in
+``_class_table``, which covers orders 0-8: orders above
+``ENUMERATION_MAX_ORDER`` need allow_large, and orders above the table are
+refused.
 
 Each scanned graph gets one ``Facts`` (defined in ``criticality``), which
 every claim and ``criticality_report`` read and hand to the predicates; a
@@ -63,9 +64,6 @@ from .gamma4 import (
 )
 
 ENUMERATION_MAX_ORDER = 7
-# The class sweep's seen-map takes one byte per labeled graph: 256 MiB at
-# order 8, 64 GiB at order 9, so allow_large stops at 8.
-CLASS_SWEEP_MAX_ORDER = 8
 
 _EDGE_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -125,7 +123,7 @@ class EdgePermutations:
     scan accepts. The tables take 138 KB at order 6 (96 ints of 720
     fields), 2.6 MB at order 7 (130 ints of 5040) and 27 MB at order 8 (168
     ints of 40320). A class scan builds them only once some class expands
-    to its labeled copies; the class sweep, which serves order 8 and writes
+    to its labeled copies; the orbit sweep in the tests, which writes
     ``_class_table``, always does.
     """
 
@@ -173,79 +171,20 @@ def isomorphism_classes(
 
     The representative is the smallest edge mask of its class and the size
     its number of labeled copies, n!/|Aut|; pairs come in ascending
-    representative order and the sizes sum to 2^C(n,2). Orders up to
-    ``ENUMERATION_MAX_ORDER`` are read from the checked-in ``_class_table``;
-    order 8, behind allow_large, is swept by ``_sweep_classes``.
+    representative order and the sizes sum to 2^C(n,2). Orders above
+    ``ENUMERATION_MAX_ORDER`` need allow_large. Every order is read from the
+    checked-in ``_class_table``, which covers orders 0-8; an order above it
+    is refused.
     """
     _labeled_count(n, allow_large)
-    if n > ENUMERATION_MAX_ORDER:
-        return _sweep_classes(n)
     from ._class_table import CLASSES
 
+    if n >= len(CLASSES):
+        raise TooLarge(f"no class table above order {len(CLASSES) - 1}")
     return [
         (int(rep), int(size))
         for rep, size in (token.split(":") for token in CLASSES[n].split())
     ]
-
-
-def _sweep_classes(n: int) -> list[tuple[int, int]]:
-    """The classes of ``isomorphism_classes``, found by an orbit sweep.
-
-    Masks are walked in ascending order; each one not yet seen is the smallest
-    mask of its class and marks its orbit seen. The seen-map takes one byte
-    per labeled graph, so orders above ``CLASS_SWEEP_MAX_ORDER`` are refused
-    before anything is allocated. This is the oracle ``_class_table`` is
-    written from and tested against.
-    """
-    if n > CLASS_SWEEP_MAX_ORDER:
-        raise TooLarge(
-            f"the class sweep stops at order {CLASS_SWEEP_MAX_ORDER}: its "
-            f"seen-map would take 2^{n * (n - 1) // 2} bytes"
-        )
-    seen = bytearray(1 << (n * (n - 1) // 2))
-    perms = EdgePermutations(n)
-    classes = []
-    rep = 0
-    while rep >= 0:
-        orbit = perms.orbit(rep)
-        for mask in orbit:
-            seen[mask] = 1
-        classes.append((rep, len(orbit)))
-        rep = seen.find(0, rep + 1)
-    return classes
-
-
-_CLASS_TABLE_DOC = '''"""Isomorphism classes of the graphs of orders 0-{top}, one string per order.
-
-``CLASSES[n]`` lists ``rep:size`` tokens in ascending ``rep``: the smallest
-edge mask of each class, over the pair order of ``graph_from_edge_mask``, and
-its number of labeled copies, n!/|Aut|. The class counts are OEIS A000088.
-``romancrit.harness.isomorphism_classes`` reads this table instead of
-sweeping every labeled mask. The file is the output of the sweep it replaces,
-written by
-
-    PYTHONPATH=src python -c "from romancrit.harness import _class_table_module; print(_class_table_module(), end='')" > src/romancrit/_class_table.py
-
-and a test fails unless it is byte-identical to that output.
-"""
-'''
-
-
-def _class_table_module() -> str:
-    """Source of ``_class_table``: the swept classes of orders 0-7."""
-    import textwrap
-
-    lines = [_CLASS_TABLE_DOC.format(top=ENUMERATION_MAX_ORDER), "CLASSES = ("]
-    for n in range(ENUMERATION_MAX_ORDER + 1):
-        classes = _sweep_classes(n)
-        lines.append(f"    # order {n}: A000088({n}) = {len(classes)}")
-        rows = textwrap.wrap(
-            " ".join(f"{rep}:{size}" for rep, size in classes), 70
-        )
-        lines.extend(f'    "{row} "' for row in rows[:-1])
-        lines.append(f'    "{rows[-1]}",')
-    lines.append(")")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,14 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
     )
 
 
+def _partitions_guard(n: int) -> None:
+    """Refuse a partition enumeration past PARTITIONS_MAX_ORDER."""
+    if n > PARTITIONS_MAX_ORDER:
+        raise TooLarge(
+            f"partition enumeration capped at order {PARTITIONS_MAX_ORDER}, got {n}"
+        )
+
+
 def _partition_pairs(
     closed: Sequence[int], n: int, gamma: int | None = None
 ) -> list[tuple[int, int]]:
@@ -454,10 +462,7 @@ def _partition_pairs(
     way: gamma_r adds over the components, so the last component weighs what
     the others leave. The order cap comes first, before gamma_r is solved.
     """
-    if n > PARTITIONS_MAX_ORDER:
-        raise TooLarge(
-            f"partition enumeration capped at order {PARTITIONS_MAX_ORDER}, got {n}"
-        )
+    _partitions_guard(n)
     split = _split(closed, n) if n >= _SPLIT_ORDER else None
     if split is None:
         if gamma is None:

@@ -79,14 +79,18 @@ def test_gamma_malformed_line(capsys, monkeypatch):
 def test_gamma_and_report_refuse_a_sweep_past_the_guard(
     capsys, monkeypatch, command
 ):
-    # Dhc runs, C30 would sweep some 459M 2-sets: exit 1 instead of hanging
+    # Dhc runs, C30 would sweep some 459M 2-sets: exit 1 instead of hanging;
+    # report refuses C30's partition order before it would solve gamma_r
     _feed(monkeypatch, "Dhc\n" + emit_graph6(gen_family("cycle", 30)) + "\n")
     code, out, err = _run(capsys, command)
     assert code == 1
     first = "Dhc gamma=4 " if command == "gamma" else '{"graph6":"Dhc"'
     assert out.startswith(first)
     assert len(out.splitlines()) == 1
-    assert err.startswith("romancrit: error: gamma_r sweep of up to 459,312,151 ")
+    if command == "gamma":
+        assert err.startswith("romancrit: error: gamma_r sweep of up to 459,312,151 ")
+    else:
+        assert err == "romancrit: error: partition enumeration capped at order 24, got 30\n"
 
 
 # -- report ------------------------------------------------------------------

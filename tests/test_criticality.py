@@ -668,3 +668,17 @@ def test_criticality_report_refuses_partition_order_before_witness_sweeps(
     star = graph_new(25, [(0, v) for v in range(1, 25)])
     with pytest.raises(TooLarge, match="capped at order 24"):
         criticality_report(star)
+
+
+@pytest.mark.parametrize("n", [25, 26])
+def test_partition_routes_refuse_the_order_before_solving_gamma(monkeypatch, n):
+    def no_gamma(*args, **kwargs):
+        raise AssertionError("gamma_r solved for a refused order")
+
+    monkeypatch.setattr(criticality, "gamma_r", no_gamma)
+    cycle = gen_family("cycle", n)
+    with pytest.raises(TooLarge, match="capped at order 24"):
+        criticality_report(cycle)
+    for route in (v_critical_by_partitions, saturated_by_partitions):
+        with pytest.raises(TooLarge, match="capped at order 24"):
+            route(Facts(cycle))

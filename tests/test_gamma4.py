@@ -90,6 +90,16 @@ def test_vcrit4_by_degrees_examples():
     assert not vcrit4_by_degrees(gen_family("cycle", 6))
 
 
+def _gamma4_classes() -> list[Graph]:
+    """One graph per nonelementary gamma_r = 4 class of orders 5-7."""
+    return [
+        g
+        for n in range(5, 8)
+        for g in (graph_from_edge_mask(n, rep) for rep, _ in isomorphism_classes(n))
+        if gamma_r(g) == 4
+    ]
+
+
 def test_vcrit4_by_degrees_agrees_with_direct_route():
     for g in (
         gen_family("cycle", 5),
@@ -98,8 +108,9 @@ def test_vcrit4_by_degrees_agrees_with_direct_route():
         gen_family("dn", 8),
         _matching_complement_plus_isolated(5),
         _matching_complement_plus_isolated(7),
+        *_gamma4_classes(),
     ):
-        assert vcrit4_by_degrees(g) == is_v_critical(g)
+        assert vcrit4_by_degrees(g) == is_v_critical(g), emit_graph6(g)
 
 
 def test_gamma4_gates():
@@ -313,8 +324,9 @@ def test_saturated4_by_degrees_agrees_with_direct_route():
         gen_family("xn", 7),
         gen_family("dn", 8),
         _matching_complement_plus_isolated(7),
+        *_gamma4_classes(),
     ):
-        assert saturated4_by_degrees(g) == is_roman_saturated(g)
+        assert saturated4_by_degrees(g) == is_roman_saturated(g), emit_graph6(g)
 
 
 def test_ecrit4_by_degrees_examples():
@@ -332,8 +344,9 @@ def test_ecrit4_by_degrees_agrees_with_direct_route():
         gen_family("dn", 6),
         _matching_complement_plus_isolated(5),
         _matching_complement_plus_isolated(7),
+        *(g for g in _gamma4_classes() if is_v_critical(g)),
     ):
-        assert ecrit4_by_degrees(g) == is_e_critical(g)
+        assert ecrit4_by_degrees(g) == is_e_critical(g), emit_graph6(g)
 
 
 def test_ecrit4_requires_v_critical():
@@ -481,6 +494,23 @@ def test_local8_routes_can_disagree_on_twin_low_vertices():
     assert sorted(u for u in range(g.n) if u != 3 and not g.adjacent(3, u)) == [2, 4, 5]
     assert local8_conditions(g) == (True, True, False)
     assert local8_fast(g) == (True, False, False)
+
+
+def test_local8_fast_a_and_c_on_order8_classes_with_sparse_low_vertices():
+    # every gamma_r = 4 class of order 8 whose low vertices (degree below
+    # n-3) all have degree at most 2, so that shortcut c must tell degree 1
+    # from degree 2; a and c match the literal conditions
+    c_outcomes = {True: 0, False: 0}
+    for rep, _ in isomorphism_classes(8, allow_large=True):
+        g = graph_from_edge_mask(8, rep)
+        low = [d for d in g.degrees() if d < 5]
+        if not low or max(low) > 2 or gamma_r(g) != 4:
+            continue
+        lit_a, _, lit_c = local8_conditions(g)
+        fast_a, _, fast_c = local8_fast(g)
+        assert (lit_a, lit_c) == (fast_a, fast_c), emit_graph6(g)
+        c_outcomes[fast_c] += 1
+    assert c_outcomes == {True: 6, False: 42}
 
 
 def _planted_low_vertices(rng: random.Random, n: int, k: int, split: bool) -> Graph:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -38,12 +39,11 @@ from romancrit.harness import (
     EdgePermutations,
     Facts,
     _chase_lands,
-    _class_table_module,
-    _sweep_classes,
     graph_from_edge_mask,
     isomorphism_classes,
     iter_labeled_graphs,
 )
+from class_sweep import TABLE_COMMAND, check_orbits, sweep_classes, table_module
 from test_acceptance import DUAL_CLAIMS, GAMMA4_CLAIMS
 
 ALL_CLAIM_IDS = (
@@ -118,10 +118,10 @@ def test_enumeration_guards():
         isomorphism_classes(8)
     with pytest.raises(InvalidOrder):
         isomorphism_classes(-1)
-    # the seen-map would take 2^36 bytes; refused before it is allocated
-    with pytest.raises(TooLarge):
+    # the class table stops at order 8
+    with pytest.raises(TooLarge, match="no class table above order 8"):
         isomorphism_classes(9, allow_large=True)
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="no class table above order 8"):
         verify_claims(["carac-lemma"], ("enumerate", 9), allow_large=True)
     # the override exists for deliberate long runs
     first = next(iter_labeled_graphs(8, allow_large=True))
@@ -143,30 +143,56 @@ def _edge_mask(g: Graph) -> int:
     return sum(1 << i for i, (u, v) in enumerate(pairs) if g.adjacent(u, v))
 
 
+# OEIS A000088
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+
+
+@pytest.fixture(scope="module")
+def swept() -> list[list[tuple[int, int]]]:
+    """The orbit sweep's classes of orders 0-7, swept once per module."""
+    return [sweep_classes(n) for n in range(ENUMERATION_MAX_ORDER + 1)]
+
+
 def test_isomorphism_class_counts():
-    # OEIS A000088
-    for n, count in enumerate((1, 1, 2, 4, 11, 34, 156, 1044)):
-        classes = isomorphism_classes(n)
+    # every order of the table: a class's edge count is its representative's,
+    # and C(C(n,2), e) labeled graphs have e edges
+    for n, count in enumerate(A000088):
+        classes = isomorphism_classes(n, allow_large=True)
         assert len(classes) == count
-        assert sum(size for _, size in classes) == 1 << (n * (n - 1) // 2)
-        assert [rep for rep, _ in classes] == sorted(rep for rep, _ in classes)
+        reps = [rep for rep, _ in classes]
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        pairs = n * (n - 1) // 2
+        by_edges = [0] * (pairs + 1)
+        for rep, size in classes:
+            by_edges[rep.bit_count()] += size
+        assert by_edges == [math.comb(pairs, e) for e in range(pairs + 1)], n
 
 
-def test_class_table_is_the_generator_output():
-    # the command in the table's docstring prints this text
-    assert "_class_table_module()" in _class_table.__doc__
+def test_class_table_order8_sample_are_orbit_minima():
+    # the full check of all 12,346 orbits is `python tests/class_sweep.py
+    # orbits`; here the first and last classes and a seeded sample
+    classes = isomorphism_classes(8, allow_large=True)
+    check_orbits(8, [classes[0], classes[-1], *random.Random(8).sample(classes, 100)])
+
+
+def test_class_table_is_the_generator_output(swept):
+    # the command in the table's docstring prints this text; order 8 is
+    # read back from the table, whose orbits the other tests check
+    assert TABLE_COMMAND in _class_table.__doc__
     path = Path(_class_table.__file__)
-    assert path.read_bytes() == _class_table_module().encode("ascii")
+    order8 = isomorphism_classes(8, allow_large=True)
+    assert path.read_bytes() == table_module([*swept, order8]).encode("ascii")
 
 
-def test_class_table_matches_the_sweep():
+def test_class_table_matches_the_sweep(swept):
     for n in range(ENUMERATION_MAX_ORDER + 1):
-        assert isomorphism_classes(n) == _sweep_classes(n), n
+        assert isomorphism_classes(n) == swept[n], n
 
 
 def test_class_table_orders():
-    # one string per order 0..ENUMERATION_MAX_ORDER; order 8 is swept
-    assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 1
+    # one string per order 0..8, the only source of classes; order 8 is
+    # read under allow_large and order 9 is refused
+    assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 2
 
 
 def _count_edge_permutations(monkeypatch) -> list[int]:

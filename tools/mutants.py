@@ -1,5 +1,6 @@
-"""Hand-made mutants of the solver, criticality and graph kernels and of
-``Facts``, and the tests that must catch them.
+"""Hand-made mutants of the solver, criticality and graph kernels, of
+``Facts``, of the class table reader and class scan, and of the ``gamma4``
+degree routes, and the tests that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -34,6 +35,8 @@ TIMEOUT_S = 600
 CRIT = "src/romancrit/criticality.py"
 SOLVER = "src/romancrit/solver.py"
 GRAPHS = "src/romancrit/graphs.py"
+HARNESS = "src/romancrit/harness.py"
+GAMMA4 = "src/romancrit/gamma4.py"
 
 T_KERNELS = "tests/test_criticality.py::test_mask_kernels_match_graph_object_predicates"
 T_FIRST = "tests/test_criticality.py::test_first_failures_match_definition"
@@ -56,6 +59,24 @@ T_RELABELED = (
     "tests/test_criticality.py::test_relabeled_facts_carry_only_what_names_no_vertex"
 )
 T_COMPONENTS = "tests/test_graphs.py::test_component_masks_match_a_search_over_neighbor_sets"
+T_CLASS_COUNTS = "tests/test_harness.py::test_isomorphism_class_counts"
+T_TABLE_SWEEP = "tests/test_harness.py::test_class_table_matches_the_sweep"
+T_GUARDS = "tests/test_harness.py::test_enumeration_guards"
+T_LABELED_SCAN = "tests/test_harness.py::test_class_scan_matches_labeled_scan"
+T_GUARD_EXPANSION = "tests/test_harness.py::test_class_scan_expands_guard_errors"
+T_NO_EXPANSION = "tests/test_harness.py::test_scan_without_expansion_builds_no_permutations"
+T_VCRIT4 = "tests/test_gamma4.py::test_vcrit4_by_degrees_agrees_with_direct_route"
+T_VCRIT4_EX = "tests/test_gamma4.py::test_vcrit4_by_degrees_examples"
+T_SAT4 = "tests/test_gamma4.py::test_saturated4_by_degrees_agrees_with_direct_route"
+T_SAT4_EX = "tests/test_gamma4.py::test_saturated4_by_degrees_examples"
+T_ECRIT4 = "tests/test_gamma4.py::test_ecrit4_by_degrees_agrees_with_direct_route"
+T_ECRIT4_EX = "tests/test_gamma4.py::test_ecrit4_by_degrees_examples"
+T_LOCAL8_RULE = "tests/test_gamma4.py::test_local8_literal_b_follows_docstring_rule"
+T_LOCAL8_TWINS = "tests/test_gamma4.py::test_local8_routes_can_disagree_on_twin_low_vertices"
+T_LOCAL8_PENDANT = "tests/test_gamma4.py::test_local8_on_pendant_family"
+T_LOCAL8_SPARSE = (
+    "tests/test_gamma4.py::test_local8_fast_a_and_c_on_order8_classes_with_sparse_low_vertices"
+)
 
 
 @dataclass(frozen=True)
@@ -274,6 +295,136 @@ MUTANTS = (
         "        left = self.full_mask & ~without\n",
         "        left = self.full_mask\n",
         (T_COMPONENTS,),
+    ),
+    # isomorphism_classes reading the class table
+    Mutant(
+        "class-tokens-read-size-first",
+        HARNESS,
+        "        for rep, size in (token.split(\":\") for token in CLASSES[n].split())\n",
+        "        for size, rep in (token.split(\":\") for token in CLASSES[n].split())\n",
+        (T_CLASS_COUNTS, T_TABLE_SWEEP),
+    ),
+    Mutant(
+        "class-tokens-of-the-next-order",
+        HARNESS,
+        "CLASSES[n].split()",
+        "CLASSES[min(n + 1, len(CLASSES) - 1)].split()",
+        (T_CLASS_COUNTS, T_TABLE_SWEEP),
+    ),
+    Mutant(
+        "class-table-guard-past-the-table",
+        HARNESS,
+        "    if n >= len(CLASSES):\n",
+        "    if n > len(CLASSES):\n",
+        (T_GUARDS,),
+    ),
+    # _scan_classes: weighting and the expansion rule
+    Mutant(
+        "class-scan-weighs-each-class-once",
+        HARNESS,
+        "                acc[claim.id][0] += size\n",
+        "                acc[claim.id][0] += 1\n",
+        (T_LABELED_SCAN,),
+    ),
+    Mutant(
+        "class-scan-weighs-expanded-classes-too",
+        HARNESS,
+        "            elif held:\n                acc[claim.id][0] += size\n",
+        "            if held:\n                acc[claim.id][0] += size\n",
+        (T_LABELED_SCAN,),
+    ),
+    Mutant(
+        "class-scan-skips-guard-errors",
+        HARNESS,
+        "            if diags:\n                expand.append(claim)\n",
+        "            if diags and not diags[0].startswith(\"guard-error\"):\n"
+        "                expand.append(claim)\n",
+        (T_GUARD_EXPANSION,),
+    ),
+    Mutant(
+        "class-scan-expands-held-classes",
+        HARNESS,
+        "            if diags:\n                expand.append(claim)\n",
+        "            if diags or held:\n                expand.append(claim)\n",
+        (T_NO_EXPANSION,),
+    ),
+    Mutant(
+        "class-scan-expands-the-representative-only",
+        HARNESS,
+        "        for mask in sorted(perms.orbit(rep)):\n",
+        "        for mask in sorted(perms.orbit(rep))[:1]:\n",
+        (T_LABELED_SCAN,),
+    ),
+    # the gamma4 degree routes
+    Mutant(
+        "vcrit4-counts-the-vertex-itself",
+        GAMMA4,
+        "    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
+        "    return all(high & ~f.g.adj[v] for v in range(f.g.n))\n",
+        (T_VCRIT4, T_VCRIT4_EX),
+    ),
+    Mutant(
+        "vcrit4-any-vertex",
+        GAMMA4,
+        "    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
+        "    return any(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
+        (T_VCRIT4, T_VCRIT4_EX),
+    ),
+    Mutant(
+        "saturated4-reads-the-high-class",
+        GAMMA4,
+        "    low = sorted(f.degree_classes.low)\n    return all(",
+        "    low = sorted(f.degree_classes.high)\n    return all(",
+        (T_SAT4, T_SAT4_EX),
+    ),
+    Mutant(
+        "saturated4-any-pair",
+        GAMMA4,
+        "    return all(f.g.adj[u] >> v & 1 for u, v in combinations(low, 2))\n",
+        "    return any(f.g.adj[u] >> v & 1 for u, v in combinations(low, 2))\n",
+        (T_SAT4, T_SAT4_EX),
+    ),
+    Mutant(
+        "ecrit4-edge-ends-not-excused",
+        GAMMA4,
+        "            not high & ~g.closed_mask(v) & ~pair for v in range(g.n)\n",
+        "            not high & ~g.closed_mask(v) for v in range(g.n)\n",
+        (T_ECRIT4, T_ECRIT4_EX),
+    ),
+    Mutant(
+        "ecrit4-one-edge-end-excused",
+        GAMMA4,
+        "        pair = 1 << x | 1 << y\n",
+        "        pair = 1 << x\n",
+        (T_ECRIT4, T_ECRIT4_EX),
+    ),
+    Mutant(
+        "local8-fast-low-includes-pivot",
+        GAMMA4,
+        "    low_degs = [d for d in g.degrees() if d < pivot]\n",
+        "    low_degs = [d for d in g.degrees() if d <= pivot]\n",
+        (T_LOCAL8_PENDANT, T_LOCAL8_RULE, T_LOCAL8_SPARSE),
+    ),
+    Mutant(
+        "local8-fast-b-strict",
+        GAMMA4,
+        "        len(low_degs) <= 1,\n",
+        "        len(low_degs) < 1,\n",
+        (T_LOCAL8_PENDANT, T_LOCAL8_RULE),
+    ),
+    Mutant(
+        "local8-fast-b-admits-two",
+        GAMMA4,
+        "        len(low_degs) <= 1,\n",
+        "        len(low_degs) <= 2,\n",
+        (T_LOCAL8_TWINS, T_LOCAL8_RULE),
+    ),
+    Mutant(
+        "local8-fast-c-admits-degree-two",
+        GAMMA4,
+        "        all(d <= 1 for d in low_degs),\n",
+        "        all(d <= 2 for d in low_degs),\n",
+        (T_LOCAL8_RULE, T_LOCAL8_SPARSE),
     ),
 )
 
