@@ -7,7 +7,7 @@ preserving order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .errors import (
     EdgeExists,
@@ -116,18 +116,7 @@ class Graph:
         """Vertex masks of the connected components of the graph minus the
         vertices in the mask ``without``, ordered by smallest member; the
         vertices keep their numbers."""
-        left = self.full_mask & ~without
-        comps = []
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                low = frontier & -frontier
-                new = self.adj[low.bit_length() - 1] & left & ~comp
-                comp |= new
-                frontier ^= low | new
-            left ^= comp
-            comps.append(comp)
-        return comps
+        return component_walk(self.adj, self.full_mask & ~without)
 
     def connected_components(self) -> list[frozenset[int]]:
         """Maximal connected vertex sets, ordered by smallest member."""
@@ -166,6 +155,26 @@ def _pairs_above(rows: Iterable[int]) -> list[tuple[int, int]]:
             out.append((u, low.bit_length() - 1))
             m ^= low
     return out
+
+
+def component_walk(rows: Sequence[int], left: int) -> list[int]:
+    """Vertex masks of the connected components of the vertices in the mask
+    left, ordered by smallest member, where bit j of rows[v] marks an edge
+    {v, j}. A row may also mark v itself, so closed neighborhoods serve too.
+    """
+    comps = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            new = rows[low.bit_length() - 1] & left & ~comp
+            comp |= new
+            if comp == left:
+                break
+            frontier ^= low | new
+        left ^= comp
+        comps.append(comp)
+    return comps
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

@@ -13,22 +13,25 @@ one vertex's closed neighborhood to the cover its prefix carries.
 ``gamma_at_most`` wraps ``_at_most``, the same question on the masks,
 which the criticality predicates ask of each graph they derive.
 
-From order _SPLIT_ORDER up, gamma_r, gamma_at_most and minimal_partitions
-solve a disconnected graph one connected component at a time. A Roman
-assignment of G is one per component, so weight, 2-set size and 2-set
-bitmask (on disjoint bits) all add over the components: gamma_r is the sum
-of the components' values, the first minimizer, smallest 2-set size then
-smallest bitmask, is the union of the components' first minimizers, and the
-minimum assignments are the products of the components' own. Each component
-of order 3 or more is renumbered in ascending vertex order, which keeps
-bitmask order, and swept on its own; K1 and K2 components weigh their order,
-all labeled 1.
+gamma_r, gamma_at_most and minimal_partitions all follow one plan,
+``_components``: the isolated vertices, each labeled 1, and the parts to
+sweep. Below order _SPLIT_ORDER, and for a connected graph, the whole graph
+is the one part. From order _SPLIT_ORDER up, each connected component of a
+disconnected graph other than a K1 is a part, renumbered in ascending vertex
+order, which keeps bitmask order. A Roman assignment of G is one per
+component, so weight, 2-set size and 2-set bitmask (on disjoint bits) all
+add over the components: gamma_r is the sum of the parts' values and the
+isolated vertices, the first minimizer, smallest 2-set size then smallest
+bitmask, is the union of the parts' first minimizers, and the minimum
+assignments are the products of the parts' own. gamma_at_most sweeps every
+part but the last for its weight within the room the others leave, and the
+last only up to the first set light enough.
 
-The sweep is exponential in gamma_r, so gamma_r, roman_number and
-gamma_at_most refuse with TooLarge, before sweeping, an input whose sets of
-every size the sweeps may reach number more than SWEEP_MAX_SETS, summed over
-the components swept. A separate oracle enumerates labelings by ascending
-weight and shares nothing with that identity.
+The sweep is exponential in gamma_r, so the plan refuses with TooLarge,
+before sweeping, an input whose sets of every size the sweeps may reach
+number more than SWEEP_MAX_SETS, summed over the parts. A separate oracle
+enumerates labelings by ascending weight and shares nothing with that
+identity.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, TooLarge
-from .graphs import Graph
+from .graphs import Graph, component_walk
 
 ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
@@ -56,7 +59,9 @@ _SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 # Sparse graphs gain from order 8: on G(n, p), p drawn from 0.1-0.5, order 8
 # took 3.6 us split against 4.9 us whole, order 10 6.5 against 12.6 us
 # (seeded, Python 3.11, x86-64). From order 10 the gain on such a mix is
-# several times the loss on dense graphs.
+# several times the loss on dense graphs. It stays at most _SWEEP_FREE_ORDER,
+# since gamma_mask and _at_most solve smaller graphs without the plan and its
+# guard.
 _SPLIT_ORDER = 10
 
 
@@ -70,18 +75,6 @@ class RomanAssignment:
 
     def label_set(self, label: int) -> frozenset[int]:
         return frozenset(v for v, x in enumerate(self.labels) if x == label)
-
-    @property
-    def v0(self) -> frozenset[int]:
-        return self.label_set(0)
-
-    @property
-    def v1(self) -> frozenset[int]:
-        return self.label_set(1)
-
-    @property
-    def v2(self) -> frozenset[int]:
-        return self.label_set(2)
 
     def label_mask(self, label: int) -> int:
         m = 0
@@ -189,8 +182,8 @@ def _check_sweep(
     top degree Delta. A vertex of top degree labeled 2 and the vertices
     outside its closed neighborhood labeled 1 weigh m - Delta + 1, so no
     sweep passes size (m - Delta) // 2, and gamma_at_most refuses no graph
-    gamma_r admits. Callers skip it up to order _SWEEP_FREE_ORDER, where it
-    cannot fire.
+    gamma_r admits. _components skips it up to order _SWEEP_FREE_ORDER,
+    where it cannot fire.
     """
     sets = 0
     for closed in components:
@@ -204,52 +197,56 @@ def _check_sweep(
         )
 
 
-def _split(
-    closed: Sequence[int], n: int
-) -> tuple[int, list[tuple[list[int], list[int]]]] | None:
-    """None if the graph is connected. Otherwise the vertices of its K1 and
-    K2 components as one mask, and each other component, by ascending least
-    vertex, as its vertices in ascending order with their closed
-    neighborhoods renumbered in that order.
+def _components(
+    closed: Sequence[int], n: int, limit: int
+) -> tuple[int, list[tuple[list[int] | None, Sequence[int]]]]:
+    """The solve plan: the mask of the isolated vertices, and the parts to
+    sweep, each as its vertices in ascending order and its closed
+    neighborhoods renumbered in that order, by ascending least vertex.
+
+    Below order _SPLIT_ORDER, or on a connected graph, the one part is the
+    whole graph, with vertices None and its own masks; otherwise every
+    component but a K1 is a part. Raises TooLarge when the sweeps for a
+    Roman weight at most limit would pass SWEEP_MAX_SETS (see _check_sweep).
     """
-    full = (1 << n) - 1
-    left = full
-    small = 0
-    parts = []
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            low = frontier & -frontier
-            new = closed[low.bit_length() - 1] & ~comp
-            comp |= new
+    if n < _SPLIT_ORDER:
+        lone, parts = 0, [(None, closed)]
+    else:
+        full = (1 << n) - 1
+        lone, parts = 0, []
+        for comp in component_walk(closed, full):
             if comp == full:
-                return None
-            frontier ^= low | new
-        left ^= comp
-        if comp.bit_count() < 3:
-            small |= comp
-            continue
-        verts = []
-        while comp:
-            low = comp & -comp
-            verts.append(low.bit_length() - 1)
-            comp ^= low
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        sub = []
-        for v in verts:
-            c = closed[v]
-            m = 0
-            while c:
-                low = c & -c
-                m |= bit[low.bit_length() - 1]
-                c ^= low
-            sub.append(m)
-        parts.append((verts, sub))
-    return small, parts
+                parts.append((None, closed))
+                break
+            if comp.bit_count() == 1:
+                lone |= comp
+                continue
+            verts = []
+            while comp:
+                low = comp & -comp
+                verts.append(low.bit_length() - 1)
+                comp ^= low
+            bit = {v: 1 << i for i, v in enumerate(verts)}
+            sub = []
+            for v in verts:
+                c = closed[v]
+                m = 0
+                while c:
+                    low = c & -c
+                    m |= bit[low.bit_length() - 1]
+                    c ^= low
+                sub.append(m)
+            parts.append((verts, sub))
+    if n > _SWEEP_FREE_ORDER:
+        _check_sweep([sub for _, sub in parts], n, limit)
+    return lone, parts
 
 
-def _lift(mask: int, verts: Sequence[int]) -> int:
-    """A component's mask back on the graph's vertices: bit i to verts[i]."""
+def _lift(mask: int, verts: Sequence[int] | None) -> int:
+    """A part's mask back on the graph's vertices: bit i to verts[i], or
+    the mask itself for the whole graph."""
+    if verts is None:
+        return mask
     out = 0
     while mask:
         low = mask & -mask
@@ -285,33 +282,17 @@ def _lightest(closed: Sequence[int], n: int, best: int) -> tuple[int, int, int]:
     return best, best_s, best_rest
 
 
-def _gamma_whole(closed: Sequence[int], n: int) -> tuple[int, int, int]:
-    """gamma_mask without the component split: one sweep over all n
-    vertices, guarded as one component."""
-    if n > _SWEEP_FREE_ORDER:
-        _check_sweep([closed], n, n)
-    return _lightest(closed, n, n)
-
-
 def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
     """(gamma, S, V outside N[S]) from the closed-neighborhood masks: the
     minimum Roman weight, its first 2-set (smallest size, then smallest
-    bitmask) and the vertices that 2-set leaves to be labeled 1.
-
-    From order _SPLIT_ORDER up, a disconnected graph is solved one component
-    at a time: gamma is the sum of the components' values, S the union of
-    their first 2-sets and the 1-set the union of their leftovers, which is
-    the whole graph's first minimizer because size and bitmask add over
-    disjoint components. Raises TooLarge past SWEEP_MAX_SETS, charged as the
-    sum over the components swept (see _check_sweep).
+    bitmask) and the vertices that 2-set leaves to be labeled 1, summed over
+    the parts of the plan (see _components). Below order _SPLIT_ORDER the
+    masks go straight to the part's sweep.
     """
-    split = _split(closed, n) if n >= _SPLIT_ORDER else None
-    if split is None:
-        return _gamma_whole(closed, n)
-    small, parts = split
-    if n > _SWEEP_FREE_ORDER:
-        _check_sweep([sub for _, sub in parts], n, n)
-    gamma, s, rest = small.bit_count(), 0, small
+    if n < _SPLIT_ORDER:
+        return _lightest(closed, n, n)
+    lone, parts = _components(closed, n, n)
+    gamma, s, rest = lone.bit_count(), 0, lone
     for verts, sub in parts:
         w, s_part, rest_part = _lightest(sub, len(sub), len(sub))
         gamma += w
@@ -333,54 +314,49 @@ def _at_most(closed: Sequence[int], n: int, limit: int) -> bool:
     """True iff some Roman assignment of the graph with these closed
     neighborhoods weighs at most limit; gamma_at_most on masks.
 
-    Size 1 is one pass over the masks: a vertex labeled 2 and the vertices
-    outside its closed neighborhood labeled 1 weigh at most limit iff that
-    neighborhood has at least n + 2 - limit vertices. Sizes 2 up go
-    through _light_sets.
+    From order _SPLIT_ORDER up, unless every vertex labeled 1 fits, every
+    part of the plan but the last is solved for its weight within the room
+    the others leave, counting 2 for each part not yet solved, and the last
+    part is asked the question with the room left. Size 1 is one pass over
+    the masks: a vertex labeled 2 and the vertices outside its closed
+    neighborhood labeled 1 weigh at most limit iff that neighborhood has at
+    least n + 2 - limit vertices. Sizes 2 up go through _light_sets, up to
+    the first set light enough.
     """
+    if n >= _SPLIT_ORDER and n > limit:
+        lone, parts = _components(closed, n, limit)
+        # a connected graph of order 2 or more weighs at least 2
+        room = limit - lone.bit_count() - 2 * len(parts)
+        if room < 0:
+            return False
+        for _, sub in parts[:-1]:
+            m = len(sub)
+            cap = room + 2
+            w = _lightest(sub, m, min(m, cap + 1))[0]
+            if w > cap:
+                return False
+            room -= w - 2
+        closed = parts[-1][1]
+        n, limit = len(closed), room + 2
     if n <= limit:  # every vertex labeled 1
         return True
-    split = _split(closed, n) if n >= _SPLIT_ORDER else None
-    if split is None:
-        if n > _SWEEP_FREE_ORDER:
-            _check_sweep([closed], n, limit)
-        if limit < 2:
-            return False
-        if max(map(int.bit_count, closed)) >= n + 2 - limit:
+    if limit < 2:
+        return False
+    if max(map(int.bit_count, closed)) >= n + 2 - limit:
+        return True
+    for k in range(2, min(limit // 2, n) + 1):
+        for _ in _light_sets(closed, n, k, limit):
             return True
-        for k in range(2, min(limit // 2, n) + 1):
-            for _ in _light_sets(closed, n, k, limit):
-                return True
-        return False
-    small, parts = split
-    if n > _SWEEP_FREE_ORDER:
-        _check_sweep([sub for _, sub in parts], n, limit)
-    # a connected graph of order 3 or more weighs at least 2
-    slack = limit - small.bit_count() - 2 * len(parts)
-    if slack < 0:
-        return False
-    for _, sub in parts:
-        m = len(sub)
-        cap = slack + 2
-        w = _lightest(sub, m, min(m, cap + 1))[0]
-        if w > cap:
-            return False
-        slack -= w - 2
-    return True
+    return False
 
 
 def gamma_at_most(g: Graph, limit: int) -> bool:
     """True iff gamma_r(g) <= limit: some Roman assignment weighs at most limit.
 
-    On a connected graph, or one below order _SPLIT_ORDER, sets are swept in
-    gamma_r's order, by ascending size and bitmask, up to size limit // 2,
-    and the sweep stops at the first one light enough. A disconnected graph
-    from order _SPLIT_ORDER up is asked whether the sum of its components'
-    gamma_r is at most limit: each component is swept only for a weight the
-    rest leaves room for, counting 2 for each component not yet swept. Either
-    way no set is visited that gamma_r would not. Raises TooLarge past
-    SWEEP_MAX_SETS, charged as the sum over the components swept (see
-    _check_sweep).
+    Sets are swept in gamma_r's order, by ascending size and bitmask, up to
+    size limit // 2, and the last part's sweep stops at the first one light
+    enough, so no set is visited that gamma_r would not. Raises TooLarge
+    past SWEEP_MAX_SETS (see _check_sweep).
     """
     return _at_most(_closed_masks(g), g.n, limit)
 
@@ -453,33 +429,17 @@ def _partition_pairs(
     closed: Sequence[int], n: int, gamma: int | None = None
 ) -> list[tuple[int, int]]:
     """(V2, V1) masks of every minimum Roman assignment, by ascending V2
-    bitmask: minimal_partitions on closed-neighborhood masks.
+    bitmask: minimal_partitions on closed-neighborhood masks, the product
+    of the parts' own.
 
-    From order _SPLIT_ORDER up, a disconnected graph's minimum assignments
-    are the products of its components': a K1 is labeled 1, a K2 has (1, 1),
-    (2, 0) and (0, 2), and every other component is swept on its own for
-    its own gamma_r. A known gamma_r passed as gamma spares one solve either
-    way: gamma_r adds over the components, so the last component weighs what
-    the others leave. The order cap comes first, before gamma_r is solved.
+    A known gamma_r passed as gamma spares one solve: gamma_r adds over the
+    parts, so the last part weighs what the others leave. The order cap
+    comes first, before gamma_r is solved.
     """
     _partitions_guard(n)
-    split = _split(closed, n) if n >= _SPLIT_ORDER else None
-    if split is None:
-        if gamma is None:
-            gamma = _gamma_whole(closed, n)[0]
-        return _sweep_pairs(closed, n, gamma)
-    small, parts = split
-    left = None if gamma is None else gamma - small.bit_count()
-    lone = 0
-    choices = []
-    while small:
-        v = small & -small
-        comp = closed[v.bit_length() - 1]
-        small ^= comp
-        if comp == v:
-            lone |= v
-        else:
-            choices.append(((0, comp), (v, 0), (comp ^ v, 0)))
+    lone, parts = _components(closed, n, n)
+    left = None if gamma is None else gamma - lone.bit_count()
+    pairs = [(0, lone)]
     for i, (verts, sub) in enumerate(parts):
         m = len(sub)
         if left is not None and i == len(parts) - 1:
@@ -488,14 +448,10 @@ def _partition_pairs(
             w = _lightest(sub, m, m)[0]
             if left is not None:
                 left -= w
-        choices.append(
-            [
-                (_lift(s, verts), _lift(rest, verts))
-                for s, rest in _sweep_pairs(sub, m, w)
-            ]
-        )
-    pairs = [(0, lone)]
-    for options in choices:
+        options = _sweep_pairs(sub, m, w)
+        if verts is None:  # the whole graph: no isolated vertices, no product
+            return options
+        options = [(_lift(s, verts), _lift(r, verts)) for s, r in options]
         pairs = [(s | s2, r | r2) for s, r in pairs for s2, r2 in options]
     pairs.sort()
     return pairs
@@ -507,9 +463,8 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
     Every minimum assignment labels exactly the undominated vertices 1
     (a dominated 1 could be relabeled 0 for less weight), so enumerating
     2-sets S with 2|S| + |V outside N[S]| = gamma_r is exhaustive, and
-    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. A disconnected
-    graph from order _SPLIT_ORDER up is solved one component at a time (see
-    _partition_pairs). Guard: order <= 24.
+    2|S| <= gamma_r bounds the sweep to |S| <= gamma_r // 2. Guard: order
+    <= 24.
     """
     n = g.n
     return [

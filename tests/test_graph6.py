@@ -136,10 +136,12 @@ def test_parse_rejects_malformed_lines():
 
 
 def test_parse_rejects_nonzero_padding():
-    # order 2 uses one payload bit; the other five must stay zero
+    # order 2 uses one payload bit; the other five must stay zero, the
+    # first of them too
     assert parse_graph6("A_").edge_count() == 1
-    with pytest.raises(MalformedGraph6):
-        parse_graph6("A~")
+    for line in ("A~", "AO"):
+        with pytest.raises(MalformedGraph6):
+            parse_graph6(line)
 
 
 def test_read_graph6_lines_skips_blanks():

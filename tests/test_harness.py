@@ -356,6 +356,21 @@ def test_witness_chase_failure_beyond_the_smallest_pairs():
     assert not _chase_lands(pairs, 3, 2, 4)
 
 
+def test_carac_lemma_reports_a_failing_chase(monkeypatch):
+    # no graph up to order 8 has every vertex witnessed and a failing chase,
+    # so the report is checked with the chase made to fail: C5 is v-critical
+    # and every vertex has a witness, and each vertex reports its first pair
+    f = Facts(gen_family("cycle", 5))
+    check = CLAIMS["carac-lemma"].check
+    assert check(f) == []
+    monkeypatch.setattr(harness, "_chase_lands", lambda *a: False)
+    pairs = [_witness_pairs_raw(f.g, x) for x in range(5)]
+    assert check(f) == [
+        f"witness chase fails at vertex {x}: no witness of {a} lands in ({x},{b})"
+        for x, (a, b) in enumerate(p[0] for p in pairs)
+    ]
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_class_scan_matches_labeled_scan(n):
     by_class = verify_claims(ALL_CLAIM_IDS, ("enumerate", n), workers=1)
@@ -615,6 +630,24 @@ def test_local8_reports_route_disagreement():
     assert "dual-path-disagreement" in diag
     assert "local8_conditions=(True, True, False)" in diag
     assert "local8_fast=(True, False, False)" in diag
+
+
+def test_local8_reports_the_criticality_conjunction(monkeypatch):
+    # v-critical and e-critical but not saturated, and the local conditions
+    # fail: both conjunctions read False, so nothing is reported
+    g = parse_graph6("G]]uf?")
+    f = Facts(g)
+    assert (f.v_critical, f.e_critical, f.saturated) == (True, True, False)
+    assert verify_claim("local8-theorem", ("graphs", (g,))).counterexamples == ()
+    # no graph up to order 8 separates the literal conjunction from the
+    # criticality one, so the literal route is made to fail on D8
+    monkeypatch.setattr(harness, "local8_conditions", lambda f: (True, True, False))
+    assert CLAIMS["local8-theorem"].check(Facts(gen_family("dn", 8))) == [
+        "dual-path-disagreement: local8_conditions=(True, True, False) "
+        "local8_fast=(True, True, True)",
+        "local-conditions-conjunction=False matches-even-pendant-family=True",
+        "local-conditions-conjunction=False criticality-conjunction=True",
+    ]
 
 
 def test_file_source(tmp_path):

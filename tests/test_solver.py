@@ -274,7 +274,7 @@ def test_witness_tie_break_deterministic():
         assert res.witness.label_mask(2) == _first_minimizing_2set(g)
         # ones are exactly the vertices the 2-set leaves uncovered
         cov = 0
-        for v in res.witness.v2:
+        for v in res.witness.label_set(2):
             cov |= g.closed_mask(v)
         assert res.witness.label_mask(1) == g.full_mask & ~cov
 
@@ -440,10 +440,11 @@ def _relabeled_union(rng: random.Random, parts: list[Graph]) -> Graph:
 
 def _disconnected_graphs() -> list[Graph]:
     # components interleaved by a seeded relabeling, so each one's
-    # renumbering is not a shift
+    # renumbering is not a shift; order _SPLIT_ORDER - 1, solved whole,
+    # comes last so that the orders above it keep their seeded draws
     rng = random.Random(61)
     out = []
-    for n in range(solver._SPLIT_ORDER, 23):
+    for n in [*range(solver._SPLIT_ORDER, 23), solver._SPLIT_ORDER - 1]:
         # G(n, p) sparse enough to fall apart
         out.append(_random_graph(rng, n, rng.choice((0.08, 0.12, 0.16))))
         # many small components, isolated vertices and K2s among them
@@ -471,7 +472,7 @@ def test_split_matches_whole_graph_sweep():
     assert all(len(g.connected_components()) > 1 for g in graphs)
     for g in graphs:
         closed = solver._closed_masks(g)
-        whole = solver._gamma_whole(closed, g.n)
+        whole = solver._lightest(closed, g.n, g.n)
         assert solver.gamma_mask(closed, g.n) == whole, g.edges()
         for limit in range(-1, 2 * g.n + 1):
             assert gamma_at_most(g, limit) == (whole[0] <= limit), (g.edges(), limit)
@@ -617,7 +618,7 @@ def test_partitions_split_matches_whole_graph_sweep():
         assert solver._partition_pairs(closed, g.n) == whole, g.edges()
         assert solver._partition_pairs(closed, g.n, gamma_r(g)) == whole
         checked += 1
-    assert checked == 28
+    assert checked == 32
 
 
 def test_partitions_split_with_known_gamma_solves_all_but_the_last(monkeypatch):

@@ -1,6 +1,7 @@
 """Hand-made mutants of the solver, criticality and graph kernels, of
-``Facts``, of the class table reader and class scan, and of the ``gamma4``
-degree routes, and the tests that must catch them.
+``Facts``, of the class table reader and class scan, of the ``gamma4``
+degree routes, of the graph6 codec and of the harness claim checks, and the
+tests that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -37,12 +38,15 @@ SOLVER = "src/romancrit/solver.py"
 GRAPHS = "src/romancrit/graphs.py"
 HARNESS = "src/romancrit/harness.py"
 GAMMA4 = "src/romancrit/gamma4.py"
+GRAPH6 = "src/romancrit/graph6.py"
 
 T_KERNELS = "tests/test_criticality.py::test_mask_kernels_match_graph_object_predicates"
 T_FIRST = "tests/test_criticality.py::test_first_failures_match_definition"
 T_AT_MOST = "tests/test_solver.py::test_at_most_boundaries"
 T_AT_MOST_EXH = "tests/test_solver.py::test_gamma_at_most_matches_gamma_r_exhaustive"
+T_AT_MOST_GUARD = "tests/test_solver.py::test_at_most_guard_sits_before_the_size_one_exit"
 T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
+T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
 T_SUMMED = "tests/test_solver.py::test_sweep_guard_sums_the_charge_over_components"
 T_TWO_C20 = "tests/test_solver.py::test_sweep_guard_admits_two_c20_by_components"
@@ -77,6 +81,18 @@ T_LOCAL8_PENDANT = "tests/test_gamma4.py::test_local8_on_pendant_family"
 T_LOCAL8_SPARSE = (
     "tests/test_gamma4.py::test_local8_fast_a_and_c_on_order8_classes_with_sparse_low_vertices"
 )
+T_G6_ENCODE = "tests/test_graph6.py::test_known_encodings"
+T_G6_DECODE = "tests/test_graph6.py::test_known_decodings"
+T_G6_EMIT_NX = "tests/test_graph6.py::test_emit_matches_networkx"
+T_G6_PARSE_NX = "tests/test_graph6.py::test_parse_matches_networkx"
+T_G6_PADDING = "tests/test_graph6.py::test_parse_rejects_nonzero_padding"
+T_CARAC = "tests/test_harness.py::test_carac_claims_over_order5"
+T_CHASE = "tests/test_harness.py::test_witness_chase_lands_iff_a_degree_is_n_minus_3"
+T_CHASE_REPORT = "tests/test_harness.py::test_carac_lemma_reports_a_failing_chase"
+T_CUT_ORDER5 = "tests/test_harness.py::test_cut_structure_finds_same_graphs_at_order5"
+T_LOCAL8_ODD = "tests/test_harness.py::test_local8_reports_odd_order_qualifier"
+T_LOCAL8_ROUTES = "tests/test_harness.py::test_local8_reports_route_disagreement"
+T_LOCAL8_CRIT = "tests/test_harness.py::test_local8_reports_the_criticality_conjunction"
 
 
 @dataclass(frozen=True)
@@ -108,8 +124,8 @@ MUTANTS = (
     Mutant(
         "size-one-exit-dropped",
         SOLVER,
-        "        if max(map(int.bit_count, closed)) >= n + 2 - limit:\n"
-        "            return True\n",
+        "    if max(map(int.bit_count, closed)) >= n + 2 - limit:\n"
+        "        return True\n",
         "",
         (T_AT_MOST, T_AT_MOST_EXH),
     ),
@@ -130,8 +146,8 @@ MUTANTS = (
     Mutant(
         "size-one-exit-limit-off-by-one",
         SOLVER,
-        "        if limit < 2:\n",
-        "        if limit < 3:\n",
+        "    if limit < 2:\n",
+        "    if limit < 3:\n",
         (T_AT_MOST, T_AT_MOST_EXH),
     ),
     Mutant(
@@ -161,12 +177,40 @@ MUTANTS = (
         "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n",
         (T_GOSPER,),
     ),
-    # the component split
+    # the solve plan, _components, and its use by gamma_mask and _at_most
+    Mutant(
+        "components-k1-made-a-part",
+        SOLVER,
+        "            if comp.bit_count() == 1:\n",
+        "            if comp.bit_count() == 0:\n",
+        (T_SPLIT,),
+    ),
+    Mutant(
+        "components-k2-kept-in-the-mask",
+        SOLVER,
+        "            if comp.bit_count() == 1:\n",
+        "            if comp.bit_count() <= 2:\n",
+        (T_PAIRS_SPLIT, T_SMALL_COMPS),
+    ),
+    Mutant(
+        "components-guard-skipped-for-the-whole-graph",
+        SOLVER,
+        "                parts.append((None, closed))\n                break\n",
+        "                return 0, [(None, closed)]\n",
+        (T_AT_MOST_GUARD,),
+    ),
+    Mutant(
+        "lift-identity-case-dropped",
+        SOLVER,
+        "    if verts is None:\n        return mask\n",
+        "",
+        (T_GOSPER_WITNESS,),
+    ),
     Mutant(
         "split-reversed-renumbering",
         SOLVER,
-        "        bit = {v: 1 << i for i, v in enumerate(verts)}\n",
-        "        bit = {v: 1 << i for i, v in enumerate(reversed(verts))}\n",
+        "            bit = {v: 1 << i for i, v in enumerate(verts)}\n",
+        "            bit = {v: 1 << i for i, v in enumerate(reversed(verts))}\n",
         (T_SPLIT,),
     ),
     Mutant(
@@ -179,15 +223,22 @@ MUTANTS = (
     Mutant(
         "split-lower-bound-one-per-component",
         SOLVER,
-        "    slack = limit - small.bit_count() - 2 * len(parts)\n",
-        "    slack = limit - small.bit_count() - len(parts)\n",
+        "        room = limit - lone.bit_count() - 2 * len(parts)\n",
+        "        room = limit - lone.bit_count() - len(parts)\n",
         (T_SPLIT,),
     ),
     Mutant(
         "split-cap-one-less",
         SOLVER,
-        "        cap = slack + 2\n",
-        "        cap = slack + 1\n",
+        "            cap = room + 2\n",
+        "            cap = room + 1\n",
+        (T_SPLIT,),
+    ),
+    Mutant(
+        "split-last-part-room-one-less",
+        SOLVER,
+        "        n, limit = len(closed), room + 2\n",
+        "        n, limit = len(closed), room + 1\n",
         (T_SPLIT,),
     ),
     Mutant(
@@ -200,25 +251,18 @@ MUTANTS = (
     Mutant(
         "split-never-applied",
         SOLVER,
-        "_SPLIT_ORDER = 10\n",
-        "_SPLIT_ORDER = 1 << 30\n",
+        "            if comp == full:\n",
+        "            if True:\n",
         (T_TWO_C20,),
     ),
     Mutant(
-        "split-small-components-one-set-dropped",
+        "split-isolated-vertices-one-set-dropped",
         SOLVER,
-        "    gamma, s, rest = small.bit_count(), 0, small\n",
-        "    gamma, s, rest = small.bit_count(), 0, 0\n",
+        "    gamma, s, rest = lone.bit_count(), 0, lone\n",
+        "    gamma, s, rest = lone.bit_count(), 0, 0\n",
         (T_SPLIT,),
     ),
-    # minimal partitions by components
-    Mutant(
-        "partitions-k2-option-dropped",
-        SOLVER,
-        "            choices.append(((0, comp), (v, 0), (comp ^ v, 0)))\n",
-        "            choices.append(((0, comp), (v, 0)))\n",
-        (T_PAIRS_SPLIT, T_SMALL_COMPS),
-    ),
+    # minimal partitions by parts
     Mutant(
         "partitions-k1-label-dropped",
         SOLVER,
@@ -288,13 +332,20 @@ MUTANTS = (
         "        )\n",
         (T_RELABELED,),
     ),
-    # the component walk in graphs.py
+    # the component walk in graphs.py, shared by Graph and the solve plan
     Mutant(
         "component-walk-keeps-removed-vertices",
         GRAPHS,
-        "        left = self.full_mask & ~without\n",
-        "        left = self.full_mask\n",
+        "        return component_walk(self.adj, self.full_mask & ~without)\n",
+        "        return component_walk(self.adj, self.full_mask)\n",
         (T_COMPONENTS,),
+    ),
+    Mutant(
+        "component-walk-stops-at-the-first-neighbors",
+        GRAPHS,
+        "            frontier ^= low | new\n",
+        "            frontier ^= low\n",
+        (T_COMPONENTS, T_SPLIT),
     ),
     # isomorphism_classes reading the class table
     Mutant(
@@ -425,6 +476,106 @@ MUTANTS = (
         "        all(d <= 1 for d in low_degs),\n",
         "        all(d <= 2 for d in low_degs),\n",
         (T_LOCAL8_RULE, T_LOCAL8_SPARSE),
+    ),
+    # the graph6 codec: bit order and padding
+    Mutant(
+        "graph6-emit-bits-lsb-first",
+        GRAPH6,
+        "        for b in group:\n",
+        "        for b in reversed(group):\n",
+        (T_G6_ENCODE, T_G6_EMIT_NX),
+    ),
+    Mutant(
+        "graph6-emit-column-reversed",
+        GRAPH6,
+        "        for i in range(j):\n            bits.append(col >> i & 1)\n",
+        "        for i in reversed(range(j)):\n            bits.append(col >> i & 1)\n",
+        (T_G6_ENCODE, T_G6_EMIT_NX),
+    ),
+    Mutant(
+        "graph6-parse-bits-lsb-first",
+        GRAPH6,
+        "        for shift in range(5, -1, -1):\n",
+        "        for shift in range(6):\n",
+        (T_G6_DECODE, T_G6_PARSE_NX),
+    ),
+    Mutant(
+        "graph6-parse-column-reversed",
+        GRAPH6,
+        "        for i in range(j):\n            if bits[k]:\n",
+        "        for i in reversed(range(j)):\n            if bits[k]:\n",
+        (T_G6_DECODE, T_G6_PARSE_NX),
+    ),
+    Mutant(
+        "graph6-padding-unchecked",
+        GRAPH6,
+        "    if any(bits[nbits:]):\n",
+        "    if False:\n",
+        (T_G6_PADDING,),
+    ),
+    Mutant(
+        "graph6-padding-first-bit-unchecked",
+        GRAPH6,
+        "    if any(bits[nbits:]):\n",
+        "    if any(bits[nbits + 1 :]):\n",
+        (T_G6_PADDING,),
+    ),
+    # the harness claim checks
+    Mutant(
+        "carac-lemma-one-witness-enough",
+        HARNESS,
+        "    all_witnessed = all(pairs)\n",
+        "    all_witnessed = any(pairs)\n",
+        (T_CARAC,),
+    ),
+    Mutant(
+        "carac-lemma-chase-skipped",
+        HARNESS,
+        "    if f.v_critical and all_witnessed:\n",
+        "    if False:\n",
+        (T_CHASE_REPORT,),
+    ),
+    Mutant(
+        "carac-lemma-chase-lands-on-x-only",
+        HARNESS,
+        "    return any(a2 in (x, b) for a2, _ in pairs[a])\n",
+        "    return any(a2 == x for a2, _ in pairs[a])\n",
+        (T_CHASE, T_CHASE_REPORT),
+    ),
+    Mutant(
+        "cut-structure-verdict-inverted",
+        HARNESS,
+        "    if not _cut_structure(f):\n",
+        "    if _cut_structure(f):\n",
+        (T_CUT_ORDER5,),
+    ),
+    Mutant(
+        "local8-route-disagreement-ignored",
+        HARNESS,
+        "    if lit != fast:\n",
+        "    if False:\n",
+        (T_LOCAL8_ROUTES,),
+    ),
+    Mutant(
+        "local8-family-check-dropped",
+        HARNESS,
+        "    if conj != matches:\n",
+        "    if False:\n",
+        (T_LOCAL8_ODD,),
+    ),
+    Mutant(
+        "local8-criticality-check-dropped",
+        HARNESS,
+        "    if conj != critical:\n",
+        "    if False:\n",
+        (T_LOCAL8_CRIT,),
+    ),
+    Mutant(
+        "local8-criticality-without-saturated",
+        HARNESS,
+        "    critical = f.v_critical and f.e_critical and f.saturated\n",
+        "    critical = f.v_critical and f.e_critical\n",
+        (T_LOCAL8_CRIT,),
     ),
 )
 
