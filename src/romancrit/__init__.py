@@ -56,6 +56,7 @@ from .gamma4 import (
     IS_DN,
     NOT_CRITICAL,
     Classification,
+    catalog_verdict,
     classify_critical4,
     cut_vertex_structure,
     ecrit4_by_degrees,

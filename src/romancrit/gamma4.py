@@ -18,12 +18,13 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionViolated
-from .graphs import Graph, gen_family
-from .iso import is_isomorphic
+from .graphs import Graph
 # DegreeClasses and degree_classes are re-exported from here
 from .criticality import DegreeClasses, Facts, _facts, degree_classes  # noqa: F401
 # not called here; bench/tracer.py wraps these bindings
 from .criticality import is_e_critical, is_roman_saturated, is_v_critical  # noqa: F401
+from .graphs import gen_family  # noqa: F401
+from .iso import is_isomorphic  # noqa: F401
 from .solver import gamma_r  # noqa: F401
 
 
@@ -141,7 +142,7 @@ def every_cut_vertex_leaves_pendant_component(g: Graph | Facts) -> bool:
 
 def _cut_structure(f: Facts) -> bool:
     g = f.g
-    if is_isomorphic(g, gen_family("cycle", 5)):
+    if catalog_verdict(f) == IS_C5:
         return True
     low = sorted(f.degree_classes.low)
     if len(low) != 1:
@@ -189,37 +190,52 @@ class Classification:
         return self.verdict
 
 
+def catalog_verdict(g: Graph | Facts) -> str | None:
+    """The catalog member g is isomorphic to, read from its degrees, or
+    None: ElementaryG1, G2 or G3 (order 4, maximum degree at most 1, by
+    edge count 0, 1 or 2), IsC5 (order 5, 2-regular) or IsDn (order
+    n >= 6, degrees [1] + [n - 3] * (n - 1)).
+
+    Each member is fixed by its degree sequence. An order-4 graph of
+    maximum degree at most 1 is a matching, fixed by its edge count. The
+    one 2-regular graph of order 5 is C5, since a cycle has at least 3
+    vertices. In the complement of a graph with the last sequence, the
+    degree-1 vertex p misses only its neighbour q, and every other vertex
+    has degree 2. So the complement minus p keeps q at degree 2 and leaves
+    every other vertex at degree 1: a P3 centred on q plus a perfect
+    matching, which forces n even. All such graphs are isomorphic, and
+    D_n (graphs._dn) is one of them.
+    """
+    g = _facts(g).g
+    n = g.n
+    degs = g.degrees()
+    if n == 4 and max(degs) <= 1:
+        return (ELEMENTARY_G1, ELEMENTARY_G2, ELEMENTARY_G3)[g.edge_count()]
+    if n == 5 and all(d == 2 for d in degs):
+        return IS_C5
+    if n >= 6 and sorted(degs) == [1] + [n - 3] * (n - 1):
+        return IS_DN
+    return None
+
+
 def classify_critical4(g: Graph | Facts) -> Classification:
     """Sort a graph into the gamma_r = 4 criticality catalog.
 
-    Elementary side (order 4): v-critical graphs match one of the three
-    catalog graphs up to isomorphism. Nonelementary side: v-critical,
-    e-critical, saturated graphs match the 5-cycle or the even pendant
-    family. Anything critical that matches nothing is reported as
-    CriticalButUnclassified; everything else is NotCritical. Relies on the
-    isomorphism backtracker, so qualifying graphs above order 12 raise
-    TooLarge.
+    Elementary side (order 4): v-critical graphs are one of the three
+    catalog graphs. Nonelementary side: v-critical, e-critical, saturated
+    graphs are the 5-cycle or a member of the even pendant family. Anything
+    critical that is no catalog member is reported as
+    CriticalButUnclassified; everything else is NotCritical. Membership is
+    read from catalog_verdict.
     """
     f = _facts(g)
-    g = f.g
-    if g.n < 4 or f.gamma != 4 or not f.v_critical:
+    n = f.g.n
+    if n < 4 or f.gamma != 4 or not f.v_critical:
         return Classification(NOT_CRITICAL)
-    if g.n == 4:
-        for tag, verdict in (
-            ("elem1", ELEMENTARY_G1),
-            ("elem2", ELEMENTARY_G2),
-            ("elem3", ELEMENTARY_G3),
-        ):
-            if is_isomorphic(g, gen_family(tag)):
-                return Classification(verdict)
-        return Classification(CRITICAL_BUT_UNCLASSIFIED)
-    if not f.saturated or not f.e_critical:
+    if n > 4 and (not f.saturated or not f.e_critical):
         return Classification(NOT_CRITICAL)
-    if g.n == 5 and is_isomorphic(g, gen_family("cycle", 5)):
-        return Classification(IS_C5)
-    if g.n >= 6 and g.n % 2 == 0 and is_isomorphic(g, gen_family("dn", g.n)):
-        return Classification(IS_DN, g.n)
-    return Classification(CRITICAL_BUT_UNCLASSIFIED)
+    verdict = catalog_verdict(f) or CRITICAL_BUT_UNCLASSIFIED
+    return Classification(verdict, n if verdict == IS_DN else None)
 
 
 def _nonneighbors(g: Graph, v: int) -> list[int]:

@@ -33,8 +33,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
 from .graphs import Graph, gen_family
 from .graph6 import emit_graph6, parse_graph6
-from .iso import is_isomorphic
 # not called here; bench/tracer.py wraps these bindings
+from .iso import is_isomorphic  # noqa: F401
 from .solver import gamma_r, minimal_partitions  # noqa: F401
 from .criticality import _pivot_condition, _saturated_over_partitions  # noqa: F401
 from .criticality import (
@@ -54,6 +54,7 @@ from .gamma4 import (
     IS_DN,
     _cut_structure,
     _witness_pairs_raw,
+    catalog_verdict,
     classify_critical4,
     ecrit4_by_degrees,
     high_class_bounds,
@@ -370,11 +371,8 @@ def _chk_ecrit_condition(f: Facts) -> list[str]:
     )
 
 
-_ELEM_TAGS = ("elem1", "elem2", "elem3")
-
-
 def _chk_elementary4(f: Facts) -> list[str]:
-    in_list = any(is_isomorphic(f.g, gen_family(t)) for t in _ELEM_TAGS)
+    in_list = catalog_verdict(f) is not None
     return _dual("is_v_critical", f.v_critical, "in_order4_catalog", in_list)
 
 
@@ -467,7 +465,6 @@ def _chk_classification(f: Facts) -> list[str]:
 
 
 def _chk_local8(f: Facts) -> list[str]:
-    g = f.g
     lit = local8_conditions(f)
     fast = local8_fast(f)
     diags = []
@@ -476,7 +473,7 @@ def _chk_local8(f: Facts) -> list[str]:
             f"dual-path-disagreement: local8_conditions={lit} local8_fast={fast}"
         )
     conj = all(lit)
-    matches = g.n % 2 == 0 and is_isomorphic(g, gen_family("dn", g.n))
+    matches = catalog_verdict(f) == IS_DN
     if conj != matches:
         diags.append(
             f"local-conditions-conjunction={conj} matches-even-pendant-family={matches}"
@@ -499,12 +496,7 @@ _DN_PROPERTIES = (
 
 
 def _hyp_dn(f: Facts) -> bool:
-    n = f.g.n
-    if n < 6 or n % 2:
-        return False
-    if sorted(f.g.degrees()) != [1] + [n - 3] * (n - 1):
-        return False
-    return is_isomorphic(f.g, gen_family("dn", n))
+    return catalog_verdict(f) == IS_DN
 
 
 def _chk_dn(f: Facts) -> list[str]:

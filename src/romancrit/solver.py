@@ -15,8 +15,8 @@ which the criticality predicates ask of each graph they derive.
 
 gamma_r, gamma_at_most and minimal_partitions all follow one plan,
 ``_components``: the isolated vertices, each labeled 1, and the parts to
-sweep. Below order _SPLIT_ORDER, and for a connected graph, the whole graph
-is the one part. From order _SPLIT_ORDER up, each connected component of a
+sweep, from order _SPLIT_ORDER up; smaller graphs are swept whole. A
+connected graph is its own one part, and each connected component of a
 disconnected graph other than a K1 is a part, renumbered in ascending vertex
 order, which keeps bitmask order. A Roman assignment of G is one per
 component, so weight, 2-set size and 2-set bitmask (on disjoint bits) all
@@ -60,8 +60,8 @@ _SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 # took 3.6 us split against 4.9 us whole, order 10 6.5 against 12.6 us
 # (seeded, Python 3.11, x86-64). From order 10 the gain on such a mix is
 # several times the loss on dense graphs. It stays at most _SWEEP_FREE_ORDER,
-# since gamma_mask and _at_most solve smaller graphs without the plan and its
-# guard.
+# since gamma_mask, _at_most and _partition_pairs solve smaller graphs
+# without the plan and its guard.
 _SPLIT_ORDER = 10
 
 
@@ -204,39 +204,36 @@ def _components(
     sweep, each as its vertices in ascending order and its closed
     neighborhoods renumbered in that order, by ascending least vertex.
 
-    Below order _SPLIT_ORDER, or on a connected graph, the one part is the
-    whole graph, with vertices None and its own masks; otherwise every
-    component but a K1 is a part. Raises TooLarge when the sweeps for a
-    Roman weight at most limit would pass SWEEP_MAX_SETS (see _check_sweep).
+    A connected graph is the one part, with vertices None and its own
+    masks; otherwise every component but a K1 is a part. Graphs below order
+    _SPLIT_ORDER are solved without it. Raises TooLarge when the sweeps for
+    a weight at most limit would pass SWEEP_MAX_SETS (see _check_sweep).
     """
-    if n < _SPLIT_ORDER:
-        lone, parts = 0, [(None, closed)]
-    else:
-        full = (1 << n) - 1
-        lone, parts = 0, []
-        for comp in component_walk(closed, full):
-            if comp == full:
-                parts.append((None, closed))
-                break
-            if comp.bit_count() == 1:
-                lone |= comp
-                continue
-            verts = []
-            while comp:
-                low = comp & -comp
-                verts.append(low.bit_length() - 1)
-                comp ^= low
-            bit = {v: 1 << i for i, v in enumerate(verts)}
-            sub = []
-            for v in verts:
-                c = closed[v]
-                m = 0
-                while c:
-                    low = c & -c
-                    m |= bit[low.bit_length() - 1]
-                    c ^= low
-                sub.append(m)
-            parts.append((verts, sub))
+    full = (1 << n) - 1
+    lone, parts = 0, []
+    for comp in component_walk(closed, full):
+        if comp == full:
+            parts.append((None, closed))
+            break
+        if comp.bit_count() == 1:
+            lone |= comp
+            continue
+        verts = []
+        while comp:
+            low = comp & -comp
+            verts.append(low.bit_length() - 1)
+            comp ^= low
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        sub = []
+        for v in verts:
+            c = closed[v]
+            m = 0
+            while c:
+                low = c & -c
+                m |= bit[low.bit_length() - 1]
+                c ^= low
+            sub.append(m)
+        parts.append((verts, sub))
     if n > _SWEEP_FREE_ORDER:
         _check_sweep([sub for _, sub in parts], n, limit)
     return lone, parts
@@ -434,9 +431,14 @@ def _partition_pairs(
 
     A known gamma_r passed as gamma spares one solve: gamma_r adds over the
     parts, so the last part weighs what the others leave. The order cap
-    comes first, before gamma_r is solved.
+    comes first, before gamma_r is solved. Below order _SPLIT_ORDER the
+    masks go straight to the sweep.
     """
     _partitions_guard(n)
+    if n < _SPLIT_ORDER:
+        if gamma is None:
+            gamma = _lightest(closed, n, n)[0]
+        return _sweep_pairs(closed, n, gamma)
     lone, parts = _components(closed, n, n)
     left = None if gamma is None else gamma - lone.bit_count()
     pairs = [(0, lone)]

@@ -129,6 +129,14 @@ def test_classify_lines(capsys, monkeypatch):
     ]
 
 
+def test_classify_past_the_isomorphism_cap(capsys, monkeypatch):
+    d14 = emit_graph6(gen_family("dn", 14))
+    _feed(monkeypatch, f"{d14}\n")
+    code, out, _ = _run(capsys, "classify")
+    assert code == 0
+    assert out == f"{d14} IsDn(14)\n"
+
+
 # -- gen ---------------------------------------------------------------------
 
 

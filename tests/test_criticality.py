@@ -429,6 +429,7 @@ PREDICATES = (
     gamma4.high_class_bounds,
     gamma4.every_cut_vertex_leaves_pendant_component,
     gamma4.cut_vertex_structure,
+    gamma4.catalog_verdict,
     gamma4.classify_critical4,
     gamma4.local8_conditions,
     gamma4.local8_fast,

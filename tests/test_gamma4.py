@@ -6,6 +6,9 @@ import pytest
 
 from romancrit import (
     CRITICAL_BUT_UNCLASSIFIED,
+    ELEMENTARY_G1,
+    ELEMENTARY_G2,
+    ELEMENTARY_G3,
     Facts,
     IS_C5,
     IS_DN,
@@ -14,6 +17,7 @@ from romancrit import (
     Graph,
     IndexOutOfRange,
     PreconditionViolated,
+    catalog_verdict,
     classify_critical4,
     cut_vertex_structure,
     degree_classes,
@@ -24,7 +28,9 @@ from romancrit import (
     graph_new,
     parse_graph6,
     high_class_bounds,
+    relabel,
     is_e_critical,
+    is_isomorphic,
     is_roman_saturated,
     is_v_critical,
     local8_conditions,
@@ -448,6 +454,95 @@ def test_classification_str():
     assert str(Classification(IS_DN, 8)) == "IsDn(8)"
     assert str(Classification(IS_C5)) == "IsC5"
     assert str(classify_critical4(gen_family("cycle", 6))) == "NotCritical"
+
+
+# -- the catalog by degree sequence -------------------------------------------
+
+
+def _catalog_by_search(g: Graph) -> str | None:
+    """The catalog member g is isomorphic to, by the backtracking search
+    (order 12 at most)."""
+    n = g.n
+    if n == 4:
+        members = [
+            (gen_family("elem1"), ELEMENTARY_G1),
+            (gen_family("elem2"), ELEMENTARY_G2),
+            (gen_family("elem3"), ELEMENTARY_G3),
+        ]
+    elif n == 5:
+        members = [(gen_family("cycle", 5), IS_C5)]
+    elif n >= 6 and n % 2 == 0:
+        members = [(gen_family("dn", n), IS_DN)]
+    else:
+        members = []
+    hits = [verdict for h, verdict in members if is_isomorphic(g, h)]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def test_catalog_verdict_matches_search_on_classes():
+    hits = {}
+    for n in range(9):
+        for rep, _ in isomorphism_classes(n, allow_large=True):
+            g = graph_from_edge_mask(n, rep)
+            want = _catalog_by_search(g)
+            assert catalog_verdict(g) == want, emit_graph6(g)
+            hits[n] = hits.get(n, 0) + (want is not None)
+    assert hits == {0: 0, 1: 0, 2: 0, 3: 0, 4: 3, 5: 1, 6: 1, 7: 0, 8: 1}
+
+
+def _double_edge_swap(rng: random.Random, g: Graph) -> Graph:
+    """g with edges ab, cd replaced by ad, cb for a seeded choice of four
+    distinct vertices where ad and cb are non-edges: the degrees stay."""
+    edges = g.edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.adj[a] >> d & 1 and not g.adj[c] >> b & 1:
+            return g.delete_edge(a, b).delete_edge(c, d).add_edge(a, d).add_edge(c, b)
+
+
+def test_catalog_verdict_on_relabeled_and_swapped_pendant_family():
+    # every graph with D_n's degrees is D_n; the search confirms each swap
+    rng = random.Random(1818)
+    for n in (10, 12):
+        dn = gen_family("dn", n)
+        for _ in range(50):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert catalog_verdict(relabel(dn, perm)) == IS_DN
+            g = _double_edge_swap(rng, dn)
+            assert g != dn and g.degrees() == dn.degrees()
+            assert is_isomorphic(g, dn)
+            assert catalog_verdict(g) == IS_DN
+    for n in range(14, 21, 2):
+        dn = gen_family("dn", n)
+        for _ in range(10):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert catalog_verdict(relabel(dn, perm)) == IS_DN
+
+
+def test_catalog_verdict_rejects_nearby_degree_sequences():
+    # K_{n-1} minus a perfect matching plus K1 has degrees [0] + [n-3]*(n-1)
+    for n in range(5, 22, 2):
+        assert catalog_verdict(_matching_complement_plus_isolated(n)) is None
+    for n in range(6, 21, 2):
+        dn = gen_family("dn", n)
+        assert catalog_verdict(dn.delete_edge(0, 1)) is None
+        assert catalog_verdict(dn.add_edge(2, 3)) is None
+    for g in (
+        gen_family("path", 4),
+        gen_family("cycle", 4),
+        graph_new(4, [(0, 1), (0, 2)]),
+        graph_new(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        gen_family("path", 5),
+        gen_family("cycle", 6),
+        gen_family("xn", 6),
+        graph_new(3),
+    ):
+        assert catalog_verdict(g) is None, emit_graph6(g)
 
 
 # -- local conditions at order >= 8 -------------------------------------------

@@ -661,13 +661,30 @@ def test_file_source(tmp_path):
 
 
 def test_guard_error_becomes_counterexample():
-    # the pendant-family membership test needs the isomorphism backtracker,
-    # which is capped at order 12; order 14 must be reported, not crash
-    g = gen_family("dn", 14)
-    rep = verify_claim("dn-properties", ("graphs", (g,)))
+    # the minimum partitions are capped at order 24; order 25 must be
+    # reported, not crash
+    g = gen_family("complete", 25)
+    rep = verify_claim("vcrit-partition-lemma", ("graphs", (g,)))
     assert rep.graphs_scanned == 1
     assert len(rep.counterexamples) == 1
-    assert rep.counterexamples[0].diagnostic.startswith("guard-error: TooLarge")
+    assert rep.counterexamples[0].diagnostic == (
+        "guard-error: TooLarge: partition enumeration capped at order 24, got 25"
+    )
+
+
+def test_pendant_family_claims_answer_past_order_12():
+    # catalog membership is read from the degrees, so no isomorphism cap
+    # applies to the claims that ask for it
+    source = ("families", (("dn", 14), ("dn", 16), ("dn", 20)))
+    for cid in (
+        "dn-properties",
+        "classification-theorem",
+        "cut-structure-prop",
+        "local8-theorem",
+    ):
+        rep = verify_claim(cid, source)
+        assert rep.graphs_in_hypothesis == 3, cid
+        assert rep.counterexamples == (), cid
 
 
 # -- report shape ------------------------------------------------------------

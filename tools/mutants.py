@@ -81,6 +81,9 @@ T_LOCAL8_PENDANT = "tests/test_gamma4.py::test_local8_on_pendant_family"
 T_LOCAL8_SPARSE = (
     "tests/test_gamma4.py::test_local8_fast_a_and_c_on_order8_classes_with_sparse_low_vertices"
 )
+T_CATALOG = "tests/test_gamma4.py::test_catalog_verdict_matches_search_on_classes"
+T_CATALOG_DN = "tests/test_gamma4.py::test_catalog_verdict_on_relabeled_and_swapped_pendant_family"
+T_CATALOG_NEAR = "tests/test_gamma4.py::test_catalog_verdict_rejects_nearby_degree_sequences"
 T_G6_ENCODE = "tests/test_graph6.py::test_known_encodings"
 T_G6_DECODE = "tests/test_graph6.py::test_known_decodings"
 T_G6_EMIT_NX = "tests/test_graph6.py::test_emit_matches_networkx"
@@ -181,22 +184,22 @@ MUTANTS = (
     Mutant(
         "components-k1-made-a-part",
         SOLVER,
-        "            if comp.bit_count() == 1:\n",
-        "            if comp.bit_count() == 0:\n",
+        "        if comp.bit_count() == 1:\n",
+        "        if comp.bit_count() == 0:\n",
         (T_SPLIT,),
     ),
     Mutant(
         "components-k2-kept-in-the-mask",
         SOLVER,
-        "            if comp.bit_count() == 1:\n",
-        "            if comp.bit_count() <= 2:\n",
+        "        if comp.bit_count() == 1:\n",
+        "        if comp.bit_count() <= 2:\n",
         (T_PAIRS_SPLIT, T_SMALL_COMPS),
     ),
     Mutant(
         "components-guard-skipped-for-the-whole-graph",
         SOLVER,
-        "                parts.append((None, closed))\n                break\n",
-        "                return 0, [(None, closed)]\n",
+        "            parts.append((None, closed))\n            break\n",
+        "            return 0, [(None, closed)]\n",
         (T_AT_MOST_GUARD,),
     ),
     Mutant(
@@ -209,8 +212,8 @@ MUTANTS = (
     Mutant(
         "split-reversed-renumbering",
         SOLVER,
-        "            bit = {v: 1 << i for i, v in enumerate(verts)}\n",
-        "            bit = {v: 1 << i for i, v in enumerate(reversed(verts))}\n",
+        "        bit = {v: 1 << i for i, v in enumerate(verts)}\n",
+        "        bit = {v: 1 << i for i, v in enumerate(reversed(verts))}\n",
         (T_SPLIT,),
     ),
     Mutant(
@@ -251,8 +254,8 @@ MUTANTS = (
     Mutant(
         "split-never-applied",
         SOLVER,
-        "            if comp == full:\n",
-        "            if True:\n",
+        "        if comp == full:\n",
+        "        if True:\n",
         (T_TWO_C20,),
     ),
     Mutant(
@@ -476,6 +479,49 @@ MUTANTS = (
         "        all(d <= 1 for d in low_degs),\n",
         "        all(d <= 2 for d in low_degs),\n",
         (T_LOCAL8_RULE, T_LOCAL8_SPARSE),
+    ),
+    # the catalog by degree sequence
+    Mutant(
+        "catalog-order4-admits-degree-two",
+        GAMMA4,
+        "    if n == 4 and max(degs) <= 1:\n",
+        "    if n == 4 and max(degs) <= 2:\n",
+        (T_CATALOG, T_CATALOG_NEAR),
+    ),
+    Mutant(
+        "catalog-c5-any-order",
+        GAMMA4,
+        "    if n == 5 and all(d == 2 for d in degs):\n",
+        "    if all(d == 2 for d in degs):\n",
+        (T_CATALOG, T_CATALOG_NEAR),
+    ),
+    Mutant(
+        "catalog-elementary-index-shifted",
+        GAMMA4,
+        "[g.edge_count()]\n",
+        "[g.edge_count() - 1]\n",
+        (T_CATALOG,),
+    ),
+    Mutant(
+        "catalog-dn-high-degree-n-minus-2",
+        GAMMA4,
+        "    if n >= 6 and sorted(degs) == [1] + [n - 3] * (n - 1):\n",
+        "    if n >= 6 and sorted(degs) == [1] + [n - 2] * (n - 1):\n",
+        (T_CATALOG, T_CATALOG_DN),
+    ),
+    Mutant(
+        "catalog-dn-pendant-degree-zero",
+        GAMMA4,
+        "    if n >= 6 and sorted(degs) == [1] + [n - 3] * (n - 1):\n",
+        "    if n >= 6 and sorted(degs) == [0] + [n - 3] * (n - 1):\n",
+        (T_CATALOG, T_CATALOG_NEAR),
+    ),
+    Mutant(
+        "cut-structure-c5-unrecognised",
+        GAMMA4,
+        "    if catalog_verdict(f) == IS_C5:\n",
+        "    if False:\n",
+        (T_CUT_ORDER5,),
     ),
     # the graph6 codec: bit order and padding
     Mutant(
