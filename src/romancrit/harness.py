@@ -337,20 +337,17 @@ def _chk_gamma_le_3(f: Facts) -> list[str]:
 
 
 def _chk_vcrit_partitions(f: Facts) -> list[str]:
-    return _dual(
-        "is_v_critical",
-        f.v_critical,
-        "v_critical_by_partitions",
-        v_critical_by_partitions(f),
-    )
+    # the partition route first: it refuses an order above
+    # PARTITIONS_MAX_ORDER before gamma_r is solved for the direct route
+    by_parts = v_critical_by_partitions(f)
+    return _dual("is_v_critical", f.v_critical, "v_critical_by_partitions", by_parts)
 
 
 def _chk_saturated_partitions(f: Facts) -> list[str]:
+    # the partition route first, as in _chk_vcrit_partitions
+    by_parts = saturated_by_partitions(f)
     return _dual(
-        "is_roman_saturated",
-        f.saturated,
-        "saturated_by_partitions",
-        saturated_by_partitions(f),
+        "is_roman_saturated", f.saturated, "saturated_by_partitions", by_parts
     )
 
 

@@ -9,7 +9,9 @@ so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
 gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``, the
 yes/no question that stops at the first set light enough. It visits the
 sets of one size depth first in ascending bitmask order, each level adding
-one vertex's closed neighborhood to the cover its prefix carries.
+one vertex's closed neighborhood to the cover its prefix carries, and
+skips a last-level prefix whose cover, plus the largest closed neighborhood
+below it, falls short of the cover a light enough set needs.
 ``gamma_at_most`` wraps ``_at_most``, the same question on the masks,
 which the criticality predicates ask of each graph they derive.
 
@@ -46,9 +48,12 @@ from .graphs import Graph, component_walk
 
 ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
-# Most candidate 2-sets one gamma_r sweep may visit: at the measured 2.7M
-# sets/s the largest admitted sweep runs about twelve seconds (2^25 / 2.7M). C24 (7.0M)
-# passes, C30 (459M) is refused.
+# Most candidate 2-sets the sweeps for one gamma_r may be charged (see
+# _check_sweep). The charge counts every set of the sizes a sweep may reach,
+# the last-level sets _light_sets skips among them, so it overstates the
+# work: C26, charged 28.4M and the largest cycle admitted, solves in 0.12 s
+# and C24 (7.0M) in 43 ms (Python 3.11, x86-64); C27 (47.1M) and C30 (459M)
+# are refused.
 SWEEP_MAX_SETS = 1 << 25
 # Up to this order all 2^n - 1 nonempty sets fit under SWEEP_MAX_SETS, so
 # the guard cannot fire there and is not evaluated.
@@ -121,7 +126,10 @@ def _light_sets(
     the cover of the elements picked so far down a stack, and at the last
     level runs the lowest element under that prefix, one OR and one
     bit_count per set. A weight at most limit is a cover of at least
-    n + 2k - limit vertices.
+    need = n + 2k - limit vertices. The last level skips a prefix whose
+    cover, plus the largest closed neighborhood below its least element,
+    falls short of need: no set under it reaches need, and need only ever
+    rises, so the sets yielded are the same, in the same order.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -137,7 +145,13 @@ def _light_sets(
         return
     # depth d picks the (d+1)-th largest element x, from k-1-d up to below
     # the element picked one level up; the last level, k-2, picks the
-    # second smallest and runs the smallest inline
+    # second smallest and runs the smallest inline, unless the largest
+    # closed neighborhood below x, top[x], cannot lift the cover to need
+    top, m = [0], 0
+    for c in closed:
+        if c.bit_count() > m:
+            m = c.bit_count()
+        top.append(m)
     last = k - 2
     picked = [0] * last
     covs = [0] * (last + 1)
@@ -154,13 +168,14 @@ def _light_sets(
             hi = picked[d - 1] if d else n
         elif d == last:
             cov = covs[d] | closed[x]
-            y = 0
-            for c in closed[:x]:
-                if (cov | c).bit_count() >= need:
-                    c |= cov
-                    need = c.bit_count()
-                    yield sets[d] | 1 << x | 1 << y, full ^ c
-                y += 1
+            if cov.bit_count() + top[x] >= need:
+                y = 0
+                for c in closed[:x]:
+                    if (cov | c).bit_count() >= need:
+                        c |= cov
+                        need = c.bit_count()
+                        yield sets[d] | 1 << x | 1 << y, full ^ c
+                    y += 1
             x += 1
         else:
             picked[d] = x

@@ -32,7 +32,7 @@ from romancrit import (
     verify_claim,
     verify_claims,
 )
-from romancrit import _class_table, criticality, harness
+from romancrit import _class_table, criticality, harness, solver
 from romancrit.gamma4 import _witness_pairs_raw
 from romancrit.harness import (
     ENUMERATION_MAX_ORDER,
@@ -670,6 +670,23 @@ def test_guard_error_becomes_counterexample():
     assert rep.counterexamples[0].diagnostic == (
         "guard-error: TooLarge: partition enumeration capped at order 24, got 25"
     )
+
+
+@pytest.mark.parametrize("cid", ["vcrit-partition-lemma", "saturated-partition-prop"])
+def test_partition_claims_refuse_the_order_before_any_sweep(monkeypatch, cid):
+    # C25 (gamma_r 17) gets the same one-line report as K25, and neither
+    # gamma_r nor the direct route's per-vertex or per-non-edge questions
+    # sweep a single set first
+    sweeps = []
+    real = solver._light_sets
+    monkeypatch.setattr(
+        solver, "_light_sets", lambda *args: sweeps.append(args) or real(*args)
+    )
+    rep = verify_claim(cid, ("graphs", (gen_family("cycle", 25),)))
+    assert [c.diagnostic for c in rep.counterexamples] == [
+        "guard-error: TooLarge: partition enumeration capped at order 24, got 25"
+    ]
+    assert sweeps == []
 
 
 def test_pendant_family_claims_answer_past_order_12():

@@ -287,17 +287,12 @@ def test_witness_idempotent():
 # -- the sweep primitive -----------------------------------------------------
 
 
-def _gosper_light_sets(closed, n, k, limit):
-    # oracle for solver._light_sets: the k-sets in ascending bitmask order
-    # from Gosper's hack, each cover rebuilt with a k-step OR loop, under
-    # the same running limit; it shares no prefix state with the
-    # depth-first sweep
+def _gosper_sets(closed, n, k):
+    # every k-set, k >= 1, in ascending bitmask order from Gosper's hack,
+    # with the vertices outside its closed neighborhood, each cover rebuilt
+    # with a k-step OR loop; it shares no prefix state and no bound with
+    # the depth-first sweep
     full = (1 << n) - 1
-    if k == 0:
-        if n <= limit:
-            yield 0, full
-        return
-    floor = 2 * k
     s = (1 << k) - 1
     top = 1 << n
     while s < top:
@@ -307,14 +302,31 @@ def _gosper_light_sets(closed, n, k, limit):
             low = t & -t
             cov |= closed[low.bit_length() - 1]
             t ^= low
-        rest = full & ~cov
+        yield s, full & ~cov
+        c = s & -s
+        r = s + c
+        s = (((s ^ r) >> 2) // c) | r
+
+
+def _under_running_limit(sets, k, limit):
+    # the (S, rest) pairs of k-sets whose weight is at most limit and at
+    # most that of every pair kept before
+    floor = 2 * k
+    for s, rest in sets:
         w = floor + rest.bit_count()
         if w <= limit:
             limit = w
             yield s, rest
-        c = s & -s
-        r = s + c
-        s = (((s ^ r) >> 2) // c) | r
+
+
+def _gosper_light_sets(closed, n, k, limit):
+    # oracle for solver._light_sets: the Gosper k-sets under the same
+    # running limit
+    if k == 0:
+        if n <= limit:
+            yield 0, (1 << n) - 1
+        return
+    yield from _under_running_limit(_gosper_sets(closed, n, k), k, limit)
 
 
 def _assert_sweeps_agree(g: Graph) -> None:
@@ -343,6 +355,57 @@ def test_light_sets_matches_gosper_sweep_random():
     for n in range(8, 14):
         for p in (0.15, 0.4):
             _assert_sweeps_agree(_random_graph(rng, n, p))
+
+
+def _with_hub(base: Graph, spokes: list[int], at_end: bool) -> Graph:
+    # base plus one vertex adjacent to the spokes, numbered n when at_end,
+    # else 0 with the base shifted up by one
+    n = base.n
+    hub, shift = (n, 0) if at_end else (0, 1)
+    edges = [(u + shift, v + shift) for u, v in base.edges()]
+    edges += [(hub, v + shift) for v in spokes]
+    return graph_new(n + 1, edges)
+
+
+def _last_level_bound_graphs() -> list[Graph]:
+    # graphs on which the last level's bound skips prefixes: cycles, whose
+    # perfect codes at orders 15, 18 and 21 reach need exactly; a hub of
+    # degree 6 at the highest index, so that every top[x] is 3, below the
+    # hub's 7, and at the lowest; unions swept whole; seeded G(n, p)
+    graphs = [gen_family("cycle", n) for n in range(14, 23)]
+    c16 = gen_family("cycle", 16)
+    spokes = [0, 3, 6, 9, 12, 14]
+    graphs += [_with_hub(c16, spokes, at_end) for at_end in (True, False)]
+    c6, c9 = gen_family("cycle", 6), gen_family("cycle", 9)
+    graphs += [
+        _disjoint_union(c9, c9),
+        _disjoint_union(c6, c6, c6),
+        _disjoint_union(gen_family("path", 7), c9, graph_new(1)),
+    ]
+    rng = random.Random(62)
+    graphs += [
+        _random_graph(rng, n, rng.choice((0.12, 0.2))) for n in range(16, 23)
+    ]
+    return graphs
+
+
+def test_light_sets_last_level_bound_matches_gosper_sweep():
+    # each graph swept whole at the sizes around gamma / 2 and the limits
+    # gamma - 1 .. gamma + 1, where need is high enough for the bound to
+    # skip most last-level prefixes
+    for g in _last_level_bound_graphs():
+        n = g.n
+        closed = solver._closed_masks(g)
+        gamma = solver._lightest(closed, n, n)[0]
+        for k in {max(gamma // 2 - 1, 2), gamma // 2}:
+            sets = list(_gosper_sets(closed, n, k))
+            for limit in (gamma - 1, gamma, gamma + 1):
+                got = list(solver._light_sets(closed, n, k, limit))
+                assert got == list(_under_running_limit(sets, k, limit)), (
+                    g.edges(),
+                    k,
+                    limit,
+                )
 
 
 def test_roman_number_matches_gosper_sweep(monkeypatch):

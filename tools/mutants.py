@@ -46,6 +46,7 @@ T_AT_MOST = "tests/test_solver.py::test_at_most_boundaries"
 T_AT_MOST_EXH = "tests/test_solver.py::test_gamma_at_most_matches_gamma_r_exhaustive"
 T_AT_MOST_GUARD = "tests/test_solver.py::test_at_most_guard_sits_before_the_size_one_exit"
 T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
+T_BOUND = "tests/test_solver.py::test_light_sets_last_level_bound_matches_gosper_sweep"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
 T_SUMMED = "tests/test_solver.py::test_sweep_guard_sums_the_charge_over_components"
@@ -164,21 +165,53 @@ MUTANTS = (
     Mutant(
         "light-sets-reversed-leaf-order",
         SOLVER,
-        "            y = 0\n"
-        "            for c in closed[:x]:\n"
-        "                if (cov | c).bit_count() >= need:\n"
-        "                    c |= cov\n"
-        "                    need = c.bit_count()\n"
-        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n"
-        "                y += 1\n",
-        "            y = x\n"
-        "            for c in reversed(closed[:x]):\n"
-        "                y -= 1\n"
-        "                if (cov | c).bit_count() >= need:\n"
-        "                    c |= cov\n"
-        "                    need = c.bit_count()\n"
-        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n",
+        "                y = 0\n"
+        "                for c in closed[:x]:\n"
+        "                    if (cov | c).bit_count() >= need:\n"
+        "                        c |= cov\n"
+        "                        need = c.bit_count()\n"
+        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n"
+        "                    y += 1\n",
+        "                y = x\n"
+        "                for c in reversed(closed[:x]):\n"
+        "                    y -= 1\n"
+        "                    if (cov | c).bit_count() >= need:\n"
+        "                        c |= cov\n"
+        "                        need = c.bit_count()\n"
+        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n",
         (T_GOSPER,),
+    ),
+    # the last level's bound; a looser bound (top[x + 1], the largest
+    # closed neighborhood overall) only skips less and is no mutant
+    Mutant(
+        "last-level-bound-strict",
+        SOLVER,
+        "            if cov.bit_count() + top[x] >= need:\n",
+        "            if cov.bit_count() + top[x] > need:\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "last-level-bound-misses-the-vertex-below-x",
+        SOLVER,
+        "            if cov.bit_count() + top[x] >= need:\n",
+        "            if cov.bit_count() + top[x - 1] >= need:\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "last-level-bound-no-running-max",
+        SOLVER,
+        "        if c.bit_count() > m:\n"
+        "            m = c.bit_count()\n"
+        "        top.append(m)\n",
+        "        top.append(c.bit_count())\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "last-level-bound-one-short",
+        SOLVER,
+        "            m = c.bit_count()\n",
+        "            m = c.bit_count() - 1\n",
+        (T_BOUND,),
     ),
     # the solve plan, _components, and its use by gamma_mask and _at_most
     Mutant(
