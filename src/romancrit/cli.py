@@ -19,7 +19,12 @@ from .errors import RomanCritError
 from .gamma4 import classify_critical4
 from .graphs import FAMILY_TAGS, Graph, gen_family
 from .graph6 import GRAPH6_HEADER, emit_graph6, parse_graph6
-from .harness import claim_catalog, criticality_report, verify_claims
+from .harness import (
+    ENUMERATION_MAX_ORDER,
+    claim_catalog,
+    criticality_report,
+    verify_claims,
+)
 from .solver import RomanAssignment, roman_number, roman_number_oracle
 
 
@@ -71,7 +76,8 @@ def build_parser() -> Parser:
         metavar="N",
         type=int,
         default=None,
-        help="scan all 2^C(N,2) labeled graphs of order N",
+        help="scan all 2^C(N,2) labeled graphs of order N, capped at order "
+        f"{ENUMERATION_MAX_ORDER}",
     )
     p_verify.add_argument("--input", metavar="FILE", default=None)
     p_verify.add_argument(
@@ -90,11 +96,6 @@ def build_parser() -> Parser:
         "--timing",
         action="store_true",
         help="include wall_time_ms in JSON output",
-    )
-    p_verify.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="lift the order-7 enumeration guard",
     )
     p_verify.add_argument(
         "--workers",
@@ -246,7 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "every scan runs in one process",
             file=sys.stderr,
         )
-    reports = verify_claims(args.claims, source, allow_large=args.allow_large)
+    reports = verify_claims(args.claims, source)
 
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -11,9 +11,8 @@ it once per labeled copy. Whether a claim's hypothesis holds and whether its
 check reports are isomorphism invariants, so the copies are checked only
 where the representative reports or raises, and the reports equal those of
 a scan over every labeled graph. The classes come from the checked-in
-``_class_table``, which covers orders 0-8: orders above
-``ENUMERATION_MAX_ORDER`` need allow_large, and orders above the table are
-refused.
+``_class_table``, which covers orders 0-8; ``ENUMERATION_MAX_ORDER`` is its
+top order, and every enumeration refuses an order above it.
 
 Each scanned graph gets one ``Facts`` (defined in ``criticality``), which
 every claim and ``criticality_report`` read and hand to the predicates; a
@@ -64,7 +63,7 @@ from .gamma4 import (
     vcrit4_by_degrees,
 )
 
-ENUMERATION_MAX_ORDER = 7
+ENUMERATION_MAX_ORDER = 8
 
 _EDGE_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
 
@@ -91,21 +90,18 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _labeled_count(n: int, allow_large: bool) -> int:
-    """2^C(n,2), the number of labeled graphs of order n, behind the guard."""
+def _enumeration_guard(n: int) -> None:
+    """Refuse an order below 0 or above the class table's top order."""
     if n < 0:
         raise InvalidOrder(f"order must be >= 0, got {n}")
-    if n > ENUMERATION_MAX_ORDER and not allow_large:
-        raise TooLarge(
-            f"enumeration guarded at order {ENUMERATION_MAX_ORDER}; "
-            f"pass allow_large to override"
-        )
-    return 1 << (n * (n - 1) // 2)
+    if n > ENUMERATION_MAX_ORDER:
+        raise TooLarge(f"enumeration capped at order {ENUMERATION_MAX_ORDER}, got {n}")
 
 
-def iter_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+def iter_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs of order n, ascending edge bitmask."""
-    for mask in range(_labeled_count(n, allow_large)):
+    _enumeration_guard(n)
+    for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_edge_mask(n, mask)
 
 
@@ -165,23 +161,18 @@ class EdgePermutations:
         return set(array(self._code, images.to_bytes(self._nbytes, sys.byteorder)))
 
 
-def isomorphism_classes(
-    n: int, allow_large: bool = False
-) -> list[tuple[int, int]]:
+def isomorphism_classes(n: int) -> list[tuple[int, int]]:
     """One (representative, class size) pair per isomorphism class of order n.
 
     The representative is the smallest edge mask of its class and the size
     its number of labeled copies, n!/|Aut|; pairs come in ascending
-    representative order and the sizes sum to 2^C(n,2). Orders above
-    ``ENUMERATION_MAX_ORDER`` need allow_large. Every order is read from the
-    checked-in ``_class_table``, which covers orders 0-8; an order above it
-    is refused.
+    representative order and the sizes sum to 2^C(n,2). Every order is read
+    from the checked-in ``_class_table``, whose top order 8 is
+    ``ENUMERATION_MAX_ORDER``; an order above it is refused.
     """
-    _labeled_count(n, allow_large)
+    _enumeration_guard(n)
     from ._class_table import CLASSES
 
-    if n >= len(CLASSES):
-        raise TooLarge(f"no class table above order {len(CLASSES) - 1}")
     return [
         (int(rep), int(size))
         for rep, size in (token.split(":") for token in CLASSES[n].split())
@@ -792,7 +783,6 @@ def verify_claims(
     claim_ids: Sequence[str],
     source: Source,
     workers: int | None = None,
-    allow_large: bool = False,
 ) -> list[VerificationReport]:
     """Run several claims over one source in a single scan.
 
@@ -805,7 +795,7 @@ def verify_claims(
     label, graphs = _open_source(source)
     start = time.monotonic()
     if graphs is None:
-        classes = isomorphism_classes(source[1], allow_large)
+        classes = isomorphism_classes(source[1])
         scanned = sum(size for _, size in classes)
         acc = _scan_classes(claims, source[1], classes)
     else:
@@ -839,7 +829,6 @@ def verify_claim(
     claim_id: str,
     source: Source,
     workers: int | None = None,
-    allow_large: bool = False,
 ) -> VerificationReport:
     """Run one claim over a source of graphs."""
-    return verify_claims([claim_id], source, workers, allow_large)[0]
+    return verify_claims([claim_id], source, workers)[0]

@@ -109,7 +109,7 @@ def main(argv: Sequence[str]) -> int:
         return 0
     if list(argv) == ["orbits"]:
         n = SWEEP_MAX_ORDER
-        classes = isomorphism_classes(n, allow_large=True)
+        classes = isomorphism_classes(n)
         reps = [rep for rep, _ in classes]
         if reps != sorted(set(reps)):
             raise AssertionError(f"order {n}: representatives do not ascend")

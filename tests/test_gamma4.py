@@ -483,7 +483,7 @@ def _catalog_by_search(g: Graph) -> str | None:
 def test_catalog_verdict_matches_search_on_classes():
     hits = {}
     for n in range(9):
-        for rep, _ in isomorphism_classes(n, allow_large=True):
+        for rep, _ in isomorphism_classes(n):
             g = graph_from_edge_mask(n, rep)
             want = _catalog_by_search(g)
             assert catalog_verdict(g) == want, emit_graph6(g)
@@ -596,7 +596,7 @@ def test_local8_fast_a_and_c_on_order8_classes_with_sparse_low_vertices():
     # n-3) all have degree at most 2, so that shortcut c must tell degree 1
     # from degree 2; a and c match the literal conditions
     c_outcomes = {True: 0, False: 0}
-    for rep, _ in isomorphism_classes(8, allow_large=True):
+    for rep, _ in isomorphism_classes(8):
         g = graph_from_edge_mask(8, rep)
         low = [d for d in g.degrees() if d < 5]
         if not low or max(low) > 2 or gamma_r(g) != 4:

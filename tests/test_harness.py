@@ -104,28 +104,35 @@ def _matching_complement_plus_isolated(n: int) -> Graph:
 # -- enumeration -------------------------------------------------------------
 
 
+# OEIS A000088
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+
+
 def test_labeled_graph_counts():
     for n, count in ((0, 1), (1, 1), (2, 2), (3, 8), (4, 64), (5, 1024)):
         assert sum(1 for _ in iter_labeled_graphs(n)) == count
 
 
 def test_enumeration_guards():
-    with pytest.raises(TooLarge):
-        next(iter_labeled_graphs(8))
+    # the class table's orders 0-8 are admitted by both enumerations
+    for n in range(ENUMERATION_MAX_ORDER + 1):
+        assert len(isomorphism_classes(n)) == A000088[n]
+        assert next(iter_labeled_graphs(n)).n == n
+    first = next(iter_labeled_graphs(8))
+    assert first.n == 8 and first.edge_count() == 0
+    # order 9 is refused by one check, with one text, at every entry point
+    for refuse in (
+        lambda: isomorphism_classes(9),
+        lambda: next(iter_labeled_graphs(9)),
+        lambda: verify_claims(["carac-lemma"], ("enumerate", 9)),
+    ):
+        with pytest.raises(TooLarge) as exc:
+            refuse()
+        assert str(exc.value) == "enumeration capped at order 8, got 9"
     with pytest.raises(InvalidOrder):
         next(iter_labeled_graphs(-1))
-    with pytest.raises(TooLarge):
-        isomorphism_classes(8)
     with pytest.raises(InvalidOrder):
         isomorphism_classes(-1)
-    # the class table stops at order 8
-    with pytest.raises(TooLarge, match="no class table above order 8"):
-        isomorphism_classes(9, allow_large=True)
-    with pytest.raises(TooLarge, match="no class table above order 8"):
-        verify_claims(["carac-lemma"], ("enumerate", 9), allow_large=True)
-    # the override exists for deliberate long runs
-    first = next(iter_labeled_graphs(8, allow_large=True))
-    assert first.n == 8 and first.edge_count() == 0
 
 
 def test_graph_from_edge_mask_round_trip():
@@ -143,21 +150,23 @@ def _edge_mask(g: Graph) -> int:
     return sum(1 << i for i, (u, v) in enumerate(pairs) if g.adjacent(u, v))
 
 
-# OEIS A000088
-A000088 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+# Orders the orbit sweep checks in tier-1. Order 8 would take about 100 s
+# and a 256 MiB seen-map; its classes are checked by the sampled orbit test
+# below and in full by `python tests/class_sweep.py orbits`.
+SWEPT_ORDERS = range(8)
 
 
 @pytest.fixture(scope="module")
 def swept() -> list[list[tuple[int, int]]]:
     """The orbit sweep's classes of orders 0-7, swept once per module."""
-    return [sweep_classes(n) for n in range(ENUMERATION_MAX_ORDER + 1)]
+    return [sweep_classes(n) for n in SWEPT_ORDERS]
 
 
 def test_isomorphism_class_counts():
     # every order of the table: a class's edge count is its representative's,
     # and C(C(n,2), e) labeled graphs have e edges
     for n, count in enumerate(A000088):
-        classes = isomorphism_classes(n, allow_large=True)
+        classes = isomorphism_classes(n)
         assert len(classes) == count
         reps = [rep for rep, _ in classes]
         assert all(a < b for a, b in zip(reps, reps[1:]))
@@ -171,7 +180,7 @@ def test_isomorphism_class_counts():
 def test_class_table_order8_sample_are_orbit_minima():
     # the full check of all 12,346 orbits is `python tests/class_sweep.py
     # orbits`; here the first and last classes and a seeded sample
-    classes = isomorphism_classes(8, allow_large=True)
+    classes = isomorphism_classes(8)
     check_orbits(8, [classes[0], classes[-1], *random.Random(8).sample(classes, 100)])
 
 
@@ -180,19 +189,19 @@ def test_class_table_is_the_generator_output(swept):
     # read back from the table, whose orbits the other tests check
     assert TABLE_COMMAND in _class_table.__doc__
     path = Path(_class_table.__file__)
-    order8 = isomorphism_classes(8, allow_large=True)
+    order8 = isomorphism_classes(8)
     assert path.read_bytes() == table_module([*swept, order8]).encode("ascii")
 
 
 def test_class_table_matches_the_sweep(swept):
-    for n in range(ENUMERATION_MAX_ORDER + 1):
+    for n in SWEPT_ORDERS:
         assert isomorphism_classes(n) == swept[n], n
 
 
 def test_class_table_orders():
-    # one string per order 0..8, the only source of classes; order 8 is
-    # read under allow_large and order 9 is refused
-    assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 2
+    # one string per order 0..8, the only source of classes; the table's
+    # top order is the enumeration guard
+    assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 1
 
 
 def _count_edge_permutations(monkeypatch) -> list[int]:

@@ -6,9 +6,11 @@
 
 Each ``--src [NAME=]DIR`` names a directory that holds the ``romancrit``
 package, so one script times two checkouts on the same graphs. Each source
-runs in a fresh interpreter of this script (``--column DIR``), one after
-another, and the record holds one column per source, side by side. Every
-timing is the best of three calls on:
+runs twice, each time in a fresh interpreter of this script (``--column
+DIR``): a first round in the order given and a second in reverse, so that no
+source always runs first. The record holds one column per source, side by
+side. Every timing is the best of three calls in each round, and the better
+of the two rounds, on:
 
   C15 .. C24              cycles, where gamma_r = ceil(2n/3) makes the sweep long
   G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
@@ -23,10 +25,10 @@ criticality rows time ``is_v_critical``, ``is_roman_saturated``,
   order-6 classes         one call per class representative, summed (156)
   C12+C12                 order 24, the largest minimal_partitions accepts
 
-An operation that raises ``TooLarge`` is recorded as "refused";
-``gamma_at_most`` takes its limit from this column's ``gamma_r``, so it is
-refused with it. The totals add only the rows every column timed. Stdlib
-only; nothing is installed.
+An operation that raises ``TooLarge`` in either round is recorded as
+"refused"; ``gamma_at_most`` takes its limit from this column's ``gamma_r``,
+so it is refused with it. The totals add only the rows every column timed.
+Stdlib only; nothing is installed.
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ def time_source(src: str) -> list[dict]:
     return rows
 
 
+def _faster(a: float | str, b: float | str) -> float | str:
+    """The better of one row's two rounds; a refusal stays a refusal."""
+    return "refused" if "refused" in (a, b) else min(a, b)
+
+
 def _parse_source(text: str) -> tuple[str, str]:
     name, sep, path = text.partition("=")
     return (name, path) if sep else (text, text)
@@ -156,16 +163,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     sources = dict(_parse_source(s) for s in args.src or ["src"])
+    names = list(sources)
     columns = {}
-    for name, path in sources.items():
-        child = subprocess.run(
-            [sys.executable, __file__, "--column", path],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        columns[name] = json.loads(child.stdout)
-    names = list(columns)
+    for order in (names, names[::-1]):
+        for name in order:
+            child = subprocess.run(
+                [sys.executable, __file__, "--column", sources[name]],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            cells = json.loads(child.stdout)
+            for best, cell in zip(columns.setdefault(name, cells), cells):
+                best["s"] = _faster(best["s"], cell["s"])
     rows = []
     for i, row in enumerate(columns[names[0]]):
         cells = [columns[name][i] for name in names]
@@ -184,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "what": (
             f"solver and criticality layers, best of {REPEATS} calls per"
-            " operation, seconds; totals over the rows every column timed"
+            " operation in each of two rounds, the second in reverse source"
+            " order, seconds; totals over the rows every column timed"
         ),
         "seed": SEED,
         "environment": {

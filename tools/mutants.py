@@ -1,7 +1,7 @@
 """Hand-made mutants of the solver, criticality and graph kernels, of
-``Facts``, of the class table reader and class scan, of the ``gamma4``
-degree routes, of the graph6 codec and of the harness claim checks, and the
-tests that must catch them.
+``Facts``, of the enumeration guard, the class table reader and class scan,
+of the ``gamma4`` degree routes, of the graph6 codec and of the harness claim
+checks, and the tests that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -67,6 +67,7 @@ T_COMPONENTS = "tests/test_graphs.py::test_component_masks_match_a_search_over_n
 T_CLASS_COUNTS = "tests/test_harness.py::test_isomorphism_class_counts"
 T_TABLE_SWEEP = "tests/test_harness.py::test_class_table_matches_the_sweep"
 T_GUARDS = "tests/test_harness.py::test_enumeration_guards"
+T_TABLE_ORDERS = "tests/test_harness.py::test_class_table_orders"
 T_LABELED_SCAN = "tests/test_harness.py::test_class_scan_matches_labeled_scan"
 T_GUARD_EXPANSION = "tests/test_harness.py::test_class_scan_expands_guard_errors"
 T_NO_EXPANSION = "tests/test_harness.py::test_scan_without_expansion_builds_no_permutations"
@@ -398,11 +399,33 @@ MUTANTS = (
         "CLASSES[min(n + 1, len(CLASSES) - 1)].split()",
         (T_CLASS_COUNTS, T_TABLE_SWEEP),
     ),
+    # the one enumeration guard, at the class table's top order
     Mutant(
-        "class-table-guard-past-the-table",
+        "enumeration-guard-refuses-the-top-order",
         HARNESS,
-        "    if n >= len(CLASSES):\n",
-        "    if n > len(CLASSES):\n",
+        "    if n > ENUMERATION_MAX_ORDER:\n",
+        "    if n >= ENUMERATION_MAX_ORDER:\n",
+        (T_GUARDS,),
+    ),
+    Mutant(
+        "enumeration-guard-one-order-past-the-table",
+        HARNESS,
+        "    if n > ENUMERATION_MAX_ORDER:\n",
+        "    if n > ENUMERATION_MAX_ORDER + 1:\n",
+        (T_GUARDS,),
+    ),
+    Mutant(
+        "enumeration-guard-below-the-table",
+        HARNESS,
+        "ENUMERATION_MAX_ORDER = 8\n",
+        "ENUMERATION_MAX_ORDER = 7\n",
+        (T_GUARDS, T_TABLE_ORDERS),
+    ),
+    Mutant(
+        "class-table-read-without-the-guard",
+        HARNESS,
+        "    _enumeration_guard(n)\n    from ._class_table import CLASSES\n",
+        "    from ._class_table import CLASSES\n",
         (T_GUARDS,),
     ),
     # _scan_classes: weighting and the expansion rule
