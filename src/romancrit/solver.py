@@ -15,6 +15,17 @@ below it, falls short of the cover a light enough set needs.
 ``gamma_at_most`` wraps ``_at_most``, the same question on the masks,
 which the criticality predicates ask of each graph they derive.
 
+The size loops of gamma_r and of the minimum partitions read each size's
+floor, ``_floors``: a k-set covers at most the sum of its members' closed
+neighborhoods, so none weighs less than 2k + max(0, n - the sum of the k
+largest), the bound gamma_r >= 2n / (Delta + 1) of Cockayne, Dreyer,
+Hedetniemi and Hedetniemi (2004) taken size by size. gamma_r skips a size
+whose floor is at least the best weight found and stops a size at its first
+set of exactly the floor; the partitions skip a size whose floor is above
+gamma_r. Sizes 0 to 2 are swept on the bare floor 2k, which spares small
+graphs the floors' sort: where the floor would skip one of them, the sweep
+rejects it in one pass over the masks (see _sweep_pairs).
+
 gamma_r, gamma_at_most and minimal_partitions all follow one plan,
 ``_components``: the isolated vertices, each labeled 1, and the parts to
 sweep, from order _SPLIT_ORDER up; smaller graphs are swept whole. A
@@ -50,10 +61,10 @@ ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
 # Most candidate 2-sets the sweeps for one gamma_r may be charged (see
 # _check_sweep). The charge counts every set of the sizes a sweep may reach,
-# the last-level sets _light_sets skips among them, so it overstates the
-# work: C26, charged 28.4M and the largest cycle admitted, solves in 0.12 s
-# and C24 (7.0M) in 43 ms (Python 3.11, x86-64); C27 (47.1M) and C30 (459M)
-# are refused.
+# the last-level sets _light_sets skips among them and the sizes the floors
+# skip, so it overstates the work: C26, charged 28.4M and the largest cycle
+# admitted, solves in 40 ms and C24 (7.0M) in 37 ms (best of 5, Python 3.11,
+# x86-64); C27 (47.1M) and C30 (459M) are refused.
 SWEEP_MAX_SETS = 1 << 25
 # Up to this order all 2^n - 1 nonempty sets fit under SWEEP_MAX_SETS, so
 # the guard cannot fire there and is not evaluated.
@@ -273,23 +284,52 @@ def _assignment_from_masks(n: int, m2: int, m1: int) -> RomanAssignment:
     )
 
 
+def _floors(closed: Sequence[int], n: int) -> list[int]:
+    """floors[k], k = 0..n // 2: the least Roman weight of a 2-set of size
+    k, 2k + max(0, n - the sum of the k largest closed neighborhoods).
+
+    A k-set covers at most the sum of its members' closed neighborhoods, and
+    every vertex it leaves uncovered is labeled 1, so no k-set weighs less.
+    This is the bound gamma_r >= 2n / (Delta + 1) of Cockayne, Dreyer,
+    Hedetniemi and Hedetniemi (2004), taken size by size. No sweep passes
+    size n // 2, since labeling every vertex 1 weighs n.
+    """
+    floors = [n]
+    rest = n
+    for k, c in enumerate(sorted(map(int.bit_count, closed), reverse=True)[: n // 2], 1):
+        rest -= c
+        floors.append(2 * k + max(rest, 0))
+    return floors
+
+
 def _lightest(closed: Sequence[int], n: int, best: int) -> tuple[int, int, int]:
     """(w, S, V outside N[S]) for the first 2-set S, smallest size then
     smallest bitmask, of the least weight w below best, or (best, 0, V) when
     none weighs less. With best = n, the weight of every vertex labeled 1,
     that is the minimum Roman weight and its first 2-set.
+
+    No k-set weighs less than its floor (see _floors), so a size whose floor
+    is at least best is skipped, and a size stops at its first set of
+    exactly the floor: no later set of that size is lighter, and a larger
+    size replaces it only when strictly lighter. Sizes 1 and 2 run on the
+    bare floor 2k, and the floors are computed on reaching size 3 (see
+    _sweep_pairs).
     """
     best_s = 0
     best_rest = (1 << n) - 1
+    floors = (0, 2, 4)
     k = 1
     while 2 * k < best:
-        floor = 2 * k
-        for s, rest in _light_sets(closed, n, k, best - 1):
-            w = floor + rest.bit_count()
-            if w < best:
-                best, best_s, best_rest = w, s, rest
-                if w == floor:
-                    break
+        if k == 3:
+            floors = _floors(closed, n)
+        floor = floors[k]
+        if floor < best:
+            for s, rest in _light_sets(closed, n, k, best - 1):
+                w = 2 * k + rest.bit_count()
+                if w < best:
+                    best, best_s, best_rest = w, s, rest
+                    if w == floor:
+                        break
         k += 1
     return best, best_s, best_rest
 
@@ -421,10 +461,22 @@ def roman_number_oracle(g: Graph) -> int:
 
 def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, int]]:
     """(V2, V1) of every minimum Roman assignment by one sweep over all n
-    vertices, by ascending V2 bitmask; gamma is the minimum weight."""
+    vertices, by ascending V2 bitmask; gamma is the minimum weight.
+
+    A size whose floor (see _floors) is above gamma is skipped: no k-set
+    weighs less than its floor, so no minimum assignment has a 2-set of
+    that size. Below gamma 6 only sizes 0 to 2 are swept, on the bare
+    floor 2k, and the floors' sort is spared: where the floor would skip
+    one of them, _light_sets rejects it in one pass over the masks. Size 1
+    is that pass, and at size 2 the sum of the two largest closed
+    neighborhoods falls short of the cover needed, so the last-level bound
+    rejects every prefix.
+    """
+    floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)
     return sorted(
         hit
         for k in range(gamma // 2 + 1)
+        if floors[k] <= gamma
         for hit in _light_sets(closed, n, k, gamma)
     )
 

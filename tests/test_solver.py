@@ -421,6 +421,149 @@ def test_roman_number_matches_gosper_sweep(monkeypatch):
     assert got == [roman_number(g) for g in graphs]
 
 
+# -- the size floors ---------------------------------------------------------
+
+
+def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return graph_new(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps})
+
+
+def _floor_graphs() -> list[Graph]:
+    # graphs where a size's floor is tight (cycles, paths, regular graphs) or
+    # degenerate (Delta = 0, a vertex covering all), with isolated vertices,
+    # and unions below and above _SPLIT_ORDER; seeded G(n, p) last
+    petersen = graph_new(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    q4 = graph_new(
+        16, [(u, u ^ 1 << b) for u in range(16) for b in range(4) if u < u ^ 1 << b]
+    )
+    graphs = [gen_family("cycle", n) for n in range(3, 21)]
+    graphs += [gen_family("path", n) for n in range(1, 15)]
+    graphs += [petersen, q4]
+    graphs += [_circulant(n, jumps) for n, jumps in ((12, (1, 3)), (13, (1, 5)), (15, (1, 4)))]
+    graphs += [gen_family("complete", n) for n in range(1, 11)]
+    graphs += [graph_new(n, [(0, v) for v in range(1, n)]) for n in range(2, 13)]
+    graphs += [graph_new(n) for n in range(13)]
+    c5, c7, p4 = gen_family("cycle", 5), gen_family("cycle", 7), gen_family("path", 4)
+    graphs += [
+        _disjoint_union(c7, graph_new(2)),
+        _disjoint_union(graph_new(1), gen_family("cycle", 9), graph_new(2)),
+        _disjoint_union(c5, p4),
+        _disjoint_union(c5, gen_family("cycle", 6), gen_family("complete", 2)),
+        _disjoint_union(gen_family("path", 7), gen_family("cycle", 9), graph_new(1)),
+    ]
+    # three K2s and isolated vertices: the floors of sizes 1 to 3 are n,
+    # the best so far
+    k2 = gen_family("complete", 2)
+    graphs += [_disjoint_union(k2, k2, k2, graph_new(m)) for m in (3, 6)]
+    # a set one over its size's floor before one at the floor: a fan with
+    # its hub last, and two hubs, 6 and 7, after the pair {0, 3} that
+    # misses vertex 2, while {3, 6} covers all
+    graphs += [
+        _with_hub(gen_family("path", 4), [0, 1, 2, 3], True),
+        graph_new(8, [(0, 1), (0, 6), (1, 6), (2, 6), (3, 4), (3, 5), (3, 7), (4, 7), (5, 7)]),
+    ]
+    rng = random.Random(63)
+    graphs += [_random_graph(rng, n, rng.choice((0.15, 0.25, 0.4))) for n in range(8, 19)]
+    return graphs
+
+
+def _brute_force_sweep(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    # every 2-set of every size 0..n // 2 from _gosper_sets, with no floors
+    # and no running limit: per size, the least weight and its first set by
+    # ascending bitmask, as (w, S, V outside N[S]); and every (S, V outside
+    # N[S]) of the least weight over all sizes, by ascending S
+    n = g.n
+    closed = solver._closed_masks(g)
+    full = (1 << n) - 1
+    least = [(n, 0, full)]
+    gamma, pairs = n, [(0, full)]
+    for k in range(1, n // 2 + 1):
+        first = None
+        for s, rest in _gosper_sets(closed, n, k):
+            w = 2 * k + rest.bit_count()
+            if first is None or w < first[0]:
+                first = (w, s, rest)
+            if w < gamma:
+                gamma, pairs = w, []
+            if w == gamma:
+                pairs.append((s, rest))
+        least.append(first)
+    return least, sorted(pairs)
+
+
+@pytest.fixture(scope="module")
+def floor_sweeps():
+    # the brute-force sweep of each floor graph, shared by the tests below
+    return [(g, *_brute_force_sweep(g)) for g in _floor_graphs()]
+
+
+def test_roman_number_and_partitions_match_a_brute_force_sweep(floor_sweeps):
+    # the first minimizer is the least weight, then the smallest size, then
+    # the smallest bitmask; the minimum assignments are every pair of that
+    # weight, by ascending 2-set bitmask
+    for g, least, pairs in floor_sweeps:
+        gamma, _, s, rest = min((w, k, s, rest) for k, (w, s, rest) in enumerate(least))
+        res = roman_number(g)
+        assert (res.gamma, res.witness.label_mask(2), res.witness.label_mask(1)) == (
+            gamma,
+            s,
+            rest,
+        ), g.edges()
+        got = [(a.label_mask(2), a.label_mask(1)) for a in minimal_partitions(g)]
+        assert got == pairs, g.edges()
+
+
+def _reference_floors(closed, n):
+    # floors[k] from the definition: 2k plus what the k largest closed
+    # neighborhoods, summed, leave of n
+    sizes = sorted((c.bit_count() for c in closed), reverse=True)
+    return [2 * k + max(0, n - sum(sizes[:k])) for k in range(n // 2 + 1)]
+
+
+def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
+    # on C_n every closed neighborhood has 3 vertices
+    for n in range(3, 27):
+        closed = solver._closed_masks(gen_family("cycle", n))
+        want = [2 * k + max(0, n - 3 * k) for k in range(n // 2 + 1)]
+        assert solver._floors(closed, n) == want
+    # _lightest hands _light_sets each size k with 2k below the running
+    # best, the least weight of the sizes before it, and a floor below it:
+    # never a size from 3 up whose floor is at least best. Sizes 1 and 2
+    # run on the bare floor 2k
+    calls = []
+    real = solver._light_sets
+
+    def counted(closed, n, k, limit):
+        calls.append((k, limit))
+        return real(closed, n, k, limit)
+
+    monkeypatch.setattr(solver, "_light_sets", counted)
+    visited = skipped = 0
+    for g, least, _ in floor_sweeps:
+        n = g.n
+        closed = solver._closed_masks(g)
+        floors = _reference_floors(closed, n)
+        assert solver._floors(closed, n) == floors, g.edges()
+        expected, best, k = [], n, 1
+        while 2 * k < best:
+            visited += 1
+            if (floors[k] if k > 2 else 2 * k) < best:
+                expected.append((k, best - 1))
+            else:
+                skipped += 1
+            best = min(best, least[k][0])
+            k += 1
+        calls.clear()
+        assert solver._lightest(closed, n, n)[0] == best
+        assert calls == expected, g.edges()
+    assert 0 < skipped < visited
+
+
 def test_sweep_guard_boundary_between_c26_and_c27():
     # gamma_r charges the sizes 1..(n - 2) // 2 on a cycle: C26's 28.4M
     # sets pass the guard, C27's 47.1M do not

@@ -49,6 +49,8 @@ T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
 T_BOUND = "tests/test_solver.py::test_light_sets_last_level_bound_matches_gosper_sweep"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
+T_BRUTE = "tests/test_solver.py::test_roman_number_and_partitions_match_a_brute_force_sweep"
+T_FLOORS = "tests/test_solver.py::test_floors_and_the_sizes_lightest_sweeps"
 T_SUMMED = "tests/test_solver.py::test_sweep_guard_sums_the_charge_over_components"
 T_TWO_C20 = "tests/test_solver.py::test_sweep_guard_admits_two_c20_by_components"
 T_PAIRS_SPLIT = "tests/test_solver.py::test_partitions_split_matches_whole_graph_sweep"
@@ -213,6 +215,70 @@ MUTANTS = (
         "            m = c.bit_count()\n",
         "            m = c.bit_count() - 1\n",
         (T_BOUND,),
+    ),
+    # the size floors and the two size loops that read them
+    Mutant(
+        "floors-kth-size-left-out-of-reach",
+        SOLVER,
+        "        rest -= c\n        floors.append(2 * k + max(rest, 0))\n",
+        "        floors.append(2 * k + max(rest, 0))\n        rest -= c\n",
+        (T_FLOORS, T_BRUTE),
+    ),
+    Mutant(
+        "floors-one-over",
+        SOLVER,
+        "        floors.append(2 * k + max(rest, 0))\n",
+        "        floors.append(2 * k + max(rest, 0) + 1)\n",
+        (T_FLOORS, T_BRUTE),
+    ),
+    Mutant(
+        "lightest-skips-only-above-best",
+        SOLVER,
+        "        if floor < best:\n",
+        "        if floor <= best:\n",
+        (T_FLOORS,),
+    ),
+    Mutant(
+        "lightest-stops-one-over-the-floor",
+        SOLVER,
+        "                    if w == floor:\n",
+        "                    if w <= floor + 1:\n",
+        (T_BRUTE,),
+    ),
+    Mutant(
+        "lightest-size-one-floor-one-over",
+        SOLVER,
+        "    floors = (0, 2, 4)\n    k = 1\n",
+        "    floors = (0, 3, 4)\n    k = 1\n",
+        (T_BRUTE,),
+    ),
+    Mutant(
+        "lightest-size-two-floor-one-over",
+        SOLVER,
+        "    floors = (0, 2, 4)\n    k = 1\n",
+        "    floors = (0, 2, 5)\n    k = 1\n",
+        (T_BRUTE,),
+    ),
+    Mutant(
+        "sweep-pairs-skips-a-size-at-gamma",
+        SOLVER,
+        "        if floors[k] <= gamma\n",
+        "        if floors[k] < gamma\n",
+        (T_BRUTE, T_PAIRS_SPLIT),
+    ),
+    Mutant(
+        "sweep-pairs-size-one-floor-one-over",
+        SOLVER,
+        "    floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)\n",
+        "    floors = _floors(closed, n) if gamma >= 6 else (0, 3, 4)\n",
+        (T_BRUTE,),
+    ),
+    Mutant(
+        "sweep-pairs-size-two-floor-one-over",
+        SOLVER,
+        "    floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)\n",
+        "    floors = _floors(closed, n) if gamma >= 6 else (0, 2, 5)\n",
+        (T_BRUTE,),
     ),
     # the solve plan, _components, and its use by gamma_mask and _at_most
     Mutant(
