@@ -28,16 +28,17 @@ adding an edge never raises gamma_r, so a failing non-edge leaves it as it
 was.
 
 The definitions work on closed-neighborhood masks, not Graph objects. Each
-takes G's masks once and derives every modified graph's masks in a copied
-list: G - v by dropping v's mask and shifting every bit above v down by one,
-G + uv and G - uv by flipping bit v of u's mask and bit u of v's. The yes/no
-question goes to the solver's ``_at_most`` on those masks, and a Graph is
-built only for the one vertex or edge whose gamma_r a witness reports. Each
-derived graph is swept whole, never only over the sets that touch the
-changed vertex or edge: with gamma_r(G) known, "G + uv has a set of weight
-gamma - 1 through u or v" says exactly that some minimum assignment of G
-splits u and v 1/2, which is the partition route, so the definition would
-no longer be an independent check of it.
+reads G's masks from ``Facts.closed``, built once per graph, and derives
+every modified graph's masks in a copied list: G - v by dropping v's mask
+and shifting every bit above v down by one, G + uv and G - uv by flipping
+bit v of u's mask and bit u of v's. The yes/no question goes to the solver's
+``_at_most`` on those masks, and a Graph is built only for the one vertex or
+edge whose gamma_r a witness reports. Each derived graph is swept whole,
+never only over the sets that touch the changed vertex or edge: with
+gamma_r(G) known, "G + uv has a set of weight gamma - 1 through u or v" says
+exactly that some minimum assignment of G splits u and v 1/2, which is the
+partition route, so the definition would no longer be an independent check
+of it.
 
 The partition routes read each minimum assignment as its (V2, V1) masks, in
 ascending V2 order, from ``Facts.partitions``.
@@ -83,22 +84,23 @@ def degree_classes(g: Graph) -> DegreeClasses:
 
 class Facts:
     """Per-graph lazy cache of gamma_r, the three criticality verdicts, the
-    minimum partitions and the degree classes: the one evaluation context
-    that every predicate, the claims and ``criticality_report`` read. It
-    holds each minimum partition as its (V2, V1) masks, by ascending V2. A
-    slot holds None until it is computed."""
+    minimum partitions, the degree classes and the closed-neighborhood
+    masks: the one evaluation context that every predicate, the claims and
+    ``criticality_report`` read. It holds each minimum partition as its
+    (V2, V1) masks, by ascending V2. A slot holds None until it is
+    computed."""
 
-    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes")
+    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes", "_closed")
 
     def __init__(self, g: Graph):
         self.g = g
         self._gamma = self._vc = self._ec = self._sat = None
-        self._parts = self._classes = None
+        self._parts = self._classes = self._closed = None
 
     def relabeled(self, g: Graph) -> Facts:
         """Facts of g, an isomorphic copy of this graph: gamma_r and the
-        verdicts carry over; the partitions and degree classes, which name
-        vertices, do not."""
+        verdicts carry over; the partitions, degree classes and masks, which
+        name vertices, do not."""
         copy = Facts(g)
         copy._gamma, copy._vc, copy._ec, copy._sat = (
             self._gamma, self._vc, self._ec, self._sat
@@ -138,8 +140,16 @@ class Facts:
         if self._parts is None:
             # refuse the order before gamma_r is solved for it
             _partitions_guard(self.g.n)
-            self._parts = _partition_pairs(_closed_masks(self.g), self.g.n, self.gamma)
+            self._parts = _partition_pairs(self.closed, self.g.n, self.gamma)
         return self._parts
+
+    @property
+    def closed(self) -> list[int]:
+        """N[v] as a vertex mask for each v, shared: readers copy before
+        they change it."""
+        if self._closed is None:
+            self._closed = _closed_masks(self.g)
+        return self._closed
 
     @property
     def degree_classes(self) -> DegreeClasses:
@@ -189,7 +199,7 @@ def _first_non_critical(f: Facts) -> int | None:
     """The smallest v whose deletion fails to drop gamma_r by exactly 1."""
     if f.g.n == 0:
         raise InvalidOrder("criticality needs order >= 1")
-    return _critical_miss(_closed_masks(f.g), f.g.n, f.gamma)
+    return _critical_miss(f.closed, f.g.n, f.gamma)
 
 
 def first_non_critical_vertex(g: Graph | Facts) -> tuple[int, int] | None:
@@ -226,9 +236,7 @@ def first_unsaturated_nonedge(g: Graph | Facts) -> tuple[int, int, int] | None:
     f = _facts(g)
     hit = None
     if not f._sat:
-        g = f.g
-        limit = f.gamma - 1
-        closed = _closed_masks(g)
+        g, limit, closed = f.g, f.gamma - 1, f.closed
         for u, v in g.non_edges():
             if not _at_most(_toggle_edge(closed, u, v), g.n, limit):
                 hit = u, v, limit + 1
@@ -278,8 +286,7 @@ def first_gamma_changing_edge(g: Graph | Facts) -> tuple[int, int, int] | None:
     f = _facts(g)
     if not f.v_critical:
         raise NotVCritical("edge-removal invariance is stated for v-critical graphs")
-    g, gamma = f.g, f.gamma
-    closed = _closed_masks(g)
+    g, gamma, closed = f.g, f.gamma, f.closed
     for u, v in g.edges():
         if not _at_most(_toggle_edge(closed, u, v), g.n, gamma):
             return u, v, gamma_r(g.delete_edge(u, v))
@@ -300,9 +307,7 @@ def first_non_ecritical_edge(g: Graph | Facts) -> tuple[int, int] | None:
     f = _facts(g)
     if f._ec:
         return None
-    g, gamma = f.g, f.gamma
-    n = g.n
-    closed = _closed_masks(g)
+    g, gamma, closed, n = f.g, f.gamma, f.closed, f.g.n
     hit = None
     for u, v in g.edges():
         h = _toggle_edge(closed, u, v)

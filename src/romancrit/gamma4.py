@@ -132,12 +132,18 @@ def high_class_bounds(g: Graph | Facts) -> tuple[bool, bool]:
     return (2 * high >= f.g.n, 4 * high >= 3 * f.g.n)
 
 
-def every_cut_vertex_leaves_pendant_component(g: Graph | Facts) -> bool:
+def first_cut_vertex_without_pendant(g: Graph | Facts) -> int | None:
+    """The smallest cut vertex whose deletion leaves no single-vertex
+    component, or None."""
     g = _facts(g).g
-    return all(
-        any(c.bit_count() == 1 for c in g.component_masks(1 << v))
-        for v in g.cut_vertices()
-    )
+    for v in sorted(g.cut_vertices()):
+        if not any(c.bit_count() == 1 for c in g.component_masks(1 << v)):
+            return v
+    return None
+
+
+def every_cut_vertex_leaves_pendant_component(g: Graph | Facts) -> bool:
+    return first_cut_vertex_without_pendant(g) is None
 
 
 def _cut_structure(f: Facts) -> bool:

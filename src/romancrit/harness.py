@@ -56,6 +56,7 @@ from .gamma4 import (
     catalog_verdict,
     classify_critical4,
     ecrit4_by_degrees,
+    first_cut_vertex_without_pendant,
     high_class_bounds,
     local8_conditions,
     local8_fast,
@@ -410,11 +411,8 @@ def _chk_threequarter_bound(f: Facts) -> list[str]:
 
 
 def _chk_cutvertex(f: Facts) -> list[str]:
-    g = f.g
-    for v in sorted(g.cut_vertices()):
-        if not any(c.bit_count() == 1 for c in g.component_masks(1 << v)):
-            return [f"cut vertex {v} leaves no single-vertex component"]
-    return []
+    v = first_cut_vertex_without_pendant(f)
+    return [] if v is None else [f"cut vertex {v} leaves no single-vertex component"]
 
 
 def _chk_saturated4(f: Facts) -> list[str]:

@@ -6,25 +6,26 @@ minimum weight by sweeping 2-labeled candidate sets S in ascending-size
 order and charging 2|S| plus one for every vertex left outside N[S]: any
 minimum-weight assignment has exactly the vertices outside N[V2] labeled 1,
 so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
-gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``, the
-yes/no question that stops at the first set light enough. It visits the
-sets of one size depth first in ascending bitmask order, each level adding
-one vertex's closed neighborhood to the cover its prefix carries, and
-skips a last-level prefix whose cover, plus the largest closed neighborhood
-below it, falls short of the cover a light enough set needs.
-``gamma_at_most`` wraps ``_at_most``, the same question on the masks,
-which the criticality predicates ask of each graph they derive.
+gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``. It
+visits the sets of one size depth first in ascending bitmask order, each
+level adding one vertex's closed neighborhood to the cover its prefix
+carries, and skips a last-level prefix whose cover, plus the largest closed
+neighborhood below it, falls short of the cover a light enough set needs.
 
-The size loops of gamma_r and of the minimum partitions read each size's
-floor, ``_floors``: a k-set covers at most the sum of its members' closed
-neighborhoods, so none weighs less than 2k + max(0, n - the sum of the k
-largest), the bound gamma_r >= 2n / (Delta + 1) of Cockayne, Dreyer,
-Hedetniemi and Hedetniemi (2004) taken size by size. gamma_r skips a size
-whose floor is at least the best weight found and stops a size at its first
-set of exactly the floor; the partitions skip a size whose floor is above
-gamma_r. Sizes 0 to 2 are swept on the bare floor 2k, which spares small
-graphs the floors' sort: where the floor would skip one of them, the sweep
-rejects it in one pass over the masks (see _sweep_pairs).
+One size loop, ``_lightest``, answers gamma_r and ``gamma_at_most``: the
+yes/no question, which the criticality predicates ask of each graph they
+derive through ``_at_most`` on its masks, is the loop asked for a set below
+limit + 1 and stopped at the first one of weight at most limit. Size 1 is
+one pass over the masks. The loop reads each size's floor, ``_floors``: a
+k-set covers at most the sum of its members' closed neighborhoods, so none
+weighs less than 2k + max(0, n - the sum of the k largest), the bound
+gamma_r >= 2n / (Delta + 1) of Cockayne, Dreyer, Hedetniemi and Hedetniemi
+(2004) taken size by size. It skips a size whose floor is at least the best
+weight found and stops a size at its first set of exactly the floor or of
+weight at most the stop weight. Size 2 reads the floor that twice the largest closed
+neighborhood gives, and the floors of sizes 3 up are sorted only on
+reaching size 3, which spares small graphs the sort. The minimum partitions
+skip a size whose floor is above gamma_r (see _sweep_pairs).
 
 gamma_r, gamma_at_most and minimal_partitions all follow one plan,
 ``_components``: the isolated vertices, each labeled 1, and the parts to
@@ -36,9 +37,9 @@ component, so weight, 2-set size and 2-set bitmask (on disjoint bits) all
 add over the components: gamma_r is the sum of the parts' values and the
 isolated vertices, the first minimizer, smallest 2-set size then smallest
 bitmask, is the union of the parts' first minimizers, and the minimum
-assignments are the products of the parts' own. gamma_at_most sweeps every
-part but the last for its weight within the room the others leave, and the
-last only up to the first set light enough.
+assignments are the products of the parts' own. gamma_at_most solves every
+part but the last for its weight within the room the others leave, and
+sweeps the last only up to the first set light enough.
 
 The sweep is exponential in gamma_r, so the plan refuses with TooLarge,
 before sweeping, an input whose sets of every size the sweeps may reach
@@ -302,33 +303,46 @@ def _floors(closed: Sequence[int], n: int) -> list[int]:
     return floors
 
 
-def _lightest(closed: Sequence[int], n: int, best: int) -> tuple[int, int, int]:
+def _lightest(
+    closed: Sequence[int], n: int, best: int, enough: int = 0
+) -> tuple[int, int, int]:
     """(w, S, V outside N[S]) for the first 2-set S, smallest size then
     smallest bitmask, of the least weight w below best, or (best, 0, V) when
     none weighs less. With best = n, the weight of every vertex labeled 1,
-    that is the minimum Roman weight and its first 2-set.
+    that is the minimum Roman weight and its first 2-set. The sweep stops at
+    the first set of weight at most enough: with best = limit + 1 and
+    enough = limit, w <= limit says whether any set weighs at most limit
+    (see _at_most). With enough = 0 it never stops early.
 
-    No k-set weighs less than its floor (see _floors), so a size whose floor
-    is at least best is skipped, and a size stops at its first set of
-    exactly the floor: no later set of that size is lighter, and a larger
-    size replaces it only when strictly lighter. Sizes 1 and 2 run on the
-    bare floor 2k, and the floors are computed on reaching size 3 (see
-    _sweep_pairs).
+    Size 1 is one pass over the masks: its first lightest set is the first
+    vertex of the largest closed neighborhood, of top vertices, so no 2-set
+    covers more than 2 * top and the floor of size 2 is 4 + max(0, n - 2 *
+    top). No k-set weighs less than its floor (see _floors), so a size whose
+    floor is at least best is skipped, and a size stops at its first set of
+    exactly the floor or of weight at most enough: no later set of that size
+    is lighter than the floor, and a larger size replaces it only when
+    strictly lighter. The floors of sizes 3 up are computed on reaching size
+    3, which spares small graphs their sort.
     """
-    best_s = 0
-    best_rest = (1 << n) - 1
-    floors = (0, 2, 4)
-    k = 1
-    while 2 * k < best:
+    best_s, best_rest = 0, (1 << n) - 1
+    if 2 < best > enough:
+        c = max(closed, key=int.bit_count)
+        top = c.bit_count()
+        w = n + 2 - top
+        if w < best:
+            best, best_s, best_rest = w, 1 << closed.index(c), best_rest ^ c
+    floors = None
+    k = 2
+    while 2 * k < best > enough:
         if k == 3:
             floors = _floors(closed, n)
-        floor = floors[k]
+        floor = floors[k] if floors else 4 + max(0, n - 2 * top)
         if floor < best:
             for s, rest in _light_sets(closed, n, k, best - 1):
                 w = 2 * k + rest.bit_count()
                 if w < best:
                     best, best_s, best_rest = w, s, rest
-                    if w == floor:
+                    if w == floor or w <= enough:
                         break
         k += 1
     return best, best_s, best_rest
@@ -366,40 +380,28 @@ def _at_most(closed: Sequence[int], n: int, limit: int) -> bool:
     """True iff some Roman assignment of the graph with these closed
     neighborhoods weighs at most limit; gamma_at_most on masks.
 
-    From order _SPLIT_ORDER up, unless every vertex labeled 1 fits, every
-    part of the plan but the last is solved for its weight within the room
-    the others leave, counting 2 for each part not yet solved, and the last
-    part is asked the question with the room left. Size 1 is one pass over
-    the masks: a vertex labeled 2 and the vertices outside its closed
-    neighborhood labeled 1 weigh at most limit iff that neighborhood has at
-    least n + 2 - limit vertices. Sizes 2 up go through _light_sets, up to
-    the first set light enough.
+    Unless every vertex labeled 1 fits, it is _lightest asked for a set
+    below limit + 1 that stops at the first one of weight at most limit.
+    From order _SPLIT_ORDER up, every part of the plan but the last is
+    solved for its weight within the room the others leave, counting 2 for
+    each part not yet solved, and the last part is asked the question with
+    the room left. A part that does not fit, or a room below 0 from the
+    start, leaves the room at -1 after that part; every later part, asked
+    for a set below 2, weighs 2 and keeps it there.
     """
-    if n >= _SPLIT_ORDER and n > limit:
-        lone, parts = _components(closed, n, limit)
-        # a connected graph of order 2 or more weighs at least 2
-        room = limit - lone.bit_count() - 2 * len(parts)
-        if room < 0:
-            return False
-        for _, sub in parts[:-1]:
-            m = len(sub)
-            cap = room + 2
-            w = _lightest(sub, m, min(m, cap + 1))[0]
-            if w > cap:
-                return False
-            room -= w - 2
-        closed = parts[-1][1]
-        n, limit = len(closed), room + 2
     if n <= limit:  # every vertex labeled 1
         return True
-    if limit < 2:
-        return False
-    if max(map(int.bit_count, closed)) >= n + 2 - limit:
-        return True
-    for k in range(2, min(limit // 2, n) + 1):
-        for _ in _light_sets(closed, n, k, limit):
-            return True
-    return False
+    if n < _SPLIT_ORDER:
+        return _lightest(closed, n, limit + 1, limit)[0] <= limit
+    lone, parts = _components(closed, n, limit)
+    # a connected graph of order 2 or more weighs at least 2
+    room = limit - lone.bit_count() - 2 * len(parts)
+    last = len(parts) - 1
+    for i, (_, sub) in enumerate(parts):
+        m, cap = len(sub), room + 2
+        w = _lightest(sub, m, min(m, cap + 1), cap if i == last else 0)[0]
+        room -= w - 2
+    return room >= 0
 
 
 def gamma_at_most(g: Graph, limit: int) -> bool:

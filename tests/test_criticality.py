@@ -512,8 +512,9 @@ def test_every_predicate_reads_a_warm_facts_as_its_graph(monkeypatch):
 
 
 def test_relabeled_facts_carry_only_what_names_no_vertex():
-    # P5's minimum partitions and degree classes name vertices that move
-    # under a relabeling; gamma_r and the verdicts do not
+    # P5's minimum partitions, degree classes and closed-neighborhood masks
+    # name vertices that move under a relabeling; gamma_r and the verdicts
+    # do not
     g = gen_family("path", 5)
     f = _warm_facts(g)
     perm = [2, 0, 4, 1, 3]
@@ -524,9 +525,10 @@ def test_relabeled_facts_carry_only_what_names_no_vertex():
     assert (copy._gamma, copy._vc, copy._ec, copy._sat) == (
         fresh.gamma, fresh.v_critical, fresh.e_critical, fresh.saturated
     )
-    assert copy._parts is None and copy._classes is None
+    assert copy._parts is None and copy._classes is None and copy._closed is None
     assert copy.partitions == fresh.partitions != f.partitions
     assert copy.degree_classes == fresh.degree_classes != f.degree_classes
+    assert copy.closed == fresh.closed != f.closed
 
 
 # -- report ------------------------------------------------------------------

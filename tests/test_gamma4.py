@@ -43,7 +43,11 @@ from romancrit import (
 )
 import romancrit.criticality as criticality
 import romancrit.gamma4 as gamma4
-from romancrit.gamma4 import every_cut_vertex_leaves_pendant_component
+import romancrit.harness as harness
+from romancrit.gamma4 import (
+    every_cut_vertex_leaves_pendant_component,
+    first_cut_vertex_without_pendant,
+)
 from romancrit.harness import graph_from_edge_mask, isomorphism_classes
 
 
@@ -397,6 +401,25 @@ def test_every_cut_vertex_leaves_pendant_component():
     assert every_cut_vertex_leaves_pendant_component(gen_family("cycle", 5))
     # deleting the middle of a 5-path leaves two 2-vertex components
     assert not every_cut_vertex_leaves_pendant_component(gen_family("path", 5))
+
+
+def test_first_cut_vertex_without_pendant_and_the_cutvertex_check():
+    # P6 minus 1 or 4 leaves a single vertex, minus 2 or 3 does not; a
+    # pendant on 2 moves the first failure to 3. The harness check names
+    # the same vertex
+    p6 = gen_family("path", 6)
+    p6_pendant = graph_new(7, [*p6.edges(), (2, 6)])
+    cases = [
+        (gen_family("dn", 6), None),
+        (gen_family("cycle", 5), None),
+        (p6, 2),
+        (p6_pendant, 3),
+    ]
+    for g, v in cases:
+        assert first_cut_vertex_without_pendant(Facts(g)) == v
+        assert every_cut_vertex_leaves_pendant_component(g) == (v is None)
+        diag = f"cut vertex {v} leaves no single-vertex component"
+        assert harness._chk_cutvertex(Facts(g)) == ([] if v is None else [diag])
 
 
 def test_cut_vertex_structure_examples():

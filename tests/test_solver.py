@@ -208,8 +208,10 @@ def test_gamma_at_most_matches_oracle_random():
     ids=["E0", "K1", "K2", "K3", "E3", "P4", "P3+K1", "2K2", "P5"],
 )
 def test_at_most_boundaries(g, gamma):
-    # the limits where _at_most changes branch: below 0, the all-1 shortcut
-    # (n <= limit), below 2, and the size-1 exit at n + 2 - limit
+    # the limits around the all-1 shortcut (n <= limit), around 2, below
+    # which _lightest, asked for a set below limit + 1, sweeps nothing, and
+    # around the size-1 pass, whose first vertex of the largest closed
+    # neighborhood weighs n + 2 minus that neighborhood's size
     closed = solver._closed_masks(g)
     for limit in (-1, 0, 1, 2, 3):
         assert solver._at_most(closed, g.n, limit) == (gamma <= limit), limit
@@ -531,10 +533,11 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
         closed = solver._closed_masks(gen_family("cycle", n))
         want = [2 * k + max(0, n - 3 * k) for k in range(n // 2 + 1)]
         assert solver._floors(closed, n) == want
-    # _lightest hands _light_sets each size k with 2k below the running
-    # best, the least weight of the sizes before it, and a floor below it:
-    # never a size from 3 up whose floor is at least best. Sizes 1 and 2
-    # run on the bare floor 2k
+    # _lightest hands _light_sets each size k from 2 up with 2k below the
+    # running best, the least weight of the sizes before it, and a floor
+    # below it: never a size from 3 up whose floor is at least best. Size 1
+    # is its own pass over the masks, and size 2 runs on the floor 4 plus
+    # what twice the largest closed neighborhood leaves of n
     calls = []
     real = solver._light_sets
 
@@ -549,10 +552,12 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
         closed = solver._closed_masks(g)
         floors = _reference_floors(closed, n)
         assert solver._floors(closed, n) == floors, g.edges()
-        expected, best, k = [], n, 1
+        top = max(map(int.bit_count, closed), default=0)
+        expected, k = [], 2
+        best = min(n, least[1][0]) if n > 2 else n
         while 2 * k < best:
             visited += 1
-            if (floors[k] if k > 2 else 2 * k) < best:
+            if (floors[k] if k > 2 else 4 + max(0, n - 2 * top)) < best:
                 expected.append((k, best - 1))
             else:
                 skipped += 1
@@ -562,6 +567,61 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
         assert solver._lightest(closed, n, n)[0] == best
         assert calls == expected, g.edges()
     assert 0 < skipped < visited
+
+
+def test_gamma_at_most_matches_the_brute_force_minima(floor_sweeps):
+    # at the limits gamma - 2 .. gamma + 1, on the floor graphs (regular
+    # graphs, unions past _SPLIT_ORDER) and on C21-C26, gamma_r(C_n) =
+    # ceil(2n / 3) (Cockayne et al., 2004)
+    cases = [(g, min(w for w, _, _ in least)) for g, least, _ in floor_sweeps]
+    cases += [(gen_family("cycle", n), -(-2 * n // 3)) for n in range(21, 27)]
+    for g, gamma in cases:
+        for limit in range(gamma - 2, gamma + 2):
+            assert gamma_at_most(g, limit) == (gamma <= limit), (g.edges(), limit)
+
+
+def test_gamma_at_most_below_gamma_on_cycles_sweeps_no_set(monkeypatch):
+    # on C_n no k-set weighs less than n - k, and every size 2k < gamma has
+    # n - k >= gamma: below gamma the floors alone answer, C24 at 15 too
+    calls = []
+
+    def counted(closed, n, k, limit):
+        calls.append((k, limit))
+        return iter(())
+
+    monkeypatch.setattr(solver, "_light_sets", counted)
+    for n in range(6, 27):
+        assert not gamma_at_most(gen_family("cycle", n), -(-2 * n // 3) - 1)
+    assert calls == []
+
+
+def test_gamma_at_most_stops_at_its_first_set_light_enough(floor_sweeps, monkeypatch):
+    # on graphs swept as one part, at gamma and gamma + 1: after the first
+    # set drawn, which weighs at most the limit, no set is drawn and no size
+    # is swept
+    events = []
+    real = solver._light_sets
+
+    def recorded(closed, n, k, limit):
+        events.append(None)
+        for s, rest in real(closed, n, k, limit):
+            events.append(2 * k + rest.bit_count())
+            yield s, rest
+
+    monkeypatch.setattr(solver, "_light_sets", recorded)
+    stopped = 0
+    for g, least, _ in floor_sweeps:
+        if g.n >= solver._SPLIT_ORDER and len(g.component_masks()) > 1:
+            continue
+        gamma = min(w for w, _, _ in least)
+        for limit in (gamma, gamma + 1):
+            events.clear()
+            assert gamma_at_most(g, limit)
+            draws = [i for i, w in enumerate(events) if w is not None]
+            assert draws in ([], [len(events) - 1]), (g.edges(), limit, events)
+            assert all(events[i] <= limit for i in draws)
+            stopped += len(draws)
+    assert stopped > 20
 
 
 def test_sweep_guard_boundary_between_c26_and_c27():

@@ -45,6 +45,9 @@ T_FIRST = "tests/test_criticality.py::test_first_failures_match_definition"
 T_AT_MOST = "tests/test_solver.py::test_at_most_boundaries"
 T_AT_MOST_EXH = "tests/test_solver.py::test_gamma_at_most_matches_gamma_r_exhaustive"
 T_AT_MOST_GUARD = "tests/test_solver.py::test_at_most_guard_sits_before_the_size_one_exit"
+T_AT_MOST_BRUTE = "tests/test_solver.py::test_gamma_at_most_matches_the_brute_force_minima"
+T_AT_MOST_FLOORS = "tests/test_solver.py::test_gamma_at_most_below_gamma_on_cycles_sweeps_no_set"
+T_AT_MOST_STOP = "tests/test_solver.py::test_gamma_at_most_stops_at_its_first_set_light_enough"
 T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
 T_BOUND = "tests/test_solver.py::test_light_sets_last_level_bound_matches_gosper_sweep"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
@@ -64,6 +67,9 @@ T_REPORT = "tests/test_criticality.py::test_criticality_report_matches_public_ro
 T_WARM = "tests/test_criticality.py::test_every_predicate_reads_a_warm_facts_as_its_graph"
 T_RELABELED = (
     "tests/test_criticality.py::test_relabeled_facts_carry_only_what_names_no_vertex"
+)
+T_CUT_FIRST = (
+    "tests/test_gamma4.py::test_first_cut_vertex_without_pendant_and_the_cutvertex_check"
 )
 T_COMPONENTS = "tests/test_graphs.py::test_component_masks_match_a_search_over_neighbor_sets"
 T_CLASS_COUNTS = "tests/test_harness.py::test_isomorphism_class_counts"
@@ -127,35 +133,34 @@ MUTANTS = (
         "    h[u] |= 1 << v\n    h[v] |= 1 << u\n",
         (T_KERNELS, T_FIRST),
     ),
-    # _at_most in solver.py
+    # the size-1 pass of _lightest, and _at_most, in solver.py
     Mutant(
-        "size-one-exit-dropped",
+        "size-one-weight-one-less",
         SOLVER,
-        "    if max(map(int.bit_count, closed)) >= n + 2 - limit:\n"
-        "        return True\n",
-        "",
-        (T_AT_MOST, T_AT_MOST_EXH),
+        "        w = n + 2 - top\n",
+        "        w = n + 1 - top\n",
+        (T_AT_MOST, T_AT_MOST_EXH, T_BRUTE),
     ),
     Mutant(
-        "size-one-exit-need-one-less",
+        "size-one-weight-one-more",
         SOLVER,
-        ">= n + 2 - limit:",
-        ">= n + 1 - limit:",
-        (T_AT_MOST, T_AT_MOST_EXH),
+        "        w = n + 2 - top\n",
+        "        w = n + 3 - top\n",
+        (T_AT_MOST, T_AT_MOST_EXH, T_BRUTE),
     ),
     Mutant(
-        "size-one-exit-need-one-more",
+        "size-one-last-maximiser",
         SOLVER,
-        ">= n + 2 - limit:",
-        ">= n + 3 - limit:",
-        (T_AT_MOST, T_AT_MOST_EXH),
+        "        c = max(closed, key=int.bit_count)\n",
+        "        c = max(reversed(closed), key=int.bit_count)\n",
+        (T_BRUTE, T_GOSPER_WITNESS),
     ),
     Mutant(
-        "size-one-exit-limit-off-by-one",
+        "size-one-index-of-the-largest-mask",
         SOLVER,
-        "    if limit < 2:\n",
-        "    if limit < 3:\n",
-        (T_AT_MOST, T_AT_MOST_EXH),
+        "1 << closed.index(c)",
+        "1 << closed.index(max(closed))",
+        (T_BRUTE, T_GOSPER_WITNESS),
     ),
     Mutant(
         "all-ones-shortcut-strict",
@@ -163,6 +168,27 @@ MUTANTS = (
         "    if n <= limit:  # every vertex labeled 1\n",
         "    if n < limit:  # every vertex labeled 1\n",
         (T_AT_MOST, T_AT_MOST_EXH),
+    ),
+    Mutant(
+        "lightest-stop-ignores-enough",
+        SOLVER,
+        "                    if w == floor or w <= enough:\n",
+        "                    if w == floor:\n",
+        (T_AT_MOST_STOP,),
+    ),
+    Mutant(
+        "lightest-sweeps-sizes-past-enough",
+        SOLVER,
+        "    while 2 * k < best > enough:\n",
+        "    while 2 * k < best:\n",
+        (T_AT_MOST_STOP,),
+    ),
+    Mutant(
+        "at-most-room-ignored",
+        SOLVER,
+        "    return room >= 0\n",
+        "    return True\n",
+        (T_SPLIT, T_AT_MOST_BRUTE),
     ),
     # the sweep primitive
     Mutant(
@@ -241,23 +267,30 @@ MUTANTS = (
     Mutant(
         "lightest-stops-one-over-the-floor",
         SOLVER,
-        "                    if w == floor:\n",
-        "                    if w <= floor + 1:\n",
-        (T_BRUTE,),
-    ),
-    Mutant(
-        "lightest-size-one-floor-one-over",
-        SOLVER,
-        "    floors = (0, 2, 4)\n    k = 1\n",
-        "    floors = (0, 3, 4)\n    k = 1\n",
+        "                    if w == floor or w <= enough:\n",
+        "                    if w <= floor + 1 or w <= enough:\n",
         (T_BRUTE,),
     ),
     Mutant(
         "lightest-size-two-floor-one-over",
         SOLVER,
-        "    floors = (0, 2, 4)\n    k = 1\n",
-        "    floors = (0, 2, 5)\n    k = 1\n",
+        "        floor = floors[k] if floors else 4 + max(0, n - 2 * top)\n",
+        "        floor = floors[k] if floors else 5 + max(0, n - 2 * top)\n",
         (T_BRUTE,),
+    ),
+    Mutant(
+        "lightest-size-two-floor-from-one-neighborhood",
+        SOLVER,
+        "        floor = floors[k] if floors else 4 + max(0, n - 2 * top)\n",
+        "        floor = floors[k] if floors else 4 + max(0, n - top)\n",
+        (T_BRUTE, T_FLOORS),
+    ),
+    Mutant(
+        "lightest-size-two-on-the-bare-floor",
+        SOLVER,
+        "        floor = floors[k] if floors else 4 + max(0, n - 2 * top)\n",
+        "        floor = floors[k] if floors else 4\n",
+        (T_FLOORS, T_AT_MOST_FLOORS),
     ),
     Mutant(
         "sweep-pairs-skips-a-size-at-gamma",
@@ -326,22 +359,29 @@ MUTANTS = (
     Mutant(
         "split-lower-bound-one-per-component",
         SOLVER,
-        "        room = limit - lone.bit_count() - 2 * len(parts)\n",
-        "        room = limit - lone.bit_count() - len(parts)\n",
+        "    room = limit - lone.bit_count() - 2 * len(parts)\n",
+        "    room = limit - lone.bit_count() - len(parts)\n",
         (T_SPLIT,),
     ),
     Mutant(
         "split-cap-one-less",
         SOLVER,
-        "            cap = room + 2\n",
-        "            cap = room + 1\n",
+        "        m, cap = len(sub), room + 2\n",
+        "        m, cap = len(sub), room + 1\n",
         (T_SPLIT,),
     ),
     Mutant(
-        "split-last-part-room-one-less",
+        "split-last-part-stops-one-under",
         SOLVER,
-        "        n, limit = len(closed), room + 2\n",
-        "        n, limit = len(closed), room + 1\n",
+        "cap if i == last else 0",
+        "cap - 1 if i == last else 0",
+        (T_AT_MOST_STOP,),
+    ),
+    Mutant(
+        "split-every-part-stops-early",
+        SOLVER,
+        "cap if i == last else 0",
+        "cap",
         (T_SPLIT,),
     ),
     Mutant(
@@ -433,6 +473,13 @@ MUTANTS = (
         "        copy._gamma, copy._vc, copy._ec, copy._sat, copy._classes = (\n"
         "            self._gamma, self._vc, self._ec, self._sat, self._classes\n"
         "        )\n",
+        (T_RELABELED,),
+    ),
+    Mutant(
+        "relabeled-carries-closed-masks",
+        CRIT,
+        "        copy = Facts(g)\n",
+        "        copy = Facts(g)\n        copy._closed = self._closed\n",
         (T_RELABELED,),
     ),
     # the component walk in graphs.py, shared by Graph and the solve plan
@@ -637,6 +684,20 @@ MUTANTS = (
         "    if n >= 6 and sorted(degs) == [1] + [n - 3] * (n - 1):\n",
         "    if n >= 6 and sorted(degs) == [0] + [n - 3] * (n - 1):\n",
         (T_CATALOG, T_CATALOG_NEAR),
+    ),
+    Mutant(
+        "cut-vertex-largest-first",
+        GAMMA4,
+        "    for v in sorted(g.cut_vertices()):\n",
+        "    for v in sorted(g.cut_vertices(), reverse=True):\n",
+        (T_CUT_FIRST,),
+    ),
+    Mutant(
+        "cut-vertex-pendant-test-counts-pairs",
+        GAMMA4,
+        "        if not any(c.bit_count() == 1 for c in g.component_masks(1 << v)):\n",
+        "        if not any(c.bit_count() <= 2 for c in g.component_masks(1 << v)):\n",
+        (T_CUT_FIRST,),
     ),
     Mutant(
         "cut-structure-c5-unrecognised",
