@@ -9,8 +9,12 @@ so the sweep is exhaustive. One sweep primitive, ``_light_sets``, serves
 gamma_r, its witness, ``minimal_partitions`` and ``gamma_at_most``. It
 visits the sets of one size depth first in ascending bitmask order, each
 level adding one vertex's closed neighborhood to the cover its prefix
-carries, and skips a last-level prefix whose cover, plus the largest closed
-neighborhood below it, falls short of the cover a light enough set needs.
+carries. At every level it skips a prefix that cannot reach the cover a
+light enough set needs: the r elements still to pick all lie below the
+prefix's least element x, so they add at most r times the largest closed
+neighborhood below x, and nothing outside the union of the closed
+neighborhoods below x. This is the same 2n / (Delta + 1) bound that gives
+the size floors below, applied to each prefix.
 
 One size loop, ``_lightest``, answers gamma_r and ``gamma_at_most``: the
 yes/no question, which the criticality predicates ask of each graph they
@@ -62,10 +66,10 @@ ORACLE_MAX_ORDER = 12
 PARTITIONS_MAX_ORDER = 24
 # Most candidate 2-sets the sweeps for one gamma_r may be charged (see
 # _check_sweep). The charge counts every set of the sizes a sweep may reach,
-# the last-level sets _light_sets skips among them and the sizes the floors
-# skip, so it overstates the work: C26, charged 28.4M and the largest cycle
-# admitted, solves in 40 ms and C24 (7.0M) in 37 ms (best of 5, Python 3.11,
-# x86-64); C27 (47.1M) and C30 (459M) are refused.
+# the prefixes _light_sets skips among them and the sizes the floors skip,
+# so it overstates the work by orders of magnitude: C26, charged 28.4M and
+# the largest cycle admitted, solves in 0.13 ms and C24 (7.0M) in 0.13 ms
+# (best of 5, Python 3.11, x86-64); C27 (47.1M) and C30 (459M) are refused.
 SWEEP_MAX_SETS = 1 << 25
 # Up to this order all 2^n - 1 nonempty sets fit under SWEEP_MAX_SETS, so
 # the guard cannot fire there and is not evaluated.
@@ -138,10 +142,12 @@ def _light_sets(
     the cover of the elements picked so far down a stack, and at the last
     level runs the lowest element under that prefix, one OR and one
     bit_count per set. A weight at most limit is a cover of at least
-    need = n + 2k - limit vertices. The last level skips a prefix whose
-    cover, plus the largest closed neighborhood below its least element,
-    falls short of need: no set under it reaches need, and need only ever
-    rises, so the sets yielded are the same, in the same order.
+    need = n + 2k - limit vertices. Every level skips a prefix, of least
+    element x and cover cov with r elements still to pick, when
+    |cov| + r * top[x] or |cov | reach[x]| falls short of need, top[x]
+    being the largest closed neighborhood below x and reach[x] the union
+    of those closed neighborhoods: no set under it reaches need, and need
+    only ever rises, so the sets yielded are the same, in the same order.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -156,14 +162,16 @@ def _light_sets(
                 yield 1 << v, full ^ c
         return
     # depth d picks the (d+1)-th largest element x, from k-1-d up to below
-    # the element picked one level up; the last level, k-2, picks the
-    # second smallest and runs the smallest inline, unless the largest
-    # closed neighborhood below x, top[x], cannot lift the cover to need
-    top, m = [0], 0
+    # the element picked one level up, and the last level, k-2, runs the
+    # smallest inline; top[x] is the largest closed neighborhood below x
+    # and reach[x] the union of those closed neighborhoods
+    top, reach, m, acc = [0], [0], 0, 0
     for c in closed:
         if c.bit_count() > m:
             m = c.bit_count()
+        acc |= c
         top.append(m)
+        reach.append(acc)
     last = k - 2
     picked = [0] * last
     covs = [0] * (last + 1)
@@ -178,20 +186,25 @@ def _light_sets(
             d -= 1
             x = picked[d] + 1
             hi = picked[d - 1] if d else n
+            continue
+        cov = covs[d] | closed[x]
+        if (
+            cov.bit_count() + (k - 1 - d) * top[x] < need
+            or (cov | reach[x]).bit_count() < need
+        ):
+            x += 1
         elif d == last:
-            cov = covs[d] | closed[x]
-            if cov.bit_count() + top[x] >= need:
-                y = 0
-                for c in closed[:x]:
-                    if (cov | c).bit_count() >= need:
-                        c |= cov
-                        need = c.bit_count()
-                        yield sets[d] | 1 << x | 1 << y, full ^ c
-                    y += 1
+            y = 0
+            for c in closed[:x]:
+                if (cov | c).bit_count() >= need:
+                    c |= cov
+                    need = c.bit_count()
+                    yield sets[d] | 1 << x | 1 << y, full ^ c
+                y += 1
             x += 1
         else:
             picked[d] = x
-            covs[d + 1] = covs[d] | closed[x]
+            covs[d + 1] = cov
             sets[d + 1] = sets[d] | 1 << x
             d += 1
             hi = x
@@ -471,7 +484,7 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
     floor 2k, and the floors' sort is spared: where the floor would skip
     one of them, _light_sets rejects it in one pass over the masks. Size 1
     is that pass, and at size 2 the sum of the two largest closed
-    neighborhoods falls short of the cover needed, so the last-level bound
+    neighborhoods falls short of the cover needed, so the prefix bound
     rejects every prefix.
     """
     floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)

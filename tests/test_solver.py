@@ -369,11 +369,29 @@ def _with_hub(base: Graph, spokes: list[int], at_end: bool) -> Graph:
     return graph_new(n + 1, edges)
 
 
-def _last_level_bound_graphs() -> list[Graph]:
-    # graphs on which the last level's bound skips prefixes: cycles, whose
+def _path_below_block(p: int, q: int, prob: float, seed: int) -> Graph:
+    # a path on the vertices 0..p-1 joined at p-1 to a seeded G(q, prob) on
+    # the vertices above it: the closed neighborhoods below a path vertex x
+    # reach only 0..x, so whatever a prefix of least element x leaves of
+    # the path above x + 1 stays uncovered, however large r * top[x] is
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(p)]
+    edges += [
+        (u, v)
+        for u in range(p, p + q)
+        for v in range(u + 1, p + q)
+        if rng.random() < prob
+    ]
+    return graph_new(p + q, edges)
+
+
+def _prefix_bound_graphs() -> list[Graph]:
+    # graphs on which the prefix bound skips prefixes: cycles, whose
     # perfect codes at orders 15, 18 and 21 reach need exactly; a hub of
     # degree 6 at the highest index, so that every top[x] is 3, below the
-    # hub's 7, and at the lowest; unions swept whole; seeded G(n, p)
+    # hub's 7, and at the lowest; unions swept whole; paths below dense
+    # blocks, where the reach clause skips prefixes that top[x] alone
+    # admits; seeded G(n, p)
     graphs = [gen_family("cycle", n) for n in range(14, 23)]
     c16 = gen_family("cycle", 16)
     spokes = [0, 3, 6, 9, 12, 14]
@@ -384,6 +402,11 @@ def _last_level_bound_graphs() -> list[Graph]:
         _disjoint_union(c6, c6, c6),
         _disjoint_union(gen_family("path", 7), c9, graph_new(1)),
     ]
+    graphs += [
+        _path_below_block(10, 8, 1.0, 3),
+        _path_below_block(11, 9, 0.5, 3),
+        _path_below_block(16, 6, 0.7, 3),
+    ]
     rng = random.Random(62)
     graphs += [
         _random_graph(rng, n, rng.choice((0.12, 0.2))) for n in range(16, 23)
@@ -391,15 +414,15 @@ def _last_level_bound_graphs() -> list[Graph]:
     return graphs
 
 
-def test_light_sets_last_level_bound_matches_gosper_sweep():
-    # each graph swept whole at the sizes around gamma / 2 and the limits
-    # gamma - 1 .. gamma + 1, where need is high enough for the bound to
-    # skip most last-level prefixes
-    for g in _last_level_bound_graphs():
+def test_light_sets_prefix_bound_matches_gosper_sweep():
+    # each graph swept whole at every size from 2 to gamma / 2 and the
+    # limits gamma - 1 .. gamma + 1, where need is high enough for the
+    # bound to skip prefixes at every level
+    for g in _prefix_bound_graphs():
         n = g.n
         closed = solver._closed_masks(g)
         gamma = solver._lightest(closed, n, n)[0]
-        for k in {max(gamma // 2 - 1, 2), gamma // 2}:
+        for k in range(2, gamma // 2 + 1):
             sets = list(_gosper_sets(closed, n, k))
             for limit in (gamma - 1, gamma, gamma + 1):
                 got = list(solver._light_sets(closed, n, k, limit))
@@ -642,6 +665,23 @@ def test_sweep_guard_charges_gamma_at_most_no_more_than_gamma_r():
     assert [gamma_at_most(star, limit) for limit in range(30)] == [
         limit >= 2 for limit in range(30)
     ]
+
+
+def test_lightest_solves_the_cycles_the_guard_refuses():
+    # C27-C40 are refused by the guard, yet the prefix bound sweeps each
+    # in well under a millisecond: gamma_r(C_n) = ceil(2n / 3), and the
+    # first 2-set leaves exactly the vertices it reports outside N[S]
+    for n in range(27, 41):
+        closed = solver._closed_masks(gen_family("cycle", n))
+        t0 = time.perf_counter()
+        w, s, rest = solver._lightest(closed, n, n)
+        assert time.perf_counter() - t0 < 0.1
+        cov = 0
+        for v in range(n):
+            if s >> v & 1:
+                cov |= closed[v]
+        assert (w, rest) == (-(-2 * n // 3), (1 << n) - 1 & ~cov)
+        assert w == 2 * s.bit_count() + rest.bit_count()
 
 
 @pytest.mark.parametrize(

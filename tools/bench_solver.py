@@ -6,11 +6,11 @@
 
 Each ``--src [NAME=]DIR`` names a directory that holds the ``romancrit``
 package, so one script times two checkouts on the same graphs. Each source
-runs twice, each time in a fresh interpreter of this script (``--column
-DIR``): a first round in the order given and a second in reverse, so that no
-source always runs first. The record holds one column per source, side by
-side. Every timing is the best of three calls in each round, and the better
-of the two rounds, on:
+runs ROUNDS (six) times, each time in a fresh interpreter of this script
+(``--column DIR``), the rounds alternating between the order given and its
+reverse, so that no source always runs first. The record holds one column
+per source, side by side. Every timing is the best of three calls in each
+round, and the best of the rounds, on:
 
   C15 .. C24              cycles, where gamma_r = ceil(2n/3) makes the sweep long
   G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
@@ -25,7 +25,7 @@ criticality rows time ``is_v_critical``, ``is_roman_saturated``,
   order-6 classes         one call per class representative, summed (156)
   C12+C12                 order 24, the largest minimal_partitions accepts
 
-An operation that raises ``TooLarge`` in either round is recorded as
+An operation that raises ``TooLarge`` in any round is recorded as
 "refused"; ``gamma_at_most`` takes its limit from this column's ``gamma_r``,
 so it is refused with it. The totals add only the rows every column timed.
 Stdlib only; nothing is installed.
@@ -43,6 +43,7 @@ import sys
 from time import perf_counter
 
 REPEATS = 3
+ROUNDS = 6
 CYCLES = range(15, 25)
 RANDOM_ORDER = 24
 RANDOM_P = 0.1
@@ -100,7 +101,7 @@ def _best(rc, call) -> float | str:
         except rc.TooLarge:
             return "refused"
         best = min(best, perf_counter() - t0)
-    return round(best, 5)
+    return round(best, 7)
 
 
 def time_source(src: str) -> list[dict]:
@@ -134,7 +135,8 @@ def time_source(src: str) -> list[dict]:
 
 
 def _faster(a: float | str, b: float | str) -> float | str:
-    """The better of one row's two rounds; a refusal stays a refusal."""
+    """The better of two rounds' timings of one row; a refusal stays a
+    refusal."""
     return "refused" if "refused" in (a, b) else min(a, b)
 
 
@@ -165,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     sources = dict(_parse_source(s) for s in args.src or ["src"])
     names = list(sources)
     columns = {}
-    for order in (names, names[::-1]):
-        for name in order:
+    for i in range(ROUNDS):
+        for name in names[:: -1 if i % 2 else 1]:
             child = subprocess.run(
                 [sys.executable, __file__, "--column", sources[name]],
                 check=True,
@@ -194,8 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "what": (
             f"solver and criticality layers, best of {REPEATS} calls per"
-            " operation in each of two rounds, the second in reverse source"
-            " order, seconds; totals over the rows every column timed"
+            f" operation in each of {ROUNDS} rounds, alternating between the"
+            " source order given and its reverse, seconds; totals over the"
+            " rows every column timed"
         ),
         "seed": SEED,
         "environment": {

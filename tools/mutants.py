@@ -49,7 +49,7 @@ T_AT_MOST_BRUTE = "tests/test_solver.py::test_gamma_at_most_matches_the_brute_fo
 T_AT_MOST_FLOORS = "tests/test_solver.py::test_gamma_at_most_below_gamma_on_cycles_sweeps_no_set"
 T_AT_MOST_STOP = "tests/test_solver.py::test_gamma_at_most_stops_at_its_first_set_light_enough"
 T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
-T_BOUND = "tests/test_solver.py::test_light_sets_last_level_bound_matches_gosper_sweep"
+T_BOUND = "tests/test_solver.py::test_light_sets_prefix_bound_matches_gosper_sweep"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
 T_BRUTE = "tests/test_solver.py::test_roman_number_and_partitions_match_a_brute_force_sweep"
@@ -194,49 +194,80 @@ MUTANTS = (
     Mutant(
         "light-sets-reversed-leaf-order",
         SOLVER,
-        "                y = 0\n"
-        "                for c in closed[:x]:\n"
-        "                    if (cov | c).bit_count() >= need:\n"
-        "                        c |= cov\n"
-        "                        need = c.bit_count()\n"
-        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n"
-        "                    y += 1\n",
-        "                y = x\n"
-        "                for c in reversed(closed[:x]):\n"
-        "                    y -= 1\n"
-        "                    if (cov | c).bit_count() >= need:\n"
-        "                        c |= cov\n"
-        "                        need = c.bit_count()\n"
-        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n",
+        "            y = 0\n"
+        "            for c in closed[:x]:\n"
+        "                if (cov | c).bit_count() >= need:\n"
+        "                    c |= cov\n"
+        "                    need = c.bit_count()\n"
+        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n"
+        "                y += 1\n",
+        "            y = x\n"
+        "            for c in reversed(closed[:x]):\n"
+        "                y -= 1\n"
+        "                if (cov | c).bit_count() >= need:\n"
+        "                    c |= cov\n"
+        "                    need = c.bit_count()\n"
+        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n",
         (T_GOSPER,),
     ),
-    # the last level's bound; a looser bound (top[x + 1], the largest
-    # closed neighborhood overall) only skips less and is no mutant
+    # the prefix bound at every level; a looser bound (top[x + 1], the
+    # largest closed neighborhood overall, or reach[x + 1], which adds
+    # closed[x], already in the cover) only skips less and is no mutant
     Mutant(
-        "last-level-bound-strict",
+        "prefix-bound-top-clause-at-need",
         SOLVER,
-        "            if cov.bit_count() + top[x] >= need:\n",
-        "            if cov.bit_count() + top[x] > need:\n",
+        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
+        "            cov.bit_count() + (k - 1 - d) * top[x] <= need\n",
         (T_BOUND,),
     ),
     Mutant(
-        "last-level-bound-misses-the-vertex-below-x",
+        "prefix-bound-reach-clause-at-need",
         SOLVER,
-        "            if cov.bit_count() + top[x] >= need:\n",
-        "            if cov.bit_count() + top[x - 1] >= need:\n",
+        "            or (cov | reach[x]).bit_count() < need\n",
+        "            or (cov | reach[x]).bit_count() <= need\n",
         (T_BOUND,),
     ),
     Mutant(
-        "last-level-bound-no-running-max",
+        "prefix-bound-one-pick-short",
+        SOLVER,
+        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
+        "            cov.bit_count() + (k - 2 - d) * top[x] < need\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "prefix-bound-top-misses-the-vertex-below-x",
+        SOLVER,
+        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
+        "            cov.bit_count() + (k - 1 - d) * top[x - 1] < need\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "prefix-bound-reach-misses-the-vertex-below-x",
+        SOLVER,
+        "            or (cov | reach[x]).bit_count() < need\n",
+        "            or (cov | reach[x - 1]).bit_count() < need\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "prefix-bound-no-running-max",
         SOLVER,
         "        if c.bit_count() > m:\n"
         "            m = c.bit_count()\n"
+        "        acc |= c\n"
         "        top.append(m)\n",
+        "        acc |= c\n"
         "        top.append(c.bit_count())\n",
         (T_BOUND,),
     ),
     Mutant(
-        "last-level-bound-one-short",
+        "prefix-bound-no-running-or",
+        SOLVER,
+        "        reach.append(acc)\n",
+        "        reach.append(c)\n",
+        (T_BOUND,),
+    ),
+    Mutant(
+        "prefix-bound-top-one-short",
         SOLVER,
         "            m = c.bit_count()\n",
         "            m = c.bit_count() - 1\n",
