@@ -28,7 +28,7 @@ adding an edge never raises gamma_r, so a failing non-edge leaves it as it
 was.
 
 The definitions work on closed-neighborhood masks, not Graph objects. Each
-reads G's masks from ``Facts.closed``, built once per graph, and derives
+reads G's masks from ``Graph.closed``, built once per graph, and derives
 every modified graph's masks in a copied list: G - v by dropping v's mask
 and shifting every bit above v down by one, G + uv and G - uv by flipping
 bit v of u's mask and bit u of v's. The yes/no question goes to the solver's
@@ -47,13 +47,13 @@ ascending V2 order, from ``Facts.partitions``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidOrder, NotVCritical
 from .graphs import Graph
 # minimal_partitions is not called here; bench/tracer.py wraps this binding
 from .solver import (
     _at_most,
-    _closed_masks,
     _partition_pairs,
     _partitions_guard,
     gamma_mask,
@@ -84,23 +84,22 @@ def degree_classes(g: Graph) -> DegreeClasses:
 
 class Facts:
     """Per-graph lazy cache of gamma_r, the three criticality verdicts, the
-    minimum partitions, the degree classes and the closed-neighborhood
-    masks: the one evaluation context that every predicate, the claims and
-    ``criticality_report`` read. It holds each minimum partition as its
-    (V2, V1) masks, by ascending V2. A slot holds None until it is
-    computed."""
+    minimum partitions and the degree classes: the one evaluation context
+    that every predicate, the claims and ``criticality_report`` read. It
+    holds each minimum partition as its (V2, V1) masks, by ascending V2; a
+    slot holds None until it is computed. The masks are ``g.closed``."""
 
-    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes", "_closed")
+    __slots__ = ("g", "_gamma", "_vc", "_ec", "_sat", "_parts", "_classes")
 
     def __init__(self, g: Graph):
         self.g = g
         self._gamma = self._vc = self._ec = self._sat = None
-        self._parts = self._classes = self._closed = None
+        self._parts = self._classes = None
 
     def relabeled(self, g: Graph) -> Facts:
         """Facts of g, an isomorphic copy of this graph: gamma_r and the
-        verdicts carry over; the partitions, degree classes and masks, which
-        name vertices, do not."""
+        verdicts carry over; the partitions and degree classes, which name
+        vertices, do not, and the masks are g's own."""
         copy = Facts(g)
         copy._gamma, copy._vc, copy._ec, copy._sat = (
             self._gamma, self._vc, self._ec, self._sat
@@ -140,16 +139,8 @@ class Facts:
         if self._parts is None:
             # refuse the order before gamma_r is solved for it
             _partitions_guard(self.g.n)
-            self._parts = _partition_pairs(self.closed, self.g.n, self.gamma)
+            self._parts = _partition_pairs(self.g.closed, self.g.n, self.gamma)
         return self._parts
-
-    @property
-    def closed(self) -> list[int]:
-        """N[v] as a vertex mask for each v, shared: readers copy before
-        they change it."""
-        if self._closed is None:
-            self._closed = _closed_masks(self.g)
-        return self._closed
 
     @property
     def degree_classes(self) -> DegreeClasses:
@@ -173,16 +164,16 @@ def nonelementary_by_components(g: Graph | Facts) -> bool:
     return any(c.bit_count() >= 3 for c in _facts(g).g.component_masks())
 
 
-def _toggle_edge(closed: list[int], u: int, v: int) -> list[int]:
+def _toggle_edge(closed: Sequence[int], u: int, v: int) -> list[int]:
     """A copy of the closed-neighborhood masks with the pair uv flipped: G + uv
     for a non-edge, G - uv for an edge."""
-    h = closed.copy()
+    h = list(closed)
     h[u] ^= 1 << v
     h[v] ^= 1 << u
     return h
 
 
-def _critical_miss(closed: list[int], n: int, gamma: int) -> int | None:
+def _critical_miss(closed: Sequence[int], n: int, gamma: int) -> int | None:
     """The smallest v whose deletion fails to drop gamma_r from gamma to
     gamma - 1, else None. G - v keeps each mask's bits below v and shifts
     those above it down by one, as Graph.delete_vertex renumbers."""
@@ -199,7 +190,7 @@ def _first_non_critical(f: Facts) -> int | None:
     """The smallest v whose deletion fails to drop gamma_r by exactly 1."""
     if f.g.n == 0:
         raise InvalidOrder("criticality needs order >= 1")
-    return _critical_miss(f.closed, f.g.n, f.gamma)
+    return _critical_miss(f.g.closed, f.g.n, f.gamma)
 
 
 def first_non_critical_vertex(g: Graph | Facts) -> tuple[int, int] | None:
@@ -236,7 +227,7 @@ def first_unsaturated_nonedge(g: Graph | Facts) -> tuple[int, int, int] | None:
     f = _facts(g)
     hit = None
     if not f._sat:
-        g, limit, closed = f.g, f.gamma - 1, f.closed
+        g, limit, closed = f.g, f.gamma - 1, f.g.closed
         for u, v in g.non_edges():
             if not _at_most(_toggle_edge(closed, u, v), g.n, limit):
                 hit = u, v, limit + 1
@@ -286,7 +277,7 @@ def first_gamma_changing_edge(g: Graph | Facts) -> tuple[int, int, int] | None:
     f = _facts(g)
     if not f.v_critical:
         raise NotVCritical("edge-removal invariance is stated for v-critical graphs")
-    g, gamma, closed = f.g, f.gamma, f.closed
+    g, gamma, closed = f.g, f.gamma, f.g.closed
     for u, v in g.edges():
         if not _at_most(_toggle_edge(closed, u, v), g.n, gamma):
             return u, v, gamma_r(g.delete_edge(u, v))
@@ -307,7 +298,7 @@ def first_non_ecritical_edge(g: Graph | Facts) -> tuple[int, int] | None:
     f = _facts(g)
     if f._ec:
         return None
-    g, gamma, closed, n = f.g, f.gamma, f.closed, f.g.n
+    g, gamma, closed, n = f.g, f.gamma, f.g.closed, f.g.n
     hit = None
     for u, v in g.edges():
         h = _toggle_edge(closed, u, v)
@@ -336,7 +327,7 @@ def _pivot_condition(g: Graph, pairs: list[tuple[int, int]]) -> bool:
     # the other is its only 2-labeled closed neighbor. A pivot serves the
     # edge iff no minimum assignment labels it 1 without pinning the edge,
     # so some vertex does iff those assignments' V1 do not cover V.
-    closed = _closed_masks(g)
+    closed = g.closed
     full = g.full_mask
     for x, y in g.edges():
         unpinned = 0

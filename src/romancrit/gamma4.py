@@ -48,16 +48,16 @@ def vcrit4_by_degrees(g: Graph | Facts) -> bool:
     f = _facts(g)
     _require_gamma4(f)
     high = sum(1 << v for v in f.degree_classes.high)
-    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))
+    return all(high & ~c for c in f.g.closed)
 
 
 def _witness_pairs_raw(g: Graph, x: int) -> list[tuple[int, int]]:
     full = g.full_mask
     out = []
-    for a in range(g.n):
+    for a, c in enumerate(g.closed):
         if a == x:
             continue
-        comp = full & ~g.closed_mask(a)
+        comp = full & ~c
         if comp.bit_count() == 2 and comp >> x & 1:
             b = (comp ^ (1 << x)).bit_length() - 1
             out.append((a, b))
@@ -113,9 +113,7 @@ def ecrit4_by_degrees(g: Graph | Facts) -> bool:
     high = sum(1 << v for v in f.degree_classes.high)
     for x, y in g.edges():
         pair = 1 << x | 1 << y
-        if not any(
-            not high & ~g.closed_mask(v) & ~pair for v in range(g.n)
-        ):
+        if not any(not high & ~c & ~pair for c in g.closed):
             return False
     return True
 

@@ -3,6 +3,10 @@
 Bit j of ``adj[v]`` is set iff {v, j} is an edge. All mutating operations
 return a new graph; deletion compacts indices above the removed vertex,
 preserving order.
+
+A graph owns its closed-neighborhood masks, ``closed``: built on first
+read, kept, and shared by every reader; an edited or relabeled copy starts
+without them.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from .errors import (
 
 
 class Graph:
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_closed")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         # Trusted constructor: callers must pass a symmetric, loop-free
         # adjacency table. Use graph_new() to build from an edge list.
         self.n = n
         self.adj = adj
+        self._closed = None
 
     # -- queries ---------------------------------------------------------
 
@@ -45,11 +50,18 @@ class Graph:
         return _mask_to_set(self.adj[v])
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return _mask_to_set(self.adj[v] | (1 << v))
+        return _mask_to_set(self.closed_mask(v))
 
     def closed_mask(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
+        self._check_vertex(v)
+        return self.closed[v]
+
+    @property
+    def closed(self) -> tuple[int, ...]:
+        """N[v] as a vertex mask for each v, built on first read."""
+        if self._closed is None:
+            self._closed = tuple([m | 1 << v for v, m in enumerate(self.adj)])
+        return self._closed
 
     def adjacent(self, u: int, v: int) -> bool:
         self._check_vertex(u)

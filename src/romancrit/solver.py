@@ -380,13 +380,9 @@ def gamma_mask(closed: Sequence[int], n: int) -> tuple[int, int, int]:
     return gamma, s, rest
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    return [m | 1 << v for v, m in enumerate(g.adj)]
-
-
 def gamma_r(g: Graph) -> int:
     """The Roman domination number."""
-    return gamma_mask(_closed_masks(g), g.n)[0]
+    return gamma_mask(g.closed, g.n)[0]
 
 
 def _at_most(closed: Sequence[int], n: int, limit: int) -> bool:
@@ -425,7 +421,7 @@ def gamma_at_most(g: Graph, limit: int) -> bool:
     enough, so no set is visited that gamma_r would not. Raises TooLarge
     past SWEEP_MAX_SETS (see _check_sweep).
     """
-    return _at_most(_closed_masks(g), g.n, limit)
+    return _at_most(g.closed, g.n, limit)
 
 
 def roman_number(g: Graph) -> GammaResult:
@@ -435,7 +431,7 @@ def roman_number(g: Graph) -> GammaResult:
     ascending bitmask (vertex i on bit i); its 1-set is everything the
     2-set fails to dominate.
     """
-    gamma, s, rest = gamma_mask(_closed_masks(g), g.n)
+    gamma, s, rest = gamma_mask(g.closed, g.n)
     return GammaResult(gamma, _assignment_from_masks(g.n, s, rest))
 
 
@@ -553,5 +549,5 @@ def minimal_partitions(g: Graph) -> list[RomanAssignment]:
     n = g.n
     return [
         _assignment_from_masks(n, s, m1)
-        for s, m1 in _partition_pairs(_closed_masks(g), n)
+        for s, m1 in _partition_pairs(g.closed, n)
     ]

@@ -35,6 +35,7 @@ from romancrit import (
 )
 from romancrit.cli import main as cli_main
 from romancrit.harness import iter_labeled_graphs
+from oracles import random_graph
 
 GAMMA4_CLAIMS = (
     "elementary4-list",
@@ -57,16 +58,6 @@ DUAL_CLAIMS = (
     "edge-removal-gamma",
     "ecrit-condition-prop",
 )
-
-
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return graph_new(n, edges)
 
 
 def _cex_lines(reports) -> set[tuple[str, str]]:
@@ -122,7 +113,7 @@ def dual_reports():
             reports[rep.claim].append(rep)
     rng = random.Random(3)
     graphs = tuple(
-        _random_graph(rng, rng.randrange(1, 9), (0.2, 0.5, 0.8)[i % 3])
+        random_graph(rng, rng.randrange(1, 9), (0.2, 0.5, 0.8)[i % 3])
         for i in range(10_000)
     )
     for rep in verify_claims(DUAL_CLAIMS, ("graphs", graphs)):
@@ -156,7 +147,7 @@ def test_criterion_02_solver_matches_oracle():
     rng = random.Random(2)
     for i in range(10_000):
         n = rng.randrange(1, 11)
-        g = _random_graph(rng, n, (0.2, 0.5, 0.8)[i % 3])
+        g = random_graph(rng, n, (0.2, 0.5, 0.8)[i % 3])
         assert roman_number(g).gamma == roman_number_oracle(g), emit_graph6(g)
 
 
@@ -282,7 +273,7 @@ def test_criterion_08_local_conditions_order8():
             problems.append(f"pendant family order {n}: literal={lit} fast={fast}")
     rng = random.Random(88)
     sample = tuple(
-        _random_graph(rng, 8, (0.3, 0.5, 0.7)[i % 3]) for i in range(2000)
+        random_graph(rng, 8, (0.3, 0.5, 0.7)[i % 3]) for i in range(2000)
     )
     srep = verify_claim("local8-theorem", ("graphs", sample))
     # GlnZ]c: the low vertices 2 and 7 (degree 4 < n-3) are non-adjacent

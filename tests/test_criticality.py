@@ -37,17 +37,8 @@ from romancrit.harness import (
     isomorphism_classes,
     iter_labeled_graphs,
 )
-from test_gamma4 import _matching_complement_plus_isolated, _warm_facts
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return graph_new(n, edges)
+from oracles import matching_complement_plus_isolated, random_graph
+from test_gamma4 import _warm_facts
 
 
 # -- elementary / nonelementary ----------------------------------------------
@@ -103,7 +94,7 @@ def test_first_non_critical_vertex_witness():
 def test_v_critical_routes_agree_random():
     rng = random.Random(6001)
     for _ in range(300):
-        g = _random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
         assert is_v_critical(g) == v_critical_by_partitions(g)
 
 
@@ -132,7 +123,7 @@ def test_first_unsaturated_nonedge_witness():
 def test_saturated_routes_agree_random():
     rng = random.Random(6002)
     for _ in range(300):
-        g = _random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
         assert is_roman_saturated(g) == saturated_by_partitions(g)
 
 
@@ -177,7 +168,7 @@ def test_e_critical_examples():
 def test_e_critical_implies_v_critical():
     rng = random.Random(6003)
     for _ in range(200):
-        g = _random_graph(rng, rng.randrange(1, 8))
+        g = random_graph(rng, rng.randrange(1, 8))
         if is_e_critical(g):
             assert is_v_critical(g)
 
@@ -200,7 +191,7 @@ def test_e_critical_routes_agree_random():
     rng = random.Random(6004)
     checked = 0
     for _ in range(400):
-        g = _random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, rng.randrange(1, 8), rng.choice((0.2, 0.5, 0.8)))
         if not is_v_critical(g):
             continue
         checked += 1
@@ -248,7 +239,7 @@ def _first_failure_oracle_graphs():
     for n in range(7, 10):
         for p in (0.3, 0.5, 0.7, 0.85):
             for _ in range(10):
-                yield _random_graph(rng, n, p)
+                yield random_graph(rng, n, p)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -352,12 +343,12 @@ def _mask_kernel_graphs():
     for n in range(7, 15):
         for p in (0.15, 0.3, 0.5, 0.8):
             for _ in range(3):
-                yield _random_graph(rng, n, p)
+                yield random_graph(rng, n, p)
         if n >= 10:
             # disconnected: two random parts, interleaved by a relabeling
             for _ in range(4):
                 m = rng.randrange(3, n - 2)
-                a, b = _random_graph(rng, m, 0.5), _random_graph(rng, n - m, 0.5)
+                a, b = random_graph(rng, m, 0.5), random_graph(rng, n - m, 0.5)
                 edges = a.edges() + [(u + m, v + m) for u, v in b.edges()]
                 yield relabel(graph_new(n, edges), rng.sample(range(n), n))
 
@@ -454,7 +445,7 @@ def _warm_facts_graphs(rng: random.Random) -> list[Graph]:
     for n in range(7, 11):
         found = 0
         while found < 12:
-            g = _random_graph(rng, n, rng.choice((0.6, 0.7, 0.8)))
+            g = random_graph(rng, n, rng.choice((0.6, 0.7, 0.8)))
             if gamma_r(g) == 4:
                 out.append(g)
                 found += 1
@@ -463,8 +454,8 @@ def _warm_facts_graphs(rng: random.Random) -> list[Graph]:
         gen_family("dn", 10),
         gen_family("xn", 7),
         gen_family("xn", 8),
-        _matching_complement_plus_isolated(7),
-        _matching_complement_plus_isolated(9),
+        matching_complement_plus_isolated(7),
+        matching_complement_plus_isolated(9),
     ):
         out.append(relabel(g, rng.sample(range(g.n), g.n)))
     return out
@@ -512,9 +503,9 @@ def test_every_predicate_reads_a_warm_facts_as_its_graph(monkeypatch):
 
 
 def test_relabeled_facts_carry_only_what_names_no_vertex():
-    # P5's minimum partitions, degree classes and closed-neighborhood masks
-    # name vertices that move under a relabeling; gamma_r and the verdicts
-    # do not
+    # P5's minimum partitions and degree classes name vertices that move
+    # under a relabeling; gamma_r and the verdicts do not, and the masks
+    # the copy reads are its own graph's
     g = gen_family("path", 5)
     f = _warm_facts(g)
     perm = [2, 0, 4, 1, 3]
@@ -525,10 +516,32 @@ def test_relabeled_facts_carry_only_what_names_no_vertex():
     assert (copy._gamma, copy._vc, copy._ec, copy._sat) == (
         fresh.gamma, fresh.v_critical, fresh.e_critical, fresh.saturated
     )
-    assert copy._parts is None and copy._classes is None and copy._closed is None
+    assert copy._parts is None and copy._classes is None
     assert copy.partitions == fresh.partitions != f.partitions
     assert copy.degree_classes == fresh.degree_classes != f.degree_classes
-    assert copy.closed == fresh.closed != f.closed
+    moved = [sum(1 << perm[u] for u in g.closed_neighborhood(v)) for v in range(5)]
+    assert [copy.g.closed[perm[v]] for v in range(5)] == moved
+    assert copy.g.closed != f.g.closed
+
+
+def test_closed_masks_are_built_once_per_graph():
+    # gamma_r, the partitions, every verdict and the pivot condition all
+    # read the one tuple the graph built; a graph an edit or a relabeling
+    # returns starts without one
+    g = gen_family("dn", 6)
+    assert g._closed is None
+    closed = g.closed
+    f = Facts(g)
+    f.gamma, f.partitions, f.v_critical, f.e_critical, f.saturated
+    assert e_critical_condition(f)
+    assert g.closed is closed
+    for h in (
+        g.delete_vertex(0),
+        g.add_edge(2, 3),
+        g.delete_edge(0, 1),
+        relabel(g, [5, 4, 3, 2, 1, 0]),
+    ):
+        assert h._closed is None
 
 
 # -- report ------------------------------------------------------------------
@@ -629,7 +642,7 @@ def _report_oracle_graphs():
     for n in range(6, 10):
         for p in (0.3, 0.5, 0.7):
             for _ in range(8):
-                yield _random_graph(rng, n, p)
+                yield random_graph(rng, n, p)
 
 
 @pytest.mark.parametrize("broken_partition_routes", [False, True])

@@ -49,19 +49,7 @@ from romancrit.gamma4 import (
     first_cut_vertex_without_pendant,
 )
 from romancrit.harness import graph_from_edge_mask, isomorphism_classes
-
-
-def _matching_complement_plus_isolated(n: int) -> Graph:
-    """K_{n-1} minus a perfect matching, plus one isolated vertex (n odd)."""
-    assert n % 2 == 1 and n >= 5
-    m = n - 1
-    edges = [
-        (u, v)
-        for u in range(m)
-        for v in range(u + 1, m)
-        if u + m // 2 != v
-    ]
-    return graph_new(n, edges)
+from oracles import matching_complement_plus_isolated
 
 
 # -- degree classes ----------------------------------------------------------
@@ -116,8 +104,8 @@ def test_vcrit4_by_degrees_agrees_with_direct_route():
         gen_family("cycle", 6),
         gen_family("xn", 7),
         gen_family("dn", 8),
-        _matching_complement_plus_isolated(5),
-        _matching_complement_plus_isolated(7),
+        matching_complement_plus_isolated(5),
+        matching_complement_plus_isolated(7),
         *_gamma4_classes(),
     ):
         assert vcrit4_by_degrees(g) == is_v_critical(g), emit_graph6(g)
@@ -333,7 +321,7 @@ def test_saturated4_by_degrees_agrees_with_direct_route():
         gen_family("cycle", 6),
         gen_family("xn", 7),
         gen_family("dn", 8),
-        _matching_complement_plus_isolated(7),
+        matching_complement_plus_isolated(7),
         *_gamma4_classes(),
     ):
         assert saturated4_by_degrees(g) == is_roman_saturated(g), emit_graph6(g)
@@ -352,8 +340,8 @@ def test_ecrit4_by_degrees_agrees_with_direct_route():
         gen_family("xn", 6),
         gen_family("xn", 7),
         gen_family("dn", 6),
-        _matching_complement_plus_isolated(5),
-        _matching_complement_plus_isolated(7),
+        matching_complement_plus_isolated(5),
+        matching_complement_plus_isolated(7),
         *(g for g in _gamma4_classes() if is_v_critical(g)),
     ):
         assert ecrit4_by_degrees(g) == is_e_critical(g), emit_graph6(g)
@@ -383,8 +371,8 @@ def test_high_class_bounds_hold_on_v_critical_families():
         gen_family("xn", 10),
         gen_family("dn", 8),
         gen_family("dn", 12),
-        _matching_complement_plus_isolated(7),
-        _matching_complement_plus_isolated(9),
+        matching_complement_plus_isolated(7),
+        matching_complement_plus_isolated(9),
     ):
         assert is_v_critical(g)
         half, threequarter = high_class_bounds(g)
@@ -431,10 +419,10 @@ def test_cut_vertex_structure_examples():
 
 def test_cut_vertex_structure_fails_on_isolated_low_vertex():
     # qualifying graph whose unique low vertex has degree 0, not 1
-    g = _matching_complement_plus_isolated(5)
+    g = matching_complement_plus_isolated(5)
     assert is_v_critical(g) and is_e_critical(g) and is_roman_saturated(g)
     assert not cut_vertex_structure(g)
-    assert not cut_vertex_structure(_matching_complement_plus_isolated(7))
+    assert not cut_vertex_structure(matching_complement_plus_isolated(7))
 
 
 def test_cut_vertex_structure_requires_v_critical():
@@ -469,7 +457,7 @@ def test_classify_non_members():
 def test_classify_reports_unclassified_qualifiers():
     # fully critical and saturated, yet outside the known catalog
     for n in (5, 7):
-        got = classify_critical4(_matching_complement_plus_isolated(n))
+        got = classify_critical4(matching_complement_plus_isolated(n))
         assert got == Classification(CRITICAL_BUT_UNCLASSIFIED)
 
 
@@ -550,7 +538,7 @@ def test_catalog_verdict_on_relabeled_and_swapped_pendant_family():
 def test_catalog_verdict_rejects_nearby_degree_sequences():
     # K_{n-1} minus a perfect matching plus K1 has degrees [0] + [n-3]*(n-1)
     for n in range(5, 22, 2):
-        assert catalog_verdict(_matching_complement_plus_isolated(n)) is None
+        assert catalog_verdict(matching_complement_plus_isolated(n)) is None
     for n in range(6, 21, 2):
         dn = gen_family("dn", n)
         assert catalog_verdict(dn.delete_edge(0, 1)) is None

@@ -16,16 +16,7 @@ from romancrit import (
     read_graph6_lines,
 )
 from romancrit.harness import iter_labeled_graphs
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return graph_new(n, edges)
+from oracles import random_graph
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -67,7 +58,7 @@ def test_round_trip_random():
     rng = random.Random(1234)
     for _ in range(1000):
         n = rng.randrange(0, 13)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         assert parse_graph6(emit_graph6(g)) == g
 
 
@@ -81,7 +72,7 @@ def test_emit_matches_networkx():
     rng = random.Random(987)
     for _ in range(1000):
         n = rng.randrange(0, 13)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         want = nx.to_graph6_bytes(_to_nx(g), header=False).decode().strip()
         assert emit_graph6(g) == want
 
@@ -90,7 +81,7 @@ def test_parse_matches_networkx():
     rng = random.Random(988)
     for _ in range(300):
         n = rng.randrange(1, 13)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         line = nx.to_graph6_bytes(_to_nx(g), header=False).decode().strip()
         parsed = parse_graph6(line)
         back = nx.from_graph6_bytes(line.encode())
@@ -103,7 +94,7 @@ def test_parse_matches_networkx():
 
 def test_order_62_round_trips_and_63_is_refused():
     # 62 is the largest order the one-byte prefix encodes
-    g = _random_graph(random.Random(62), 62)
+    g = random_graph(random.Random(62), 62)
     line = emit_graph6(g)
     assert line[0] == "}" and len(line) == 1 + (62 * 61 // 2 + 5) // 6
     assert parse_graph6(line) == g

@@ -17,16 +17,7 @@ from romancrit import (
     is_isomorphic,
     relabel,
 )
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return graph_new(n, edges)
+from oracles import random_graph
 
 
 # -- construction ------------------------------------------------------------
@@ -78,6 +69,9 @@ def test_neighbor_queries():
         g.degree(5)
     with pytest.raises(IndexOutOfRange):
         g.neighbors(-1)
+    for v in (-1, 5):
+        with pytest.raises(IndexOutOfRange):
+            g.closed_mask(v)
 
 
 def test_non_edges_partition_pairs():
@@ -85,7 +79,7 @@ def test_non_edges_partition_pairs():
     rng = random.Random(71)
     for _ in range(50):
         n = rng.randrange(0, 9)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         assert g.edges() == [(u, v) for u, v in pairs if v in g.neighbors(u)]
         assert g.non_edges() == [(u, v) for u, v in pairs if v not in g.neighbors(u)]
@@ -121,7 +115,7 @@ def test_delete_edge_errors():
 def test_add_then_delete_round_trip():
     rng = random.Random(9)
     for _ in range(100):
-        g = _random_graph(rng, rng.randrange(2, 9))
+        g = random_graph(rng, rng.randrange(2, 9))
         nonedges = g.non_edges()
         if not nonedges:
             continue
@@ -143,7 +137,7 @@ def test_delete_vertex_matches_relabel_construction():
     rng = random.Random(22)
     for _ in range(100):
         n = rng.randrange(1, 9)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         v = rng.randrange(n)
         keep = [u for u in range(n) if u != v]
         expected = graph_new(
@@ -190,7 +184,7 @@ def test_component_masks_match_a_search_over_neighbor_sets():
     rng = random.Random(73)
     for _ in range(120):
         n = rng.randrange(0, 11)
-        g = _random_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        g = random_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
         want = _components_by_search(g, set())
         assert g.connected_components() == want
         assert [frozenset(v for v in range(n) if m >> v & 1) for m in g.component_masks()] == want
@@ -321,7 +315,7 @@ def test_relabel_round_trip():
     rng = random.Random(41)
     for _ in range(100):
         n = rng.randrange(1, 9)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
         h = relabel(g, perm)

@@ -44,6 +44,7 @@ from romancrit.harness import (
     iter_labeled_graphs,
 )
 from class_sweep import TABLE_COMMAND, check_orbits, sweep_classes, table_module
+from oracles import matching_complement_plus_isolated
 from test_acceptance import DUAL_CLAIMS, GAMMA4_CLAIMS
 
 ALL_CLAIM_IDS = (
@@ -87,18 +88,6 @@ UNCLASSIFIED_ORDER5 = (
     "DoW",
     "Dr?",
 )
-
-
-def _matching_complement_plus_isolated(n: int) -> Graph:
-    assert n % 2 == 1 and n >= 5
-    m = n - 1
-    edges = [
-        (u, v)
-        for u in range(m)
-        for v in range(u + 1, m)
-        if u + m // 2 != v
-    ]
-    return graph_new(n, edges)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -610,7 +599,7 @@ def test_dn_claim_over_families():
 def test_local8_reports_odd_order_qualifier():
     # order-9 member of the matching-complement family: passes the three
     # local conditions but is not in the even pendant family
-    g = _matching_complement_plus_isolated(9)
+    g = matching_complement_plus_isolated(9)
     rep = verify_claim("local8-theorem", ("graphs", (g,)))
     assert rep.graphs_scanned == 1
     assert rep.graphs_in_hypothesis == 1

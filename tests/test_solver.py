@@ -28,16 +28,7 @@ from romancrit.harness import (
     isomorphism_classes,
     iter_labeled_graphs,
 )
-
-
-def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    return graph_new(n, edges)
+from oracles import random_graph
 
 
 def _valid_by_definition(g: Graph, labels: tuple[int, ...]) -> bool:
@@ -99,7 +90,7 @@ def test_is_roman_matches_definition_scan():
     rng = random.Random(5150)
     for _ in range(200):
         n = rng.randrange(1, 7)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         labels = tuple(rng.randrange(3) for _ in range(n))
         assert is_roman(g, labels) == _valid_by_definition(g, labels)
 
@@ -148,7 +139,7 @@ def test_solver_matches_product_scan_random():
     rng = random.Random(31337)
     for _ in range(300):
         n = rng.randrange(1, 8)
-        g = _random_graph(rng, n, rng.choice((0.15, 0.5, 0.85)))
+        g = random_graph(rng, n, rng.choice((0.15, 0.5, 0.85)))
         assert gamma_r(g) == _gamma_by_product_scan(g)
 
 
@@ -156,7 +147,7 @@ def test_oracle_matches_product_scan():
     rng = random.Random(31338)
     for _ in range(300):
         n = rng.randrange(1, 8)
-        g = _random_graph(rng, n, rng.choice((0.15, 0.5, 0.85)))
+        g = random_graph(rng, n, rng.choice((0.15, 0.5, 0.85)))
         assert roman_number_oracle(g) == _gamma_by_product_scan(g)
 
 
@@ -170,7 +161,7 @@ def test_solver_matches_oracle_random():
     rng = random.Random(4242)
     for _ in range(500):
         n = rng.randrange(1, 11)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         assert gamma_r(g) == roman_number_oracle(g)
 
 
@@ -186,7 +177,7 @@ def test_gamma_at_most_matches_oracle_random():
     rng = random.Random(4343)
     for n in range(7, 11):
         for _ in range(25):
-            g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
             gamma = roman_number_oracle(g)
             for limit in range(-1, 2 * n + 1):
                 assert gamma_at_most(g, limit) == (gamma <= limit), (g.adj, limit)
@@ -212,7 +203,7 @@ def test_at_most_boundaries(g, gamma):
     # which _lightest, asked for a set below limit + 1, sweeps nothing, and
     # around the size-1 pass, whose first vertex of the largest closed
     # neighborhood weighs n + 2 minus that neighborhood's size
-    closed = solver._closed_masks(g)
+    closed = g.closed
     for limit in (-1, 0, 1, 2, 3):
         assert solver._at_most(closed, g.n, limit) == (gamma <= limit), limit
 
@@ -223,10 +214,10 @@ def test_at_most_guard_sits_before_the_size_one_exit():
     # refused (47.1M) although the same 2 would answer it, and at limit 27
     # the all-1 labeling answers before any charge
     c26, c27 = gen_family("cycle", 26), gen_family("cycle", 27)
-    assert solver._at_most(solver._closed_masks(c26), 26, 25)
+    assert solver._at_most(c26.closed, 26, 25)
     with pytest.raises(TooLarge, match="of up to 47,050,563 vertex sets"):
-        solver._at_most(solver._closed_masks(c27), 27, 26)
-    assert solver._at_most(solver._closed_masks(c27), 27, 27)
+        solver._at_most(c27.closed, 27, 26)
+    assert solver._at_most(c27.closed, 27, 27)
 
 
 def test_oracle_guard():
@@ -241,7 +232,7 @@ def test_witness_is_valid_and_tight():
     rng = random.Random(777)
     for _ in range(300):
         n = rng.randrange(0, 10)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         res = roman_number(g)
         assert isinstance(res, GammaResult)
         assert res.witness.weight == res.gamma == gamma_r(g)
@@ -271,7 +262,7 @@ def test_witness_tie_break_deterministic():
     rng = random.Random(778)
     for _ in range(120):
         n = rng.randrange(1, 8)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         res = roman_number(g)
         assert res.witness.label_mask(2) == _first_minimizing_2set(g)
         # ones are exactly the vertices the 2-set leaves uncovered
@@ -333,7 +324,7 @@ def _gosper_light_sets(closed, n, k, limit):
 
 def _assert_sweeps_agree(g: Graph) -> None:
     n = g.n
-    closed = solver._closed_masks(g)
+    closed = g.closed
     for k in range(n + 2):
         for limit in range(-1, 2 * n + 2):
             got = list(solver._light_sets(closed, n, k, limit))
@@ -356,7 +347,7 @@ def test_light_sets_matches_gosper_sweep_random():
     rng = random.Random(58)
     for n in range(8, 14):
         for p in (0.15, 0.4):
-            _assert_sweeps_agree(_random_graph(rng, n, p))
+            _assert_sweeps_agree(random_graph(rng, n, p))
 
 
 def _with_hub(base: Graph, spokes: list[int], at_end: bool) -> Graph:
@@ -409,7 +400,7 @@ def _prefix_bound_graphs() -> list[Graph]:
     ]
     rng = random.Random(62)
     graphs += [
-        _random_graph(rng, n, rng.choice((0.12, 0.2))) for n in range(16, 23)
+        random_graph(rng, n, rng.choice((0.12, 0.2))) for n in range(16, 23)
     ]
     return graphs
 
@@ -420,7 +411,7 @@ def test_light_sets_prefix_bound_matches_gosper_sweep():
     # bound to skip prefixes at every level
     for g in _prefix_bound_graphs():
         n = g.n
-        closed = solver._closed_masks(g)
+        closed = g.closed
         gamma = solver._lightest(closed, n, n)[0]
         for k in range(2, gamma // 2 + 1):
             sets = list(_gosper_sets(closed, n, k))
@@ -436,7 +427,7 @@ def test_light_sets_prefix_bound_matches_gosper_sweep():
 def test_roman_number_matches_gosper_sweep(monkeypatch):
     rng = random.Random(59)
     graphs = [
-        _random_graph(rng, n, p)
+        random_graph(rng, n, p)
         for n in range(15, 21)
         for p in (0.15, 0.2, 0.3)
     ]
@@ -493,7 +484,7 @@ def _floor_graphs() -> list[Graph]:
         graph_new(8, [(0, 1), (0, 6), (1, 6), (2, 6), (3, 4), (3, 5), (3, 7), (4, 7), (5, 7)]),
     ]
     rng = random.Random(63)
-    graphs += [_random_graph(rng, n, rng.choice((0.15, 0.25, 0.4))) for n in range(8, 19)]
+    graphs += [random_graph(rng, n, rng.choice((0.15, 0.25, 0.4))) for n in range(8, 19)]
     return graphs
 
 
@@ -503,7 +494,7 @@ def _brute_force_sweep(g: Graph) -> tuple[list[tuple[int, int, int]], list[tuple
     # ascending bitmask, as (w, S, V outside N[S]); and every (S, V outside
     # N[S]) of the least weight over all sizes, by ascending S
     n = g.n
-    closed = solver._closed_masks(g)
+    closed = g.closed
     full = (1 << n) - 1
     least = [(n, 0, full)]
     gamma, pairs = n, [(0, full)]
@@ -553,7 +544,7 @@ def _reference_floors(closed, n):
 def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
     # on C_n every closed neighborhood has 3 vertices
     for n in range(3, 27):
-        closed = solver._closed_masks(gen_family("cycle", n))
+        closed = gen_family("cycle", n).closed
         want = [2 * k + max(0, n - 3 * k) for k in range(n // 2 + 1)]
         assert solver._floors(closed, n) == want
     # _lightest hands _light_sets each size k from 2 up with 2k below the
@@ -572,7 +563,7 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
     visited = skipped = 0
     for g, least, _ in floor_sweeps:
         n = g.n
-        closed = solver._closed_masks(g)
+        closed = g.closed
         floors = _reference_floors(closed, n)
         assert solver._floors(closed, n) == floors, g.edges()
         top = max(map(int.bit_count, closed), default=0)
@@ -672,7 +663,7 @@ def test_lightest_solves_the_cycles_the_guard_refuses():
     # in well under a millisecond: gamma_r(C_n) = ceil(2n / 3), and the
     # first 2-set leaves exactly the vertices it reports outside N[S]
     for n in range(27, 41):
-        closed = solver._closed_masks(gen_family("cycle", n))
+        closed = gen_family("cycle", n).closed
         t0 = time.perf_counter()
         w, s, rest = solver._lightest(closed, n, n)
         assert time.perf_counter() - t0 < 0.1
@@ -752,17 +743,17 @@ def _disconnected_graphs() -> list[Graph]:
     out = []
     for n in [*range(solver._SPLIT_ORDER, 23), solver._SPLIT_ORDER - 1]:
         # G(n, p) sparse enough to fall apart
-        out.append(_random_graph(rng, n, rng.choice((0.08, 0.12, 0.16))))
+        out.append(random_graph(rng, n, rng.choice((0.08, 0.12, 0.16))))
         # many small components, isolated vertices and K2s among them
         parts, left = [], n
         while left:
             m = min(left, rng.randrange(1, 6))
-            parts.append(_random_graph(rng, m, 0.6))
+            parts.append(random_graph(rng, m, 0.6))
             left -= m
         out.append(_relabeled_union(rng, parts))
         # one large component with K1s
         k1s = rng.randrange(1, 4)
-        big = _random_graph(rng, n - k1s, 0.3)
+        big = random_graph(rng, n - k1s, 0.3)
         out.append(_relabeled_union(rng, [big] + [graph_new(1)] * k1s))
         # a perfect matching, plus an isolated vertex at odd order
         out.append(
@@ -777,7 +768,7 @@ def test_split_matches_whole_graph_sweep():
     graphs = _disconnected_graphs()
     assert all(len(g.connected_components()) > 1 for g in graphs)
     for g in graphs:
-        closed = solver._closed_masks(g)
+        closed = g.closed
         whole = solver._lightest(closed, g.n, g.n)
         assert solver.gamma_mask(closed, g.n) == whole, g.edges()
         for limit in range(-1, 2 * g.n + 1):
@@ -801,7 +792,7 @@ def test_minimal_partitions_fixed_cases():
 def test_minimal_partitions_sorted_by_2set_mask():
     rng = random.Random(55)
     for _ in range(50):
-        g = _random_graph(rng, rng.randrange(1, 8))
+        g = random_graph(rng, rng.randrange(1, 8))
         masks = [a.label_mask(2) for a in minimal_partitions(g)]
         assert masks == sorted(masks)
 
@@ -810,7 +801,7 @@ def test_minimal_partitions_complete_vs_product_scan():
     rng = random.Random(56)
     for _ in range(150):
         n = rng.randrange(1, 8)
-        g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
         got = {a.labels for a in minimal_partitions(g)}
         assert got == _min_assignments_by_product_scan(g)
 
@@ -846,7 +837,7 @@ def test_minimal_partitions_bounded_sweep_matches_full_sweep():
     rng = random.Random(57)
     for n in range(7, 15):
         for _ in range(6):
-            g = _random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
             assert minimal_partitions(g) == _partitions_by_full_sweep(g)
 
 
@@ -889,7 +880,7 @@ def test_minimal_partitions_complete_all_orders_to_9():
     rng = random.Random(57)
     for n in range(1, 10):
         for _ in range(500):
-            g = _random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
             best, winners = _min_weight_labelings_by_mask_pairs(g)
             assert best == roman_number(g).gamma
             full = (1 << n) - 1
@@ -919,7 +910,7 @@ def test_partitions_split_matches_whole_graph_sweep():
     for g in _disconnected_graphs():
         if g.n > 16:  # the whole sweep of a perfect matching grows as 3^(n/2)
             continue
-        closed = solver._closed_masks(g)
+        closed = g.closed
         whole = solver._sweep_pairs(closed, g.n, gamma_r(g))
         assert solver._partition_pairs(closed, g.n) == whole, g.edges()
         assert solver._partition_pairs(closed, g.n, gamma_r(g)) == whole
@@ -932,9 +923,9 @@ def test_partitions_split_with_known_gamma_solves_all_but_the_last(monkeypatch):
     # component's weight known: one large component plus K1s is swept once,
     # never solved
     rng = random.Random(62)
-    big = _random_graph(rng, 11, 0.4)
+    big = random_graph(rng, 11, 0.4)
     while len(big.connected_components()) > 1:
-        big = _random_graph(rng, 11, 0.4)
+        big = random_graph(rng, 11, 0.4)
     solved = []
     real = solver._lightest
     monkeypatch.setattr(
@@ -943,7 +934,7 @@ def test_partitions_split_with_known_gamma_solves_all_but_the_last(monkeypatch):
     for parts, solves in (([big, graph_new(1), graph_new(1)], 0), ([big, big], 1)):
         g = _relabeled_union(rng, parts)
         gamma = gamma_r(g)
-        closed = solver._closed_masks(g)
+        closed = g.closed
         solved.clear()
         got = solver._partition_pairs(closed, g.n, gamma)
         assert len(solved) == solves
@@ -983,7 +974,7 @@ def test_minimal_partitions_of_two_c12_by_components():
 def test_edge_deletion_never_lowers_gamma():
     rng = random.Random(90)
     for _ in range(100):
-        g = _random_graph(rng, rng.randrange(2, 9))
+        g = random_graph(rng, rng.randrange(2, 9))
         if not g.edges():
             continue
         u, v = rng.choice(g.edges())
@@ -993,7 +984,7 @@ def test_edge_deletion_never_lowers_gamma():
 def test_edge_subset_deletion_never_lowers_gamma():
     rng = random.Random(92)
     for _ in range(200):
-        g = _random_graph(rng, rng.randrange(1, 10))
+        g = random_graph(rng, rng.randrange(1, 10))
         h = g
         for u, v in g.edges():
             if rng.random() < 0.4:
@@ -1006,7 +997,7 @@ def test_vertex_deletion_lower_bound():
     rng = random.Random(91)
     for _ in range(100):
         n = rng.randrange(2, 9)
-        g = _random_graph(rng, n)
+        g = random_graph(rng, n)
         gamma = gamma_r(g)
         for v in range(n):
             assert gamma_r(g.delete_vertex(v)) >= gamma - 2

@@ -71,6 +71,7 @@ T_RELABELED = (
 T_CUT_FIRST = (
     "tests/test_gamma4.py::test_first_cut_vertex_without_pendant_and_the_cutvertex_check"
 )
+T_QUERIES = "tests/test_graphs.py::test_neighbor_queries"
 T_COMPONENTS = "tests/test_graphs.py::test_component_masks_match_a_search_over_neighbor_sets"
 T_CLASS_COUNTS = "tests/test_harness.py::test_isomorphism_class_counts"
 T_TABLE_SWEEP = "tests/test_harness.py::test_class_table_matches_the_sweep"
@@ -510,8 +511,23 @@ MUTANTS = (
         "relabeled-carries-closed-masks",
         CRIT,
         "        copy = Facts(g)\n",
-        "        copy = Facts(g)\n        copy._closed = self._closed\n",
+        "        copy = Facts(g)\n        g._closed = self.g.closed\n",
         (T_RELABELED,),
+    ),
+    # the closed-neighborhood masks every reader shares
+    Mutant(
+        "closed-masks-drop-the-self-bit",
+        GRAPHS,
+        "            self._closed = tuple([m | 1 << v for v, m in enumerate(self.adj)])\n",
+        "            self._closed = self.adj\n",
+        (T_QUERIES, T_AT_MOST),
+    ),
+    Mutant(
+        "closed-mask-skips-the-range-check",
+        GRAPHS,
+        "        self._check_vertex(v)\n        return self.closed[v]\n",
+        "        return self.closed[v]\n",
+        (T_QUERIES,),
     ),
     # the component walk in graphs.py, shared by Graph and the solve plan
     Mutant(
@@ -613,15 +629,15 @@ MUTANTS = (
     Mutant(
         "vcrit4-counts-the-vertex-itself",
         GAMMA4,
-        "    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
-        "    return all(high & ~f.g.adj[v] for v in range(f.g.n))\n",
+        "    return all(high & ~c for c in f.g.closed)\n",
+        "    return all(high & ~m for m in f.g.adj)\n",
         (T_VCRIT4, T_VCRIT4_EX),
     ),
     Mutant(
         "vcrit4-any-vertex",
         GAMMA4,
-        "    return all(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
-        "    return any(high & ~f.g.closed_mask(v) for v in range(f.g.n))\n",
+        "    return all(high & ~c for c in f.g.closed)\n",
+        "    return any(high & ~c for c in f.g.closed)\n",
         (T_VCRIT4, T_VCRIT4_EX),
     ),
     Mutant(
@@ -641,8 +657,8 @@ MUTANTS = (
     Mutant(
         "ecrit4-edge-ends-not-excused",
         GAMMA4,
-        "            not high & ~g.closed_mask(v) & ~pair for v in range(g.n)\n",
-        "            not high & ~g.closed_mask(v) for v in range(g.n)\n",
+        "        if not any(not high & ~c & ~pair for c in g.closed):\n",
+        "        if not any(not high & ~c for c in g.closed):\n",
         (T_ECRIT4, T_ECRIT4_EX),
     ),
     Mutant(
