@@ -129,7 +129,8 @@ def _add_input_arg(p: argparse.ArgumentParser) -> None:
 
 def _read_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     if args.input is not None:
-        with open(args.input, "r", encoding="ascii") as fh:
+        # latin-1 hands every byte to parse_graph6, which names one out of range
+        with open(args.input, "r", encoding="latin-1") as fh:
             yield from _parse_stream(fh)
     else:
         yield from _parse_stream(sys.stdin)

@@ -6,17 +6,20 @@ collects a counterexample entry for every check diagnostic. Guard errors
 raised while evaluating a graph become counterexample entries too: the
 harness never silently skips a graph it was asked to verify.
 
-An enumeration source evaluates one graph per isomorphism class and counts
-it once per labeled copy. Whether a claim's hypothesis holds and whether its
-check reports are isomorphism invariants, so the copies are checked only
-where the representative reports or raises, and the reports equal those of
-a scan over every labeled graph. The classes come from the checked-in
-``_class_table``, which covers orders 0-8; ``ENUMERATION_MAX_ORDER`` is its
-top order, and every enumeration refuses an order above it.
+Every source yields scan units (graph, size, copies): a graph standing for
+``size`` labeled graphs and a zero-argument listing of them, None at size 1.
+A file, family list or graph tuple yields one unit per graph, an enumeration
+one per isomorphism class. Whether a claim's hypothesis holds and whether
+its check reports are isomorphism invariants, so one loop evaluates each
+unit once and lists its copies only where a unit of size above 1 reports or
+raises; the reports equal those of a scan over every labeled graph. The
+classes come from the checked-in ``_class_table``, which covers orders 0-8;
+``ENUMERATION_MAX_ORDER`` is its top order, and every enumeration refuses
+an order above it.
 
 Each scanned graph gets one ``Facts`` (defined in ``criticality``), which
 every claim and ``criticality_report`` read and hand to the predicates; a
-class-scan copy gets its representative's ``Facts.relabeled``.
+copy gets its unit's ``Facts.relabeled``.
 """
 
 from __future__ import annotations
@@ -686,24 +689,41 @@ def claim_catalog() -> list[tuple[str, str]]:
 Source = tuple
 
 
-def _open_source(source: Source) -> tuple[str, Iterator[Graph] | None]:
-    """The report label of a source and its graphs, or None for an
-    enumeration, which the class scan reads instead."""
+def _open_source(source: Source) -> tuple[str, Iterator[tuple]]:
+    """The report label of a source and its scan units."""
     kind, arg = source[0], source[1]
     if kind == "enumerate":
-        return f"enumerate({arg})", None
+        return f"enumerate({arg})", _class_units(arg)
     if kind == "file":
-        return f"file:{arg}", _read_graph6_file(arg)
+        return f"file:{arg}", ((g, 1, None) for g in _read_graph6_file(arg))
     if kind == "families":
         items = ",".join(tag if n is None else f"{tag}:{n}" for tag, n in arg)
-        return f"families:{items}", (gen_family(tag, n) for tag, n in arg)
+        return f"families:{items}", ((gen_family(t, n), 1, None) for t, n in arg)
     if kind == "graphs":
-        return f"graphs:{len(arg)}", iter(arg)
+        return f"graphs:{len(arg)}", ((g, 1, None) for g in arg)
     raise ValueError(f"unknown source kind {kind!r}")
 
 
+def _class_units(n: int) -> Iterator[tuple]:
+    """One unit per isomorphism class of order n, its copies listed in
+    ascending mask order. The permutation tables are built on the first
+    listing, so a scan that lists no copies never builds them."""
+    perms = None
+
+    def copies(rep: int) -> Iterator[Graph]:
+        nonlocal perms
+        if perms is None:
+            perms = EdgePermutations(n)
+        for mask in sorted(perms.orbit(rep)):
+            yield graph_from_edge_mask(n, mask)
+
+    for rep, size in isomorphism_classes(n):
+        yield graph_from_edge_mask(n, rep), size, lambda rep=rep: copies(rep)
+
+
 def _read_graph6_file(path: str) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 hands every byte to parse_graph6, which names one out of range
+    with open(path, "r", encoding="latin-1") as fh:
         for line in fh:
             if line.strip():
                 yield parse_graph6(line)
@@ -735,46 +755,29 @@ def _evaluate(claim: Claim, f: Facts) -> tuple[bool, Sequence[str]]:
         return held, (f"guard-error: {type(exc).__name__}: {exc}",)
 
 
-def _scan_one(claims: list[Claim], f: Facts, acc: dict[str, list]) -> None:
+def _scan(
+    claims: list[Claim], f: Facts, size: int, copies: Callable | None, acc: dict
+) -> None:
+    """Evaluate each claim once on a unit, weighing a hypothesis that holds
+    by the unit's size. A unit of size 1 records its own diagnostics; a
+    larger one expands for each claim that reports or raises on it, and each
+    copy, reading the unit's ``Facts.relabeled``, is scanned as a unit of
+    size 1 for those claims, so the counterexamples are the labeled scan's.
+    """
+    expand = []
     for claim in claims:
         held, diags = _evaluate(claim, f)
-        entry = acc[claim.id]
-        entry[0] += held
         if diags:
-            g6 = emit_graph6(f.g)
-            entry[1].extend((g6, d) for d in diags)
-
-
-def _scan_classes(
-    claims: list[Claim], n: int, classes: list[tuple[int, int]]
-) -> dict[str, list]:
-    """Evaluate each claim once per class and weight it by the class size.
-
-    A class is expanded for the claims whose evaluation of it yields a
-    diagnostic, a check report or a guard error: every labeled copy, in
-    ascending mask order, goes through ``_scan_one`` for those claims, so
-    its counterexamples are exactly the labeled scan's. The permutation
-    tables are built when the first class expands, so a scan that expands
-    nothing never builds them.
-    """
-    perms = None
-    acc: dict[str, list] = {c.id: [0, []] for c in claims}
-    for rep, size in classes:
-        f = Facts(graph_from_edge_mask(n, rep))
-        expand = []
-        for claim in claims:
-            held, diags = _evaluate(claim, f)
-            if diags:
+            if size > 1:
                 expand.append(claim)
-            elif held:
-                acc[claim.id][0] += size
-        if not expand:
-            continue
-        if perms is None:
-            perms = EdgePermutations(n)
-        for mask in sorted(perms.orbit(rep)):
-            _scan_one(expand, f.relabeled(graph_from_edge_mask(n, mask)), acc)
-    return acc
+                continue
+            g6 = emit_graph6(f.g)
+            acc[claim.id][1].extend((g6, d) for d in diags)
+        if held:
+            acc[claim.id][0] += size
+    if expand:
+        for h in copies():
+            _scan(expand, f.relabeled(h), 1, None, acc)
 
 
 def verify_claims(
@@ -782,7 +785,7 @@ def verify_claims(
     source: Source,
     workers: int | None = None,
 ) -> list[VerificationReport]:
-    """Run several claims over one source in a single scan.
+    """Run several claims over one source in a single scan of its units.
 
     Reports come back in claim order, with counterexamples sorted by graph6
     string then diagnostic, so output is byte-stable across runs and worker
@@ -790,18 +793,13 @@ def verify_claims(
     compatibility and ignored.
     """
     claims = _resolve_claims(claim_ids)
-    label, graphs = _open_source(source)
+    label, units = _open_source(source)
     start = time.monotonic()
-    if graphs is None:
-        classes = isomorphism_classes(source[1])
-        scanned = sum(size for _, size in classes)
-        acc = _scan_classes(claims, source[1], classes)
-    else:
-        acc = {c.id: [0, []] for c in claims}
-        scanned = 0
-        for g in graphs:
-            _scan_one(claims, Facts(g), acc)
-            scanned += 1
+    acc: dict[str, list] = {c.id: [0, []] for c in claims}
+    scanned = 0
+    for g, size, copies in units:
+        _scan(claims, Facts(g), size, copies, acc)
+        scanned += size
 
     wall_ms = int(round((time.monotonic() - start) * 1000))
     reports = []

@@ -35,7 +35,7 @@ from romancrit import (
 )
 from romancrit.cli import main as cli_main
 from romancrit.harness import iter_labeled_graphs
-from oracles import random_graph
+from oracles import random_graph, v_critical_by_definition
 
 GAMMA4_CLAIMS = (
     "elementary4-list",
@@ -64,20 +64,13 @@ def _cex_lines(reports) -> set[tuple[str, str]]:
     return {(c.graph6, c.diagnostic) for rep in reports for c in rep.counterexamples}
 
 
-def _oracle_v_critical(g: Graph) -> bool:
-    base = roman_number_oracle(g)
-    return all(
-        roman_number_oracle(g.delete_vertex(v)) == base - 1 for v in range(g.n)
-    )
-
-
 def _oracle_qualifies(g: Graph) -> bool:
     """gamma_r = 4 < n, v-critical, e-critical and saturated, every value
     taken from the 3^n oracle straight from the definitions."""
-    if roman_number_oracle(g) != 4 or g.n <= 4 or not _oracle_v_critical(g):
+    if roman_number_oracle(g) != 4 or g.n <= 4 or not v_critical_by_definition(g):
         return False
     e_critical = not any(
-        _oracle_v_critical(g.delete_edge(u, v)) for u, v in g.edges()
+        v_critical_by_definition(g.delete_edge(u, v)) for u, v in g.edges()
     )
     return e_critical and all(
         roman_number_oracle(g.add_edge(u, v)) == 3 for u, v in g.non_edges()

@@ -406,6 +406,17 @@ def test_input_file_line_with_graph6_header(capsys, tmp_path):
     assert "empty graph6 line" in err
 
 
+def test_non_ascii_byte_in_an_input_file_is_a_malformed_line(capsys, tmp_path):
+    # 0xC3 0xA9 is UTF-8 for e-acute: each byte reaches the graph6 parser,
+    # which names the first one, with no decoding traceback
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"D\xc3\xa9\n")
+    for argv in (("gamma",), ("verify", "carac-lemma")):
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "romancrit: error: byte 195 out of graph6 range 63..126\n"
+
+
 def test_crlf_input_files(capsys, tmp_path):
     lf, crlf = tmp_path / "lf.g6", tmp_path / "crlf.g6"
     lf.write_bytes(b"Dhc\nC~\nDBW\n")

@@ -37,7 +37,11 @@ from romancrit.harness import (
     isomorphism_classes,
     iter_labeled_graphs,
 )
-from oracles import matching_complement_plus_isolated, random_graph
+from oracles import (
+    matching_complement_plus_isolated,
+    random_graph,
+    v_critical_by_definition,
+)
 from test_gamma4 import _warm_facts
 
 
@@ -216,17 +220,12 @@ def _first_failure(items, expected):
     return next((item + (after,) for item, after in items if after != expected), None)
 
 
-def _v_critical_by_definition(h: Graph, gamma_of) -> bool:
-    base = gamma_of(h)
-    return all(gamma_of(h.delete_vertex(w)) == base - 1 for w in range(h.n))
-
-
 def _first_non_ecritical_by_definition(g: Graph, gamma_of):
     return next(
         (
             (u, v)
             for u, v in g.edges()
-            if _v_critical_by_definition(g.delete_edge(u, v), gamma_of)
+            if v_critical_by_definition(g.delete_edge(u, v), gamma_of)
         ),
         None,
     )

@@ -222,6 +222,20 @@ def test_expanding_scan_builds_permutations_once(monkeypatch):
     assert built == [5]
 
 
+def test_size_one_classes_never_expand(monkeypatch):
+    # at order 3 only the edgeless graph, a class of one labeled copy,
+    # reports on gamma-le-3-degree: its report is its own, and no table is
+    # built for it
+    built = _count_edge_permutations(monkeypatch)
+    cid = "gamma-le-3-degree"
+    by_class = verify_claim(cid, ("enumerate", 3))
+    labeled = verify_claim(cid, ("graphs", tuple(iter_labeled_graphs(3))))
+    assert built == []
+    assert [c.graph6 for c in by_class.counterexamples] == ["B?"]
+    assert by_class.counterexamples == labeled.counterexamples
+    assert by_class.graphs_in_hypothesis == labeled.graphs_in_hypothesis == 8
+
+
 def test_import_leaves_the_class_table_unloaded():
     code = (
         "import sys, romancrit\n"
@@ -440,26 +454,26 @@ def test_facts_lazy_predicates():
 def test_class_scan_copies_carry_no_representative_witness(monkeypatch):
     # P5 fails v-criticality at its middle vertex, which is a different
     # vertex number in different labeled copies
-    rep = next(
-        r
-        for r, _ in isomorphism_classes(5)
-        if is_isomorphic(graph_from_edge_mask(5, r), gen_family("path", 5))
+    _, units = harness._open_source(("enumerate", 5))
+    g, size, copies = next(
+        u for u in units if is_isomorphic(u[0], gen_family("path", 5))
     )
+    assert size == 60
     claim = Claim("t-not-vcrit", "", lambda f: not f.v_critical, lambda f: ["x"])
     seen: list[Facts] = []
-    scan_one = harness._scan_one
+    scan = harness._scan
 
-    def record(claims, f, acc):
+    def record(claims, f, size, copies, acc):
         seen.append(f)
-        scan_one(claims, f, acc)
+        scan(claims, f, size, copies, acc)
 
-    monkeypatch.setattr(harness, "_scan_one", record)
+    monkeypatch.setattr(harness, "_scan", record)
     calls = []
     decide = criticality.is_v_critical
     monkeypatch.setattr(
         criticality, "is_v_critical", lambda f: calls.append(f) or decide(f)
     )
-    harness._scan_classes([claim], 5, [(rep, 60)])
+    scan([claim], Facts(g), size, copies, {claim.id: [0, []]})
     # the verdict reached all 60 copies from the one evaluation on rep
     assert len(seen) == 60 and len(calls) == 1
     # and a copy reads it without deciding it again

@@ -1,5 +1,5 @@
 """Hand-made mutants of the solver, criticality and graph kernels, of
-``Facts``, of the enumeration guard, the class table reader and class scan,
+``Facts``, of the enumeration guard, the class table reader and scan loop,
 of the ``gamma4`` degree routes, of the graph6 codec and of the harness claim
 checks, and the tests that must catch them.
 
@@ -80,6 +80,7 @@ T_TABLE_ORDERS = "tests/test_harness.py::test_class_table_orders"
 T_LABELED_SCAN = "tests/test_harness.py::test_class_scan_matches_labeled_scan"
 T_GUARD_EXPANSION = "tests/test_harness.py::test_class_scan_expands_guard_errors"
 T_NO_EXPANSION = "tests/test_harness.py::test_scan_without_expansion_builds_no_permutations"
+T_SIZE_ONE = "tests/test_harness.py::test_size_one_classes_never_expand"
 T_VCRIT4 = "tests/test_gamma4.py::test_vcrit4_by_degrees_agrees_with_direct_route"
 T_VCRIT4_EX = "tests/test_gamma4.py::test_vcrit4_by_degrees_examples"
 T_SAT4 = "tests/test_gamma4.py::test_saturated4_by_degrees_agrees_with_direct_route"
@@ -588,35 +589,50 @@ MUTANTS = (
         "    from ._class_table import CLASSES\n",
         (T_GUARDS,),
     ),
-    # _scan_classes: weighting and the expansion rule
+    # _scan and _class_units: weighting and the expansion rule
     Mutant(
         "class-scan-weighs-each-class-once",
         HARNESS,
-        "                acc[claim.id][0] += size\n",
-        "                acc[claim.id][0] += 1\n",
+        "            acc[claim.id][0] += size\n",
+        "            acc[claim.id][0] += 1\n",
+        (T_LABELED_SCAN,),
+    ),
+    Mutant(
+        "scan-counts-each-unit-once",
+        HARNESS,
+        "        scanned += size\n",
+        "        scanned += 1\n",
         (T_LABELED_SCAN,),
     ),
     Mutant(
         "class-scan-weighs-expanded-classes-too",
         HARNESS,
-        "            elif held:\n                acc[claim.id][0] += size\n",
-        "            if held:\n                acc[claim.id][0] += size\n",
+        "                expand.append(claim)\n                continue\n",
+        "                expand.append(claim)\n"
+        "                acc[claim.id][0] += held * size\n"
+        "                continue\n",
         (T_LABELED_SCAN,),
     ),
     Mutant(
         "class-scan-skips-guard-errors",
         HARNESS,
-        "            if diags:\n                expand.append(claim)\n",
-        "            if diags and not diags[0].startswith(\"guard-error\"):\n"
-        "                expand.append(claim)\n",
+        "            if size > 1:\n",
+        "            if size > 1 and not diags[0].startswith(\"guard-error\"):\n",
         (T_GUARD_EXPANSION,),
     ),
     Mutant(
         "class-scan-expands-held-classes",
         HARNESS,
-        "            if diags:\n                expand.append(claim)\n",
-        "            if diags or held:\n                expand.append(claim)\n",
+        "        if diags:\n            if size > 1:\n",
+        "        if diags or held:\n            if size > 1:\n",
         (T_NO_EXPANSION,),
+    ),
+    Mutant(
+        "scan-expands-size-one-units",
+        HARNESS,
+        "            if size > 1:\n",
+        "            if size > 0:\n",
+        (T_SIZE_ONE,),
     ),
     Mutant(
         "class-scan-expands-the-representative-only",
