@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Sub-commands: gamma, report, classify, gen, verify, oracle. Graphs move
-around as graph6 text, one per line, on stdin/stdout or via --input.
+around as graph6 text, one per line, on stdin/stdout or via --input, both
+read by ``harness.read_graph6``; the echo is each graph's canonical graph6.
 
 Exit codes: 0 clean, 2 when a verification-style command found
 counterexamples or mismatches, 1 on usage or I/O errors.
@@ -13,16 +14,17 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
-from .errors import RomanCritError
+from .errors import RomanCritError, TooLarge
 from .gamma4 import classify_critical4
-from .graphs import FAMILY_TAGS, Graph, gen_family
-from .graph6 import GRAPH6_HEADER, emit_graph6, parse_graph6
+from .graphs import FAMILY_TAGS, gen_family
+from .graph6 import emit_graph6
 from .harness import (
     ENUMERATION_MAX_ORDER,
     claim_catalog,
     criticality_report,
+    read_graph6,
     verify_claims,
 )
 from .solver import RomanAssignment, roman_number, roman_number_oracle
@@ -127,23 +129,6 @@ def _add_input_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _read_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
-    if args.input is not None:
-        # latin-1 hands every byte to parse_graph6, which names one out of range
-        with open(args.input, "r", encoding="latin-1") as fh:
-            yield from _parse_stream(fh)
-    else:
-        yield from _parse_stream(sys.stdin)
-
-
-def _parse_stream(fh: TextIO) -> Iterator[tuple[str, Graph]]:
-    # the echoed line drops a graph6 header, which is not part of the graph
-    for line in fh:
-        line = line.strip()
-        if line:
-            yield line.removeprefix(GRAPH6_HEADER), parse_graph6(line)
-
-
 def _fmt_set(vertices: frozenset[int]) -> str:
     return "{" + ",".join(str(v) for v in sorted(vertices)) + "}"
 
@@ -157,15 +142,15 @@ def _fmt_assignment(a: RomanAssignment) -> str:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    for line, g in _read_graphs(args):
+    for g in read_graph6(args.input):
         res = roman_number(g)
-        print(f"{line} gamma={res.gamma} {_fmt_assignment(res.witness)}")
+        print(f"{emit_graph6(g)} gamma={res.gamma} {_fmt_assignment(res.witness)}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     dirty = False
-    for _, g in _read_graphs(args):
+    for g in read_graph6(args.input):
         rep = criticality_report(g)
         out = {"graph6": emit_graph6(g)}
         out.update(rep.to_json_dict())
@@ -175,24 +160,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    for line, g in _read_graphs(args):
-        print(f"{line} {classify_critical4(g)}")
+    for g in read_graph6(args.input):
+        print(f"{emit_graph6(g)} {classify_critical4(g)}")
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # refuse before the generator builds masks that grow with the square of N
+    if args.n is not None and args.n >= 63:
+        raise TooLarge(f"graph6 emitter supports order < 63, got {args.n}")
     print(emit_graph6(gen_family(args.family, args.n)))
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     mismatched = False
-    for line, g in _read_graphs(args):
+    for g in read_graph6(args.input):
         got = roman_number(g).gamma
         want = roman_number_oracle(g)
         status = "OK" if got == want else "MISMATCH"
         mismatched = mismatched or got != want
-        print(f"{line} gamma={got} oracle={want} {status}")
+        print(f"{emit_graph6(g)} gamma={got} oracle={want} {status}")
     return 2 if mismatched else 0
 
 

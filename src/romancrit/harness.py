@@ -24,6 +24,7 @@ copy gets its unit's ``Facts.relabeled``.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import time
@@ -695,7 +696,7 @@ def _open_source(source: Source) -> tuple[str, Iterator[tuple]]:
     if kind == "enumerate":
         return f"enumerate({arg})", _class_units(arg)
     if kind == "file":
-        return f"file:{arg}", ((g, 1, None) for g in _read_graph6_file(arg))
+        return f"file:{arg}", ((g, 1, None) for g in read_graph6(arg))
     if kind == "families":
         items = ",".join(tag if n is None else f"{tag}:{n}" for tag, n in arg)
         return f"families:{items}", ((gen_family(t, n), 1, None) for t, n in arg)
@@ -721,12 +722,19 @@ def _class_units(n: int) -> Iterator[tuple]:
         yield graph_from_edge_mask(n, rep), size, lambda rep=rep: copies(rep)
 
 
-def _read_graph6_file(path: str) -> Iterator[Graph]:
-    # latin-1 hands every byte to parse_graph6, which names one out of range
-    with open(path, "r", encoding="latin-1") as fh:
-        for line in fh:
-            if line.strip():
-                yield parse_graph6(line)
+def read_graph6(path: str | None = None) -> Iterator[Graph]:
+    """One graph per non-blank line of a graph6 file, or of stdin when path
+    is None, parsed as it is read. Each byte decodes to the character of its
+    value, so parse_graph6 names a bad byte; lines end at LF, CR or CR LF."""
+    binary = sys.stdin.buffer if path is None else open(path, "rb")
+    fh = io.TextIOWrapper(binary, encoding="latin-1")
+    try:
+        yield from (parse_graph6(line) for line in fh if line.strip())
+    finally:
+        if path is None:
+            fh.detach()  # leaves sys.stdin open
+        else:
+            fh.close()
 
 
 def _resolve_claims(claim_ids: Sequence[str]) -> list[Claim]:

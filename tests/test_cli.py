@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -18,8 +19,14 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _feed(monkeypatch, text: str) -> None:
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+def _feed(monkeypatch, data: str | bytes) -> None:
+    # a byte-backed stdin, wrapped as a POSIX interpreter wraps it in the C locale
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    stdin = io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
 
 
 # -- top level ---------------------------------------------------------------
@@ -164,6 +171,26 @@ def test_gen_rejects_bad_requests(capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 1
         assert "error" in err
+
+
+def test_gen_refuses_an_order_graph6_cannot_hold_before_generating(
+    capsys, monkeypatch
+):
+    code, out, _ = _run(capsys, "gen", "cycle", "62")
+    assert code == 0
+    assert parse_graph6(out.strip()).n == 62
+
+    def never(tag, n=None):
+        raise AssertionError(f"generated {tag} {n}")
+
+    monkeypatch.setattr("romancrit.cli.gen_family", never)
+    for n in ("63", "65", "100000000"):
+        for family in ("cycle", "dn"):
+            code, out, err = _run(capsys, "gen", family, n)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"romancrit: error: graph6 emitter supports order < 63, got {n}\n"
+            )
 
 
 # -- oracle ------------------------------------------------------------------
@@ -432,3 +459,50 @@ def test_crlf_input_files(capsys, tmp_path):
     # DBW, the 4-cycle plus an isolated vertex, is the known counterexample
     assert code_crlf == 2
     assert out_crlf.count("DBW") == 2
+
+
+SAME_BYTES = (
+    b"D\xff\xfe\n",
+    b"D\xc3\xa9\n",
+    b"Dhc\rC~\r",
+    b"Dhc\r\n\r\nC~\r\n\r\n",
+    b">>graph6<<Dhc\nC~\n",
+    b"Dhc\nC~\nC\n",
+)
+
+
+@pytest.mark.parametrize("data", SAME_BYTES)
+@pytest.mark.parametrize("command", ["gamma", "report", "classify", "oracle"])
+def test_stdin_and_input_file_read_the_same_bytes_alike(
+    capsys, monkeypatch, tmp_path, command, data
+):
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    from_file = _run(capsys, command, "--input", str(path))
+    _feed(monkeypatch, data)
+    assert _run(capsys, command) == from_file
+    assert not sys.stdin.closed
+
+
+def test_stdin_bytes_and_line_ends(capsys, monkeypatch):
+    dhc = "Dhc gamma=4 V2={0} V1={2,3} V0={1,4}"
+    c4 = "C~ gamma=2 V2={0} V1={} V0={1,2,3}"
+    for data, want in (
+        # each byte reaches the parser, which names it
+        (b"D\xff\xfe\n", (1, [], "byte 255")),
+        (b"D\xc3\xa9\n", (1, [], "byte 195")),
+        # a lone CR ends a line; the echo drops the header
+        (b"Dhc\rC~\r", (0, [dhc, c4], None)),
+        (b"Dhc\r\n\r\nC~\r\n\r\n", (0, [dhc, c4], None)),
+        (b">>graph6<<Dhc\nC~\n", (0, [dhc, c4], None)),
+        # the graphs before a malformed line print before its error
+        (b"Dhc\nC~\nC\n", (1, [dhc, c4], "expected 1 data bytes")),
+    ):
+        _feed(monkeypatch, data)
+        code, out, err = _run(capsys, "gamma")
+        code_want, lines, message = want
+        assert (code, out.splitlines()) == (code_want, lines)
+        if message is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"romancrit: error: {message}")

@@ -1,7 +1,8 @@
 """Hand-made mutants of the solver, criticality and graph kernels, of
 ``Facts``, of the enumeration guard, the class table reader and scan loop,
-of the ``gamma4`` degree routes, of the graph6 codec and of the harness claim
-checks, and the tests that must catch them.
+of the ``gamma4`` degree routes, of the graph6 codec, of the one graph6 reader
+and the ``gen`` order check, and of the harness claim checks, and the tests
+that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -39,6 +40,7 @@ GRAPHS = "src/romancrit/graphs.py"
 HARNESS = "src/romancrit/harness.py"
 GAMMA4 = "src/romancrit/gamma4.py"
 GRAPH6 = "src/romancrit/graph6.py"
+CLI = "src/romancrit/cli.py"
 
 T_KERNELS = "tests/test_criticality.py::test_mask_kernels_match_graph_object_predicates"
 T_FIRST = "tests/test_criticality.py::test_first_failures_match_definition"
@@ -101,6 +103,11 @@ T_G6_DECODE = "tests/test_graph6.py::test_known_decodings"
 T_G6_EMIT_NX = "tests/test_graph6.py::test_emit_matches_networkx"
 T_G6_PARSE_NX = "tests/test_graph6.py::test_parse_matches_networkx"
 T_G6_PADDING = "tests/test_graph6.py::test_parse_rejects_nonzero_padding"
+T_SAME_BYTES = "tests/test_cli.py::test_stdin_and_input_file_read_the_same_bytes_alike"
+T_STDIN_BYTES = "tests/test_cli.py::test_stdin_bytes_and_line_ends"
+T_GEN_ORDER = (
+    "tests/test_cli.py::test_gen_refuses_an_order_graph6_cannot_hold_before_generating"
+)
 T_CARAC = "tests/test_harness.py::test_carac_claims_over_order5"
 T_CHASE = "tests/test_harness.py::test_witness_chase_lands_iff_a_degree_is_n_minus_3"
 T_CHASE_REPORT = "tests/test_harness.py::test_carac_lemma_reports_a_failing_chase"
@@ -811,6 +818,58 @@ MUTANTS = (
         "    if any(bits[nbits:]):\n",
         "    if any(bits[nbits + 1 :]):\n",
         (T_G6_PADDING,),
+    ),
+    # the one graph6 reader, for stdin and files, and the gen order check
+    Mutant(
+        "reader-stdin-as-utf8",
+        HARNESS,
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1")\n',
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1" if path else "utf-8")\n',
+        (T_SAME_BYTES, T_STDIN_BYTES),
+    ),
+    Mutant(
+        "reader-stdin-with-surrogate-escapes",
+        HARNESS,
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1")\n',
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1" if path else "utf-8",'
+        ' errors="surrogateescape")\n',
+        (T_SAME_BYTES, T_STDIN_BYTES),
+    ),
+    Mutant(
+        "reader-stdin-split-at-lf-only",
+        HARNESS,
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1")\n',
+        '    fh = io.TextIOWrapper(binary, encoding="latin-1",'
+        ' newline=None if path else "\\n")\n',
+        (T_SAME_BYTES, T_STDIN_BYTES),
+    ),
+    Mutant(
+        "reader-parses-eagerly",
+        HARNESS,
+        "        yield from (parse_graph6(line) for line in fh if line.strip())\n",
+        "        yield from list(parse_graph6(line) for line in fh if line.strip())\n",
+        (T_STDIN_BYTES,),
+    ),
+    Mutant(
+        "reader-closes-stdin",
+        HARNESS,
+        "            fh.detach()  # leaves sys.stdin open\n",
+        "            fh.close()\n",
+        (T_SAME_BYTES,),
+    ),
+    Mutant(
+        "gen-order-unchecked",
+        CLI,
+        "    if args.n is not None and args.n >= 63:\n",
+        "    if False:\n",
+        (T_GEN_ORDER,),
+    ),
+    Mutant(
+        "gen-order-off-by-one",
+        CLI,
+        "    if args.n is not None and args.n >= 63:\n",
+        "    if args.n is not None and args.n > 63:\n",
+        (T_GEN_ORDER,),
     ),
     # the harness claim checks
     Mutant(
