@@ -4,6 +4,13 @@ One printable line per graph: byte 63+n, then the upper triangle of the
 adjacency matrix in column-major order ((0,1), (0,2), (1,2), (0,3), ...),
 packed 6 bits per byte (most significant first) with value offset 63 and
 zero padding in the final byte.
+
+Both directions hold the triangle as one integer with pair k on bit k, so
+column j, the pairs (0, j) .. (j-1, j), is the j bits from bit j(j-1)/2 up
+and reads as the lower adjacency mask of j. The decoder turns the data
+bytes into that integer with one translate table and one int(..., 2), and
+peels each column off with a shift and a mask; the encoder ORs each column
+in and writes each 6-bit chunk through one table.
 """
 
 from __future__ import annotations
@@ -13,25 +20,23 @@ from .graphs import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 
+# a data byte -> its six bits, most significant first; the translated data,
+# reversed, is the binary numeral of the triangle with pair k on bit k
+_BITS = str.maketrans({chr(63 + v): format(v, "06b") for v in range(64)})
+# six bits of the triangle, pair 6i on bit 0 -> the data byte that holds them
+_BYTE = [chr(63 + int(format(v, "06b")[::-1], 2)) for v in range(64)]
+
 
 def emit_graph6(g: Graph) -> str:
     if g.n >= 63:
         raise TooLarge(f"graph6 emitter supports order < 63, got {g.n}")
     n = g.n
-    bits = []
+    adj = g.adj
+    bits = k = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+        bits |= (adj[j] & ((1 << j) - 1)) << k
+        k += j
+    return chr(63 + n) + "".join([_BYTE[bits >> i & 63] for i in range(0, k, 6)])
 
 
 def parse_graph6(line: str) -> Graph:
@@ -39,36 +44,38 @@ def parse_graph6(line: str) -> Graph:
     s = s.removeprefix(GRAPH6_HEADER)
     if not s:
         raise MalformedGraph6("empty graph6 line")
-    codes = [ord(c) - 63 for c in s]
-    for c in codes:
-        if not 0 <= c <= 63:
-            raise MalformedGraph6(f"byte {c + 63} out of graph6 range 63..126")
-    if codes[0] == 63:
+    if min(s) < "?" or max(s) > "~":
+        for c in s:
+            if not "?" <= c <= "~":
+                raise MalformedGraph6(f"byte {ord(c)} out of graph6 range 63..126")
+    if s[0] == "~":
         raise TooLarge("graph6 orders >= 63 are not supported")
-    n = codes[0]
+    n = ord(s[0]) - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(codes) - 1 != nbytes:
+    if len(s) - 1 != nbytes:
         raise MalformedGraph6(
-            f"expected {nbytes} data bytes for order {n}, got {len(codes) - 1}"
+            f"expected {nbytes} data bytes for order {n}, got {len(s) - 1}"
         )
-    bits = []
-    for c in codes[1:]:
-        for shift in range(5, -1, -1):
-            bits.append(c >> shift & 1)
-    if any(bits[nbits:]):
+    bits = int(s[1:].translate(_BITS)[::-1] or "0", 2)
+    if bits >> nbits:
         raise MalformedGraph6("nonzero padding bits")
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        adj[j] = col
+        b = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= b
+            col ^= low
     return Graph(n, tuple(adj))
 
 
 def read_graph6_lines(text: str) -> list[Graph]:
-    """Parse every non-blank line of a graph6 document."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    """Parse every non-blank line of a graph6 document. Lines end at LF, CR
+    or CR LF, as in harness.read_graph6; any other character stays in its
+    line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [parse_graph6(line) for line in lines if line.strip()]

@@ -16,6 +16,18 @@ neighborhood below x, and nothing outside the union of the closed
 neighborhoods below x. This is the same 2n / (Delta + 1) bound that gives
 the size floors below, applied to each prefix.
 
+The last level applies the bound to each vertex. A prefix of cover cov
+needs its last element y to lift the cover to need, and y adds at most
+|N[y]| vertices, so only a y with |N[y]| >= need - |cov| can; need only
+rises during the sweep, so skipping every other y leaves the sets yielded,
+and their order, as they are. From order _SPLIT_ORDER up the last level
+therefore runs, in ascending y below x, one list per threshold t of the
+(y, N[y]) pairs with |N[y]| >= t, built on first use. These lists, top and
+reach are the tables of one solve, ``_tables``, built once per
+``_lightest`` or ``_sweep_pairs`` call and shared by every size it sweeps.
+Smaller parts build no lists and run every y below x: on graphs that small
+the lists cost more than the vertices they skip.
+
 One size loop, ``_lightest``, answers gamma_r and ``gamma_at_most``: the
 yes/no question, which the criticality predicates ask of each graph they
 derive through ``_at_most`` on its masks, is the loop asked for a set below
@@ -82,7 +94,10 @@ _SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 # (seeded, Python 3.11, x86-64). From order 10 the gain on such a mix is
 # several times the loss on dense graphs. It stays at most _SWEEP_FREE_ORDER,
 # since gamma_mask, _at_most and _partition_pairs solve smaller graphs
-# without the plan and its guard.
+# without the plan and its guard. The last level's threshold lists (see
+# _tables) start at this order too: built below it, they made gamma_r,
+# gamma_at_most and the partitions of every class of orders 0-7 take 20%
+# longer (11.2 against 9.3 ms, best of 40, Python 3.11, x86-64).
 _SPLIT_ORDER = 10
 
 
@@ -128,8 +143,28 @@ def is_roman(g: Graph, assignment: RomanAssignment | Sequence[int]) -> bool:
     return True
 
 
+def _tables(
+    closed: Sequence[int], n: int
+) -> tuple[list[int], list[int], list | None]:
+    """(top, reach, by) for the sweeps of one solve: top[x] is the largest
+    closed neighborhood below x and reach[x] the union of those closed
+    neighborhoods, for the prefix bound; by[t], from order _SPLIT_ORDER up,
+    is filled on first use with the (y, N[y]) pairs of |N[y]| >= t, by
+    ascending y, for the last level. Below that order by is None and the
+    last level runs every vertex below x.
+    """
+    top, reach, m, acc = [0], [0], 0, 0
+    for c in closed:
+        if c.bit_count() > m:
+            m = c.bit_count()
+        acc |= c
+        top.append(m)
+        reach.append(acc)
+    return top, reach, [None] * (m + 1) if n >= _SPLIT_ORDER else None
+
+
 def _light_sets(
-    closed: Sequence[int], n: int, k: int, limit: int
+    closed: Sequence[int], n: int, k: int, limit: int, tables: tuple | None = None
 ) -> Iterator[tuple[int, int]]:
     """(S, V outside N[S]) for the k-sets S, by ascending bitmask, whose
     Roman weight 2k + |V outside N[S]| is at most limit and at most that of
@@ -148,6 +183,9 @@ def _light_sets(
     being the largest closed neighborhood below x and reach[x] the union
     of those closed neighborhoods: no set under it reaches need, and need
     only ever rises, so the sets yielded are the same, in the same order.
+    From order _SPLIT_ORDER up the last level runs only the y below x with
+    |N[y]| >= need - |cov|, from by (see _tables), for the same reason.
+    tables is _tables(closed, n), built here when not given.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -163,15 +201,8 @@ def _light_sets(
         return
     # depth d picks the (d+1)-th largest element x, from k-1-d up to below
     # the element picked one level up, and the last level, k-2, runs the
-    # smallest inline; top[x] is the largest closed neighborhood below x
-    # and reach[x] the union of those closed neighborhoods
-    top, reach, m, acc = [0], [0], 0, 0
-    for c in closed:
-        if c.bit_count() > m:
-            m = c.bit_count()
-        acc |= c
-        top.append(m)
-        reach.append(acc)
+    # smallest inline
+    top, reach, by = tables or _tables(closed, n)
     last = k - 2
     picked = [0] * last
     covs = [0] * (last + 1)
@@ -194,13 +225,32 @@ def _light_sets(
         ):
             x += 1
         elif d == last:
-            y = 0
-            for c in closed[:x]:
-                if (cov | c).bit_count() >= need:
-                    c |= cov
-                    need = c.bit_count()
-                    yield sets[d] | 1 << x | 1 << y, full ^ c
-                y += 1
+            if by is None:
+                y = 0
+                for c in closed[:x]:
+                    if (cov | c).bit_count() >= need:
+                        c |= cov
+                        need = c.bit_count()
+                        yield sets[d] | 1 << x | 1 << y, full ^ c
+                    y += 1
+            else:
+                # the prefix bound passed, so t <= top[x]; t <= 0 when cov
+                # alone reaches need, and by[0] takes every vertex
+                t = need - cov.bit_count()
+                if t < 0:
+                    t = 0
+                ys = by[t]
+                if ys is None:
+                    ys = by[t] = [
+                        (y, c) for y, c in enumerate(closed) if c.bit_count() >= t
+                    ]
+                for y, c in ys:
+                    if y >= x:
+                        break
+                    if (cov | c).bit_count() >= need:
+                        c |= cov
+                        need = c.bit_count()
+                        yield sets[d] | 1 << x | 1 << y, full ^ c
             x += 1
         else:
             picked[d] = x
@@ -344,14 +394,16 @@ def _lightest(
         w = n + 2 - top
         if w < best:
             best, best_s, best_rest = w, 1 << closed.index(c), best_rest ^ c
-    floors = None
+    floors = tables = None
     k = 2
     while 2 * k < best > enough:
         if k == 3:
             floors = _floors(closed, n)
         floor = floors[k] if floors else 4 + max(0, n - 2 * top)
         if floor < best:
-            for s, rest in _light_sets(closed, n, k, best - 1):
+            if tables is None:
+                tables = _tables(closed, n)
+            for s, rest in _light_sets(closed, n, k, best - 1, tables):
                 w = 2 * k + rest.bit_count()
                 if w < best:
                     best, best_s, best_rest = w, s, rest
@@ -481,14 +533,17 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
     one of them, _light_sets rejects it in one pass over the masks. Size 1
     is that pass, and at size 2 the sum of the two largest closed
     neighborhoods falls short of the cover needed, so the prefix bound
-    rejects every prefix.
+    rejects every prefix. From order _SPLIT_ORDER up the sizes share one
+    _tables; below it each size of 2 or more builds its own top and reach,
+    so a small graph swept only at sizes 0 and 1 builds none.
     """
     floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)
+    tables = _tables(closed, n) if n >= _SPLIT_ORDER else None
     return sorted(
         hit
         for k in range(gamma // 2 + 1)
         if floors[k] <= gamma
-        for hit in _light_sets(closed, n, k, gamma)
+        for hit in _light_sets(closed, n, k, gamma, tables)
     )
 
 

@@ -15,8 +15,8 @@ from romancrit import (
     parse_graph6,
     read_graph6_lines,
 )
-from romancrit.harness import iter_labeled_graphs
-from oracles import random_graph
+from romancrit.harness import iter_labeled_graphs, read_graph6
+from oracles import emit_graph6_bitwise, parse_graph6_bitwise, random_graph
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -89,6 +89,104 @@ def test_parse_matches_networkx():
         assert set(parsed.edges()) == {tuple(sorted(e)) for e in back.edges()}
 
 
+# -- the whole-integer codec against the bit-by-bit oracle ------------------
+
+
+def _random_line(rng: random.Random, n: int) -> str:
+    # a valid line of order n < 63: the pairs, in graph6 order, are the
+    # bits of one seeded integer, thinned or filled by up to two more, most
+    # significant first, written out 6 at a time
+    nbits = n * (n - 1) // 2
+    x = rng.getrandbits(nbits)
+    for _ in range(rng.randrange(3)):
+        y = rng.getrandbits(nbits)
+        x = x & y if rng.random() < 0.5 else x | y
+    bits = (format(x, f"0{nbits}b") if nbits else "") + "0" * (-nbits % 6)
+    return chr(63 + n) + "".join(
+        chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6)
+    )
+
+
+def _mutated(rng: random.Random, line: str) -> str:
+    # one edit that may break the line: a character replaced, deleted or
+    # inserted (below, inside and above 63..126, or U+2028), the last byte
+    # redrawn (padding bits), the order byte made 63, the header or
+    # whitespace added, or a separator other than LF, CR and CR LF inside
+    i = rng.randrange(len(line))
+    c = chr(
+        rng.choice(
+            (
+                rng.randrange(0, 63),
+                rng.randrange(63, 127),
+                rng.randrange(127, 300),
+                0x2028,
+            )
+        )
+    )
+    kind = rng.randrange(8)
+    if kind == 0:
+        return line[:i] + c + line[i + 1 :]
+    if kind == 1:
+        return line[:i] + line[i + 1 :]
+    if kind == 2:
+        return line[:i] + c + line[i:]
+    if kind == 3:
+        return line[:-1] + chr(rng.randrange(63, 127))
+    if kind == 4:
+        return "~" + line[1:]
+    if kind == 5:
+        return ">>graph6<<" + line
+    if kind == 6:
+        return " \t" + line + "\n"
+    return line[:i] + rng.choice(" \x85\x0b\x1c") + line[i:]
+
+
+def _outcome(f, arg):
+    try:
+        return f(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_codec_matches_the_bitwise_oracle():
+    # 20,000 seeded valid lines, every order 0-62 and then the least of
+    # three uniform draws, so that the oracle's bit loops stay short on most,
+    # decode to the oracle's graph and encode back to the same line, as the
+    # oracle encodes every eighth; 4,000 edits of them, and the degenerate
+    # lines, give the same graph or the same exception type and message;
+    # order 63 is refused alike
+    rng = random.Random(2701)
+    orders = list(range(63))
+    orders += [min(rng.randrange(63) for _ in range(3)) for _ in range(20_000 - 63)]
+    valid = [_random_line(rng, n) for n in orders]
+    for i, line in enumerate(valid):
+        g = parse_graph6_bitwise(line)
+        assert parse_graph6(line) == g, line
+        assert emit_graph6(g) == line, line
+        if i % 8 == 0:
+            assert emit_graph6_bitwise(g) == line, line
+    edited = ["", "   ", ">>graph6<<", "\x85", "~", "?", "@", "A"]
+    edited += [_mutated(rng, line) for line in valid[:4000]]
+    seen = set()
+    for line in edited:
+        want = _outcome(parse_graph6_bitwise, line)
+        assert _outcome(parse_graph6, line) == want, repr(line)
+        seen.add(
+            "graph" if isinstance(want, Graph) else f"{want[0].__name__} {want[1].split()[0]}"
+        )
+    # every outcome occurs: a graph, order 63, and each malformed message
+    assert seen == {
+        "graph",
+        "TooLarge graph6",
+        "MalformedGraph6 empty",
+        "MalformedGraph6 byte",
+        "MalformedGraph6 expected",
+        "MalformedGraph6 nonzero",
+    }
+    k63 = graph_new(63)
+    assert _outcome(emit_graph6, k63) == _outcome(emit_graph6_bitwise, k63)
+
+
 # -- error handling ----------------------------------------------------------
 
 
@@ -143,3 +241,29 @@ def test_read_graph6_lines_skips_blanks():
 def test_read_graph6_lines_propagates_errors():
     with pytest.raises(MalformedGraph6):
         read_graph6_lines("C~\nC\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+def test_both_readers_end_lines_at_lf_cr_and_crlf(tmp_path, end):
+    text = f"C~{end}{end}Dhc{end}"
+    path = tmp_path / "g.g6"
+    path.write_bytes(text.encode("latin-1"))
+    want = [gen_family("complete", 4), gen_family("cycle", 5)]
+    assert read_graph6_lines(text) == want
+    assert list(read_graph6(str(path))) == want
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_both_readers_keep_other_separators_in_the_line(tmp_path, sep):
+    # str.splitlines breaks at these too; neither reader does, so the line
+    # holds a byte outside 63..126 and both name it
+    text = f"Dhc{sep}C~\n"
+    path = tmp_path / "g.g6"
+    path.write_bytes(text.encode("latin-1"))
+    message = f"byte {ord(sep)} out of graph6 range 63..126"
+    with pytest.raises(MalformedGraph6, match=message):
+        read_graph6_lines(text)
+    with pytest.raises(MalformedGraph6, match=message):
+        list(read_graph6(str(path)))
+    with pytest.raises(MalformedGraph6, match="byte 8232 out of graph6 range"):
+        read_graph6_lines("Dhc\u2028C~\n")

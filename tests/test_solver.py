@@ -312,9 +312,9 @@ def _under_running_limit(sets, k, limit):
             yield s, rest
 
 
-def _gosper_light_sets(closed, n, k, limit):
+def _gosper_light_sets(closed, n, k, limit, tables=None):
     # oracle for solver._light_sets: the Gosper k-sets under the same
-    # running limit
+    # running limit; tables, the solver's own, is not read
     if k == 0:
         if n <= limit:
             yield 0, (1 << n) - 1
@@ -424,6 +424,96 @@ def test_light_sets_prefix_bound_matches_gosper_sweep():
                 )
 
 
+def _stars_on_sparse(n: int, rng: random.Random) -> Graph:
+    # a seeded sparse G(n, p) with one or two hubs at drawn vertices, each
+    # joined to a third to a half of the others: a few large closed
+    # neighborhoods among many small ones
+    edges = {
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12
+    }
+    for hub in rng.sample(range(n), rng.choice((1, 2))):
+        others = [v for v in range(n) if v != hub]
+        for v in rng.sample(others, rng.randrange(n // 3, n // 2 + 1)):
+            edges.add((min(hub, v), max(hub, v)))
+    return graph_new(n, sorted(edges))
+
+
+def test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees(monkeypatch):
+    # from _SPLIT_ORDER up the last level runs only the y below x with
+    # |N[y]| >= need - |cov|; on stars joined to sparse graphs of orders
+    # 12-22, swept whole at every size from 2 to gamma / 2 and the limits
+    # gamma - 1 .. gamma + 1, the sets and their order are the Gosper
+    # sweep's, and some threshold list leaves vertices out
+    built = []
+    real = solver._tables
+
+    def kept(closed, n):
+        tables = real(closed, n)
+        built.append((n, tables[2]))
+        return tables
+
+    monkeypatch.setattr(solver, "_tables", kept)
+    rng = random.Random(27)
+    for n in range(12, 23):
+        for _ in range(4):
+            g = _stars_on_sparse(n, rng)
+            closed = g.closed
+            gamma = solver._lightest(closed, n, n)[0]
+            for k in range(2, gamma // 2 + 1):
+                sets = list(_gosper_sets(closed, n, k))
+                for limit in (gamma - 1, gamma, gamma + 1):
+                    got = list(solver._light_sets(closed, n, k, limit))
+                    assert got == list(_under_running_limit(sets, k, limit)), (
+                        g.edges(),
+                        k,
+                        limit,
+                    )
+    assert all(by is not None for _, by in built)
+    assert any(ys is not None and len(ys) < n for n, by in built for ys in by)
+
+
+def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeypatch):
+    # from _SPLIT_ORDER up, one _tables per _lightest or _sweep_pairs call,
+    # however many sizes it sweeps, with threshold lists; below it no
+    # threshold lists, and _sweep_pairs leaves the build to each sweep
+    assert solver._tables(gen_family("cycle", 9).closed, 9)[2] is None
+    for n in (solver._SPLIT_ORDER, 21):
+        closed = gen_family("cycle", n).closed
+        assert solver._tables(closed, n)[2] == [None] * 4
+    built, swept = [], []
+    real_tables, real_sweep = solver._tables, solver._light_sets
+
+    def tables(closed, n):
+        built.append(n)
+        return real_tables(closed, n)
+
+    def sweep(closed, n, k, limit, tables):
+        swept.append((k, tables is None))
+        return real_sweep(closed, n, k, limit, tables)
+
+    monkeypatch.setattr(solver, "_tables", tables)
+    monkeypatch.setattr(solver, "_light_sets", sweep)
+    rng = random.Random(5)
+    graphs = [random_graph(rng, n, 0.3) for n in (10, 11, 12, 13, 14, 15)]
+    graphs += [gen_family("cycle", n) for n in (10, 21)]
+    several = 0
+    for g in graphs:
+        n, closed = g.n, g.closed
+        built.clear(), swept.clear()
+        gamma = solver._lightest(closed, n, n)[0]
+        assert built == [n] and not any(none for _, none in swept)
+        several += len(swept) > 1
+        built.clear(), swept.clear()
+        assert solver._sweep_pairs(closed, n, gamma)
+        assert built == [n] and not any(none for _, none in swept)
+        several += sum(k > 1 for k, _ in swept) > 1
+    assert several >= 4
+    c9 = gen_family("cycle", 9).closed
+    built.clear(), swept.clear()
+    assert solver._sweep_pairs(c9, 9, 6)
+    assert built == [9] and swept == [(3, True)]
+
+
 def test_roman_number_matches_gosper_sweep(monkeypatch):
     rng = random.Random(59)
     graphs = [
@@ -433,8 +523,16 @@ def test_roman_number_matches_gosper_sweep(monkeypatch):
     ]
     graphs += [gen_family("cycle", n) for n in range(3, 22)]
     got = [roman_number(g) for g in graphs]
-    monkeypatch.setattr(solver, "_light_sets", _gosper_light_sets)
+    calls = []
+
+    def gosper(closed, n, k, limit, tables):
+        calls.append(k)
+        return _gosper_light_sets(closed, n, k, limit)
+
+    monkeypatch.setattr(solver, "_light_sets", gosper)
     assert got == [roman_number(g) for g in graphs]
+    # the swap was swept through, at sizes past 2 as well
+    assert max(calls) > 2
 
 
 # -- the size floors ---------------------------------------------------------
@@ -555,9 +653,9 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
     calls = []
     real = solver._light_sets
 
-    def counted(closed, n, k, limit):
+    def counted(closed, n, k, limit, tables):
         calls.append((k, limit))
-        return real(closed, n, k, limit)
+        return real(closed, n, k, limit, tables)
 
     monkeypatch.setattr(solver, "_light_sets", counted)
     visited = skipped = 0
@@ -599,7 +697,7 @@ def test_gamma_at_most_below_gamma_on_cycles_sweeps_no_set(monkeypatch):
     # n - k >= gamma: below gamma the floors alone answer, C24 at 15 too
     calls = []
 
-    def counted(closed, n, k, limit):
+    def counted(closed, n, k, limit, tables):
         calls.append((k, limit))
         return iter(())
 
@@ -616,9 +714,9 @@ def test_gamma_at_most_stops_at_its_first_set_light_enough(floor_sweeps, monkeyp
     events = []
     real = solver._light_sets
 
-    def recorded(closed, n, k, limit):
+    def recorded(closed, n, k, limit, tables):
         events.append(None)
-        for s, rest in real(closed, n, k, limit):
+        for s, rest in real(closed, n, k, limit, tables):
             events.append(2 * k + rest.bit_count())
             yield s, rest
 

@@ -52,6 +52,8 @@ T_AT_MOST_FLOORS = "tests/test_solver.py::test_gamma_at_most_below_gamma_on_cycl
 T_AT_MOST_STOP = "tests/test_solver.py::test_gamma_at_most_stops_at_its_first_set_light_enough"
 T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
 T_BOUND = "tests/test_solver.py::test_light_sets_prefix_bound_matches_gosper_sweep"
+T_SKEWED = "tests/test_solver.py::test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees"
+T_TABLES = "tests/test_solver.py::test_tables_are_built_once_per_solve_and_filter_from_the_split_order"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
 T_BRUTE = "tests/test_solver.py::test_roman_number_and_partitions_match_a_brute_force_sweep"
@@ -103,6 +105,8 @@ T_G6_DECODE = "tests/test_graph6.py::test_known_decodings"
 T_G6_EMIT_NX = "tests/test_graph6.py::test_emit_matches_networkx"
 T_G6_PARSE_NX = "tests/test_graph6.py::test_parse_matches_networkx"
 T_G6_PADDING = "tests/test_graph6.py::test_parse_rejects_nonzero_padding"
+T_G6_ORACLE = "tests/test_graph6.py::test_codec_matches_the_bitwise_oracle"
+T_G6_LINE_ENDS = "tests/test_graph6.py::test_both_readers_keep_other_separators_in_the_line"
 T_SAME_BYTES = "tests/test_cli.py::test_stdin_and_input_file_read_the_same_bytes_alike"
 T_STDIN_BYTES = "tests/test_cli.py::test_stdin_bytes_and_line_ends"
 T_GEN_ORDER = (
@@ -203,21 +207,72 @@ MUTANTS = (
     Mutant(
         "light-sets-reversed-leaf-order",
         SOLVER,
-        "            y = 0\n"
-        "            for c in closed[:x]:\n"
-        "                if (cov | c).bit_count() >= need:\n"
-        "                    c |= cov\n"
-        "                    need = c.bit_count()\n"
-        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n"
-        "                y += 1\n",
-        "            y = x\n"
-        "            for c in reversed(closed[:x]):\n"
-        "                y -= 1\n"
-        "                if (cov | c).bit_count() >= need:\n"
-        "                    c |= cov\n"
-        "                    need = c.bit_count()\n"
-        "                    yield sets[d] | 1 << x | 1 << y, full ^ c\n",
+        "                y = 0\n"
+        "                for c in closed[:x]:\n"
+        "                    if (cov | c).bit_count() >= need:\n"
+        "                        c |= cov\n"
+        "                        need = c.bit_count()\n"
+        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n"
+        "                    y += 1\n",
+        "                y = x\n"
+        "                for c in reversed(closed[:x]):\n"
+        "                    y -= 1\n"
+        "                    if (cov | c).bit_count() >= need:\n"
+        "                        c |= cov\n"
+        "                        need = c.bit_count()\n"
+        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n",
         (T_GOSPER,),
+    ),
+    # the last level from order _SPLIT_ORDER up, which runs only the y below
+    # x with |N[y]| >= need - |cov|
+    Mutant(
+        "leaf-threshold-one-over",
+        SOLVER,
+        "                t = need - cov.bit_count()\n",
+        "                t = need - cov.bit_count() + 1\n",
+        (T_GOSPER, T_BOUND, T_SKEWED),
+    ),
+    Mutant(
+        "leaf-threshold-from-top",
+        SOLVER,
+        "                t = need - cov.bit_count()\n",
+        "                t = top[x]\n",
+        (T_GOSPER, T_BOUND, T_SKEWED),
+    ),
+    Mutant(
+        "leaf-threshold-not-clamped",
+        SOLVER,
+        "                if t < 0:\n                    t = 0\n",
+        "",
+        (T_GOSPER,),
+    ),
+    Mutant(
+        "leaf-list-strictly-above-the-threshold",
+        SOLVER,
+        "if c.bit_count() >= t\n",
+        "if c.bit_count() > t\n",
+        (T_GOSPER, T_BOUND, T_SKEWED),
+    ),
+    Mutant(
+        "leaf-breaks-past-x",
+        SOLVER,
+        "                    if y >= x:\n",
+        "                    if y > x:\n",
+        (T_GOSPER,),
+    ),
+    Mutant(
+        "leaf-list-reversed",
+        SOLVER,
+        "                for y, c in ys:\n",
+        "                for y, c in reversed(ys):\n",
+        (T_GOSPER, T_BOUND, T_SKEWED),
+    ),
+    Mutant(
+        "leaf-unfiltered-from-order-11",
+        SOLVER,
+        "[None] * (m + 1) if n >= _SPLIT_ORDER else None",
+        "[None] * (m + 1) if n > _SPLIT_ORDER else None",
+        (T_TABLES,),
     ),
     # the prefix bound at every level; a looser bound (top[x + 1], the
     # largest closed neighborhood overall, or reach[x + 1], which adds
@@ -776,48 +831,62 @@ MUTANTS = (
         "    if False:\n",
         (T_CUT_ORDER5,),
     ),
-    # the graph6 codec: bit order and padding
+    # the graph6 codec: bit order, padding and the byte range
     Mutant(
         "graph6-emit-bits-lsb-first",
         GRAPH6,
-        "        for b in group:\n",
-        "        for b in reversed(group):\n",
+        '_BYTE = [chr(63 + int(format(v, "06b")[::-1], 2)) for v in range(64)]\n',
+        "_BYTE = [chr(63 + v) for v in range(64)]\n",
         (T_G6_ENCODE, T_G6_EMIT_NX),
     ),
     Mutant(
         "graph6-emit-column-reversed",
         GRAPH6,
-        "        for i in range(j):\n            bits.append(col >> i & 1)\n",
-        "        for i in reversed(range(j)):\n            bits.append(col >> i & 1)\n",
+        "        bits |= (adj[j] & ((1 << j) - 1)) << k\n",
+        '        bits |= int(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2) << k\n',
         (T_G6_ENCODE, T_G6_EMIT_NX),
     ),
     Mutant(
         "graph6-parse-bits-lsb-first",
         GRAPH6,
-        "        for shift in range(5, -1, -1):\n",
-        "        for shift in range(6):\n",
+        '_BITS = str.maketrans({chr(63 + v): format(v, "06b") for v in range(64)})\n',
+        '_BITS = str.maketrans({chr(63 + v): format(v, "06b")[::-1] for v in range(64)})\n',
         (T_G6_DECODE, T_G6_PARSE_NX),
     ),
     Mutant(
         "graph6-parse-column-reversed",
         GRAPH6,
-        "        for i in range(j):\n            if bits[k]:\n",
-        "        for i in reversed(range(j)):\n            if bits[k]:\n",
+        "        col = bits & ((1 << j) - 1)\n",
+        '        col = int(format(bits & ((1 << j) - 1), f"0{j}b")[::-1], 2)\n',
         (T_G6_DECODE, T_G6_PARSE_NX),
     ),
     Mutant(
         "graph6-padding-unchecked",
         GRAPH6,
-        "    if any(bits[nbits:]):\n",
+        "    if bits >> nbits:\n",
         "    if False:\n",
         (T_G6_PADDING,),
     ),
     Mutant(
         "graph6-padding-first-bit-unchecked",
         GRAPH6,
-        "    if any(bits[nbits:]):\n",
-        "    if any(bits[nbits + 1 :]):\n",
+        "    if bits >> nbits:\n",
+        "    if bits >> nbits + 1:\n",
         (T_G6_PADDING,),
+    ),
+    Mutant(
+        "graph6-range-below-unchecked",
+        GRAPH6,
+        '    if min(s) < "?" or max(s) > "~":\n',
+        '    if max(s) > "~":\n',
+        (T_G6_ORACLE,),
+    ),
+    Mutant(
+        "graph6-lines-split-at-every-line-break",
+        GRAPH6,
+        '    lines = text.replace("\\r\\n", "\\n").replace("\\r", "\\n").split("\\n")\n',
+        "    lines = text.splitlines()\n",
+        (T_G6_LINE_ENDS,),
     ),
     # the one graph6 reader, for stdin and files, and the gen order check
     Mutant(
