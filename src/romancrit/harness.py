@@ -7,7 +7,8 @@ raised while evaluating a graph become counterexample entries too: the
 harness never silently skips a graph it was asked to verify.
 
 Every source yields scan units (graph, size, copies): a graph standing for
-``size`` labeled graphs and a zero-argument listing of them, None at size 1.
+``size`` labeled graphs and a listing of them, called with the graph, None
+at size 1.
 A file, family list or graph tuple yields one unit per graph, an enumeration
 one per isomorphism class. Whether a claim's hypothesis holds and whether
 its check reports are isomorphism invariants, so one loop evaluates each
@@ -30,7 +31,8 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import partial
+from itertools import permutations, repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
@@ -706,20 +708,25 @@ def _open_source(source: Source) -> tuple[str, Iterator[tuple]]:
 
 
 def _class_units(n: int) -> Iterator[tuple]:
-    """One unit per isomorphism class of order n, its copies listed in
-    ascending mask order. The permutation tables are built on the first
+    """One unit per isomorphism class of order n, every unit holding the
+    one listing of copies for the order: it reads the representative's edge
+    mask off its graph and yields the copies in ascending mask order. The
+    units come from zip and map, so no Python frame runs per class but
+    graph_from_edge_mask's. The permutation tables are built on the first
     listing, so a scan that lists no copies never builds them."""
     perms = None
 
-    def copies(rep: int) -> Iterator[Graph]:
+    def copies(g: Graph) -> Iterator[Graph]:
         nonlocal perms
         if perms is None:
             perms = EdgePermutations(n)
+        pairs = enumerate(_edge_pairs(n))
+        rep = sum(1 << i for i, (u, v) in pairs if g.adj[u] >> v & 1)
         for mask in sorted(perms.orbit(rep)):
             yield graph_from_edge_mask(n, mask)
 
-    for rep, size in isomorphism_classes(n):
-        yield graph_from_edge_mask(n, rep), size, lambda rep=rep: copies(rep)
+    reps, sizes = zip(*isomorphism_classes(n))
+    return zip(map(partial(graph_from_edge_mask, n), reps), sizes, repeat(copies))
 
 
 def read_graph6(path: str | None = None) -> Iterator[Graph]:
@@ -784,7 +791,7 @@ def _scan(
         if held:
             acc[claim.id][0] += size
     if expand:
-        for h in copies():
+        for h in copies(f.g):
             _scan(expand, f.relabeled(h), 1, None, acc)
 
 

@@ -22,11 +22,32 @@ needs its last element y to lift the cover to need, and y adds at most
 rises during the sweep, so skipping every other y leaves the sets yielded,
 and their order, as they are. From order _SPLIT_ORDER up the last level
 therefore runs, in ascending y below x, one list per threshold t of the
-(y, N[y]) pairs with |N[y]| >= t, built on first use. These lists, top and
-reach are the tables of one solve, ``_tables``, built once per
-``_lightest`` or ``_sweep_pairs`` call and shared by every size it sweeps.
-Smaller parts build no lists and run every y below x: on graphs that small
-the lists cost more than the vertices they skip.
+(y, N[y]) pairs with |N[y]| >= t, built on first use.
+
+From order _SPLIT_ORDER up every level above the last also applies a
+packing bound. A 2-packing P is a set of vertices whose closed
+neighborhoods are pairwise disjoint, and |P| is at most the domination
+number (Meir and Moon 1975). No closed neighborhood N[y] holds two
+vertices p, q of P, since y would then lie in N[p] and in N[q]. So the r
+elements still to pick under a prefix of cover cov cover at most r
+vertices of P outside cov, and a prefix with |P & ~cov| > n - need + r
+leaves more than n - need vertices uncovered under every set it heads:
+it is skipped, and, need only rising, the sets yielded and their order
+stay as they are. The bound is strongest on sparse graphs, where the
+degree bound above is weakest. At the last level a skip saves only one
+pass over the prefix's candidates: tested there too, the bound made
+gamma_r on sparse and dense G(16-20, p) and C15-C21 about 2% slower
+(best of 5 per graph, Python 3.11, x86-64). One
+greedy P, ``_packing``, serves a whole solve. It is built on the first
+sweep of size 3 or more, the first with a level above the last, so a
+solve that stops at size 2 builds none, and the test is skipped at the
+levels where it cannot fire, |P| <= n - need + r.
+
+The threshold lists, P, top and reach are the tables of one solve,
+``_tables``, built once per ``_lightest`` or ``_sweep_pairs`` call and
+shared by every size it sweeps. Smaller parts build no lists and no P and
+run every y below x: on graphs that small the lists and P cost more than
+the work they save.
 
 One size loop, ``_lightest``, answers gamma_r and ``gamma_at_most``: the
 yes/no question, which the criticality predicates ask of each graph they
@@ -97,7 +118,9 @@ _SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 # without the plan and its guard. The last level's threshold lists (see
 # _tables) start at this order too: built below it, they made gamma_r,
 # gamma_at_most and the partitions of every class of orders 0-7 take 20%
-# longer (11.2 against 9.3 ms, best of 40, Python 3.11, x86-64).
+# longer (11.2 against 9.3 ms, best of 40, Python 3.11, x86-64). So does
+# the packing: built below it, it made gamma_r of the classes of orders 6
+# and 7 take 8% and 11% longer (best of 30, Python 3.11, x86-64).
 _SPLIT_ORDER = 10
 
 
@@ -143,15 +166,30 @@ def is_roman(g: Graph, assignment: RomanAssignment | Sequence[int]) -> bool:
     return True
 
 
-def _tables(
-    closed: Sequence[int], n: int
-) -> tuple[list[int], list[int], list | None]:
-    """(top, reach, by) for the sweeps of one solve: top[x] is the largest
-    closed neighborhood below x and reach[x] the union of those closed
-    neighborhoods, for the prefix bound; by[t], from order _SPLIT_ORDER up,
-    is filled on first use with the (y, N[y]) pairs of |N[y]| >= t, by
-    ascending y, for the last level. Below that order by is None and the
-    last level runs every vertex below x.
+def _packing(closed: Sequence[int]) -> int:
+    """The vertex mask of a maximal 2-packing, a set of vertices whose
+    closed neighborhoods are pairwise disjoint: the vertices taken by
+    ascending |N[v]|, then ascending v, each kept when N[v] misses the
+    closed neighborhoods of those kept before. The sort is stable, so equal
+    sizes stay in ascending v, and index finds the first of equal masks,
+    the one kept when closed twins share it."""
+    pack = used = 0
+    for c in sorted(closed, key=int.bit_count):
+        if not c & used:
+            used |= c
+            pack |= 1 << closed.index(c)
+    return pack
+
+
+def _tables(closed: Sequence[int], n: int) -> list:
+    """[top, reach, by, pack] for the sweeps of one solve: top[x] is the
+    largest closed neighborhood below x and reach[x] the union of those
+    closed neighborhoods, for the prefix bound. From order _SPLIT_ORDER up,
+    by[t] is filled on first use with the (y, N[y]) pairs of |N[y]| >= t,
+    by ascending y, for the last level, and pack is None until the first
+    sweep of size 3 or more puts _packing(closed) there, for the packing
+    bound. Below that order by is None, the last level runs every vertex
+    below x, and pack is 0, on which the packing bound never fires.
     """
     top, reach, m, acc = [0], [0], 0, 0
     for c in closed:
@@ -160,11 +198,13 @@ def _tables(
         acc |= c
         top.append(m)
         reach.append(acc)
-    return top, reach, [None] * (m + 1) if n >= _SPLIT_ORDER else None
+    if n < _SPLIT_ORDER:
+        return [top, reach, None, 0]
+    return [top, reach, [None] * (m + 1), None]
 
 
 def _light_sets(
-    closed: Sequence[int], n: int, k: int, limit: int, tables: tuple | None = None
+    closed: Sequence[int], n: int, k: int, limit: int, tables: list | None = None
 ) -> Iterator[tuple[int, int]]:
     """(S, V outside N[S]) for the k-sets S, by ascending bitmask, whose
     Roman weight 2k + |V outside N[S]| is at most limit and at most that of
@@ -184,8 +224,11 @@ def _light_sets(
     of those closed neighborhoods: no set under it reaches need, and need
     only ever rises, so the sets yielded are the same, in the same order.
     From order _SPLIT_ORDER up the last level runs only the y below x with
-    |N[y]| >= need - |cov|, from by (see _tables), for the same reason.
-    tables is _tables(closed, n), built here when not given.
+    |N[y]| >= need - |cov|, from by (see _tables), and every level above
+    the last also skips a prefix with |pack & ~cov| > n - need + r, pack
+    being a 2-packing, whose vertices each closed neighborhood meets at
+    most once, for the same reason. tables is _tables(closed, n), built
+    here when not given; a sweep of size 3 or more fills in its pack.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -202,8 +245,16 @@ def _light_sets(
     # depth d picks the (d+1)-th largest element x, from k-1-d up to below
     # the element picked one level up, and the last level, k-2, runs the
     # smallest inline
-    top, reach, by = tables or _tables(closed, n)
+    if tables is None:
+        tables = _tables(closed, n)
+    top, reach, by, pack = tables
     last = k - 2
+    if pack is None and last:
+        # the packing test runs above the last level only, so a solve
+        # builds its packing on its first sweep of size 3 or more
+        pack = tables[3] = _packing(closed)
+    # the packing test can fire only where |pack| > n - need + k - 1 - d
+    dead = n + k - 1 - (pack or 0).bit_count()
     picked = [0] * last
     covs = [0] * (last + 1)
     sets = [0] * (last + 1)
@@ -251,6 +302,8 @@ def _light_sets(
                         c |= cov
                         need = c.bit_count()
                         yield sets[d] | 1 << x | 1 << y, full ^ c
+            x += 1
+        elif d + need > dead and (pack & ~cov).bit_count() > n - need + k - 1 - d:
             x += 1
         else:
             picked[d] = x

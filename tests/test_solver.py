@@ -474,14 +474,22 @@ def test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees(monkeyp
 
 def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeypatch):
     # from _SPLIT_ORDER up, one _tables per _lightest or _sweep_pairs call,
-    # however many sizes it sweeps, with threshold lists; below it no
-    # threshold lists, and _sweep_pairs leaves the build to each sweep
+    # however many sizes it sweeps, with threshold lists, and one packing
+    # once it sweeps a size past 2; below it no threshold lists and no
+    # packing, and _sweep_pairs leaves the build to each sweep
     assert solver._tables(gen_family("cycle", 9).closed, 9)[2] is None
     for n in (solver._SPLIT_ORDER, 21):
         closed = gen_family("cycle", n).closed
         assert solver._tables(closed, n)[2] == [None] * 4
-    built, swept = [], []
+        tables = solver._tables(closed, n)
+        assert tables[3] is None
+        list(solver._light_sets(closed, n, 2, n, tables))
+        assert tables[3] is None
+        list(solver._light_sets(closed, n, 3, n, tables))
+        assert tables[3] == solver._packing(closed) != 0
+    built, swept, packed = [], [], []
     real_tables, real_sweep = solver._tables, solver._light_sets
+    real_packing = solver._packing
 
     def tables(closed, n):
         built.append(n)
@@ -491,27 +499,236 @@ def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeyp
         swept.append((k, tables is None))
         return real_sweep(closed, n, k, limit, tables)
 
+    def packing(closed):
+        packed.append(len(closed))
+        return real_packing(closed)
+
     monkeypatch.setattr(solver, "_tables", tables)
     monkeypatch.setattr(solver, "_light_sets", sweep)
+    monkeypatch.setattr(solver, "_packing", packing)
     rng = random.Random(5)
     graphs = [random_graph(rng, n, 0.3) for n in (10, 11, 12, 13, 14, 15)]
     graphs += [gen_family("cycle", n) for n in (10, 21)]
-    several = 0
+    several = deep = shallow = 0
     for g in graphs:
         n, closed = g.n, g.closed
-        built.clear(), swept.clear()
+        built.clear(), swept.clear(), packed.clear()
         gamma = solver._lightest(closed, n, n)[0]
         assert built == [n] and not any(none for _, none in swept)
+        assert packed == ([n] if max(k for k, _ in swept) > 2 else [])
         several += len(swept) > 1
-        built.clear(), swept.clear()
+        deep += packed != []
+        built.clear(), swept.clear(), packed.clear()
         assert solver._sweep_pairs(closed, n, gamma)
         assert built == [n] and not any(none for _, none in swept)
+        assert packed == ([n] if max(k for k, _ in swept) > 2 else [])
         several += sum(k > 1 for k, _ in swept) > 1
-    assert several >= 4
+        shallow += packed == []
+    assert several >= 4 and deep >= 2 and shallow >= 2
     c9 = gen_family("cycle", 9).closed
-    built.clear(), swept.clear()
+    built.clear(), swept.clear(), packed.clear()
     assert solver._sweep_pairs(c9, 9, 6)
     assert built == [9] and swept == [(3, True)]
+    # below the split order no packing is built, by any solve
+    rng = random.Random(6)
+    for n in range(solver._SPLIT_ORDER):
+        for p in (0.2, 0.5):
+            g = random_graph(rng, n, p)
+            assert real_tables(g.closed, n)[3] == 0
+            roman_number(g), minimal_partitions(g), gamma_at_most(g, n // 2)
+    assert packed == []
+
+
+def _greedy_packing(closed) -> int:
+    # the vertices by ascending (|N[v]|, v), each kept when N[v] misses the
+    # closed neighborhoods kept before
+    pack = used = 0
+    for v in sorted(range(len(closed)), key=lambda v: (closed[v].bit_count(), v)):
+        if not closed[v] & used:
+            used |= closed[v]
+            pack |= 1 << v
+    return pack
+
+
+def _packing_graphs() -> list[Graph]:
+    # seeded G(n, p) of orders 10-24 from sparse to dense, cycles, complete
+    # graphs and unions of them, whose closed twins share one mask, and
+    # stars on sparse graphs
+    rng = random.Random(28)
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(10, 25)
+        for p in (0.08, 0.15, 0.3, 0.6, 0.9)
+    ]
+    graphs += [gen_family("cycle", n) for n in (10, 17, 24)]
+    graphs += [gen_family("complete", n) for n in (10, 13)]
+    k4, k5 = gen_family("complete", 4), gen_family("complete", 5)
+    graphs += [_disjoint_union(k4, k5, k4), _disjoint_union(k5, graph_new(6))]
+    graphs += [_stars_on_sparse(n, rng) for n in range(10, 25, 2)]
+    return graphs
+
+
+def test_tables_packing_is_a_maximal_2_packing():
+    # from the split order up, the pack a sweep of size 3 puts in the
+    # tables has pairwise disjoint closed neighborhoods, every vertex
+    # outside it has a closed neighborhood meeting one of them, and it is
+    # the greedy one by ascending (|N[v]|, v)
+    for g in _packing_graphs():
+        n, closed = g.n, g.closed
+        tables = solver._tables(closed, n)
+        list(solver._light_sets(closed, n, 3, n, tables))
+        pack = tables[3]
+        members = [v for v in range(n) if pack >> v & 1]
+        assert members, g.edges()
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                assert not closed[u] & closed[v], (g.edges(), u, v)
+        for v in range(n):
+            if not pack >> v & 1:
+                assert any(closed[v] & closed[u] for u in members), (g.edges(), v)
+        assert pack == _greedy_packing(closed), g.edges()
+
+
+def _star_on_path(n: int, rng: random.Random) -> Graph:
+    # a path with a star joined at a drawn path vertex by its center or by
+    # a leaf, its vertices relabeled by a seeded permutation
+    leaves = rng.randrange(3, n // 2)
+    p = n - leaves - 1
+    edges = [(v, v + 1) for v in range(p - 1)]
+    edges += [(p, v) for v in range(p + 1, n)]
+    edges.append((rng.randrange(p), p if rng.random() < 0.5 else n - 1))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(graph_new(n, edges), perm)
+
+
+def _forest(n: int, rng: random.Random) -> Graph:
+    # a seeded random forest: each vertex joins a drawn earlier one, or
+    # starts a new tree, its vertices relabeled by a seeded permutation
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(graph_new(n, edges), perm)
+
+
+def _sparse_split_order_graphs() -> list[Graph]:
+    # paths, stars joined to paths, forests and G(n, 0.08-0.2), of orders
+    # _SPLIT_ORDER to 22: where the degree bound is weakest
+    rng = random.Random(281)
+    graphs = []
+    for n in range(solver._SPLIT_ORDER, 23):
+        graphs.append(gen_family("path", n))
+        graphs.append(_star_on_path(n, rng))
+        graphs.append(_forest(n, rng))
+        graphs.append(random_graph(rng, n, (0.08, 0.12, 0.16, 0.2)[n % 4]))
+    return graphs
+
+
+def test_light_sets_matches_gosper_sweep_on_sparse_graphs():
+    # from _SPLIT_ORDER up, on sparse graphs swept whole at every size from
+    # 2 to gamma / 2 and the limits gamma - 1 .. gamma + 1, the sets and
+    # their order are the Gosper sweep's
+    for g in _sparse_split_order_graphs():
+        n = g.n
+        closed = g.closed
+        gamma = solver._lightest(closed, n, n)[0]
+        for k in range(2, gamma // 2 + 1):
+            sets = list(_gosper_sets(closed, n, k))
+            for limit in (gamma - 1, gamma, gamma + 1):
+                got = list(solver._light_sets(closed, n, k, limit))
+                assert got == list(_under_running_limit(sets, k, limit)), (
+                    g.edges(),
+                    k,
+                    limit,
+                )
+
+
+class _Reads(list):
+    # a list that records the index of every read
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+def _admitted_prefixes(closed, n, k, limit, pack):
+    # the least element x of every prefix the depth-first sweep of the
+    # k-sets, k >= 2, tests, in its order, and the number of prefixes it
+    # takes to the last level, when it skips a prefix of cover cov with r
+    # elements still to pick on |cov| + r * top[x] < need, on
+    # |cov | reach[x]| < need or, above the last level, on
+    # |pack & ~cov| > n - need + r, need rising at every set light enough
+    top = [max([c.bit_count() for c in closed[:x]], default=0) for x in range(n)]
+    reach = [0] * n
+    for x in range(1, n):
+        reach[x] = reach[x - 1] | closed[x - 1]
+    need = n + 2 * k - limit
+    tested, leaves = [], 0
+
+    def visit(r, hi, above):
+        nonlocal need, leaves
+        for x in range(r, hi):
+            tested.append(x)
+            cov = above | closed[x]
+            if (
+                cov.bit_count() + r * top[x] < need
+                or (cov | reach[x]).bit_count() < need
+                or r > 1 and (pack & ~cov).bit_count() > n - need + r
+            ):
+                continue
+            if r > 1:
+                visit(r - 1, x, cov)
+                continue
+            leaves += 1
+            for y in range(x):
+                if (cov | closed[y]).bit_count() >= need:
+                    need = (cov | closed[y]).bit_count()
+
+    visit(k - 1, n, 0)
+    return tested, leaves
+
+
+def test_light_sets_tests_exactly_the_prefixes_the_bounds_admit():
+    # from _SPLIT_ORDER up the sweep tests the prefixes, and takes to the
+    # last level the ones, that the three clauses admit, the packing clause
+    # read with the greedy 2-packing: not one more (a looser bound or a
+    # test skipped where it fires) and not one fewer; and the packing
+    # clause skips prefixes the other two admit
+    stronger = 0
+    for g in _sparse_split_order_graphs():
+        n, closed = g.n, g.closed
+        pack = _greedy_packing(closed)
+        gamma = solver._lightest(closed, n, n)[0]
+        for k in range(2, gamma // 2 + 1):
+            for limit in (gamma - 1, gamma, gamma + 1):
+                top, reach, by, _ = solver._tables(closed, n)
+                tested, leaves = [], []
+                tables = (_Reads(top, tested), reach, _Reads(by, leaves), pack)
+                list(solver._light_sets(closed, n, k, limit, tables))
+                want = _admitted_prefixes(closed, n, k, limit, pack)
+                assert (tested, len(leaves)) == want, (g.edges(), k, limit)
+                stronger += want != _admitted_prefixes(closed, n, k, limit, 0)
+    assert stronger >= 20
+
+
+def test_roman_number_matches_oracle_on_sparse_graphs():
+    # seeded paths with stars, forests and G(n, 0.08-0.2) of orders
+    # _SPLIT_ORDER to 12, where the packing bound skips the most: the value
+    # is the 3^n oracle's and the witness a Roman assignment of that weight
+    rng = random.Random(2812)
+    graphs = []
+    for n in range(solver._SPLIT_ORDER, 13):
+        for _ in range(6):
+            graphs.append(_star_on_path(n, rng))
+            graphs.append(_forest(n, rng))
+            graphs.append(random_graph(rng, n, rng.choice((0.08, 0.12, 0.16, 0.2))))
+    for g in graphs:
+        res = roman_number(g)
+        assert res.gamma == roman_number_oracle(g), g.edges()
+        assert is_roman(g, res.witness) and res.witness.weight == res.gamma
 
 
 def test_roman_number_matches_gosper_sweep(monkeypatch):

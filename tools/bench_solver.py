@@ -16,6 +16,8 @@ round, and the best of the rounds, on:
   G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
   C20+C20, C12+C12+C12    disjoint unions of cycles, orders 40 and 36
   G(40, 0.03)             a sparse random graph from the same seeded stream
+  G(20, 0.15) #0 .. #4,   the sparse orders whose lines are the slowest of
+  G(18, 0.2) #0 .. #4     the gamma-stream benchmark, from the same stream
 
 and the three operations are ``gamma_r(g)``, ``gamma_at_most(g, gamma - 1)``
 (a full sweep that finds nothing) and ``minimal_partitions(g)``. The
@@ -49,6 +51,8 @@ RANDOM_ORDER = 24
 RANDOM_P = 0.1
 RANDOM_COUNT = 5
 SPARSE = (40, 0.03)
+TAIL = ((20, 0.15), (18, 0.2))
+TAIL_COUNT = 5
 SEED = 9
 OPS = ("gamma_r", "gamma_at_most", "minimal_partitions")
 CRITICALITY_OPS = (
@@ -82,6 +86,10 @@ def _graphs(rc) -> list[tuple[str, object]]:
     out.append(("C12+C12+C12", _cycles(rc, 12, 12, 12)))
     n, p = SPARSE
     out.append((f"G({n},{p})", rc.graph_new(n, _random_edges(rng, n, p))))
+    for n, p in TAIL:
+        for i in range(TAIL_COUNT):
+            g = rc.graph_new(n, _random_edges(rng, n, p))
+            out.append((f"G({n},{p})#{i}", g))
     return out
 
 

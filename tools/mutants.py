@@ -54,6 +54,10 @@ T_GOSPER = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_random"
 T_BOUND = "tests/test_solver.py::test_light_sets_prefix_bound_matches_gosper_sweep"
 T_SKEWED = "tests/test_solver.py::test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees"
 T_TABLES = "tests/test_solver.py::test_tables_are_built_once_per_solve_and_filter_from_the_split_order"
+T_PACKING = "tests/test_solver.py::test_tables_packing_is_a_maximal_2_packing"
+T_SPARSE = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_on_sparse_graphs"
+T_ADMITTED = "tests/test_solver.py::test_light_sets_tests_exactly_the_prefixes_the_bounds_admit"
+T_ORACLE_SPARSE = "tests/test_solver.py::test_roman_number_matches_oracle_on_sparse_graphs"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
 T_BRUTE = "tests/test_solver.py::test_roman_number_and_partitions_match_a_brute_force_sweep"
@@ -171,8 +175,8 @@ MUTANTS = (
     Mutant(
         "size-one-index-of-the-largest-mask",
         SOLVER,
-        "1 << closed.index(c)",
-        "1 << closed.index(max(closed))",
+        "best_s, best_rest = w, 1 << closed.index(c),",
+        "best_s, best_rest = w, 1 << closed.index(max(closed)),",
         (T_BRUTE, T_GOSPER_WITNESS),
     ),
     Mutant(
@@ -270,9 +274,62 @@ MUTANTS = (
     Mutant(
         "leaf-unfiltered-from-order-11",
         SOLVER,
-        "[None] * (m + 1) if n >= _SPLIT_ORDER else None",
-        "[None] * (m + 1) if n > _SPLIT_ORDER else None",
+        "    if n < _SPLIT_ORDER:\n        return [top, reach, None, 0]\n",
+        "    if n <= _SPLIT_ORDER:\n        return [top, reach, None, 0]\n",
         (T_TABLES,),
+    ),
+    # the packing bound from order _SPLIT_ORDER up, which skips a prefix
+    # above the last level with |pack & ~cov| > n - need + r; a looser
+    # bound only skips less, so the test that counts the prefixes tested
+    # and taken to the last level catches it
+    Mutant(
+        "packing-bound-one-over",
+        SOLVER,
+        "(pack & ~cov).bit_count() > n - need + k - 1 - d:\n",
+        "(pack & ~cov).bit_count() > n - need + k - 1 - d + 1:\n",
+        (T_ADMITTED,),
+    ),
+    Mutant(
+        "packing-bound-at-the-boundary",
+        SOLVER,
+        "(pack & ~cov).bit_count() > n - need + k - 1 - d:\n",
+        "(pack & ~cov).bit_count() >= n - need + k - 1 - d:\n",
+        (T_SPARSE, T_ORACLE_SPARSE, T_ADMITTED),
+    ),
+    Mutant(
+        "packing-gate-reads-r-as-k-minus-d",
+        SOLVER,
+        "    dead = n + k - 1 - (pack or 0).bit_count()\n",
+        "    dead = n + k - (pack or 0).bit_count()\n",
+        (T_ADMITTED,),
+    ),
+    Mutant(
+        "packing-of-vertices-not-neighborhoods",
+        SOLVER,
+        "            used |= c\n",
+        "            used |= 1 << closed.index(c)\n",
+        (T_PACKING, T_SPARSE, T_ADMITTED),
+    ),
+    Mutant(
+        "packing-at-every-order",
+        SOLVER,
+        "        return [top, reach, None, 0]\n",
+        "        return [top, reach, None, None]\n",
+        (T_TABLES,),
+    ),
+    Mutant(
+        "packing-built-for-size-two-sweeps",
+        SOLVER,
+        "    if pack is None and last:\n",
+        "    if pack is None:\n",
+        (T_TABLES,),
+    ),
+    Mutant(
+        "packing-by-descending-closed-neighborhood",
+        SOLVER,
+        "    for c in sorted(closed, key=int.bit_count):\n",
+        "    for c in sorted(closed, key=int.bit_count, reverse=True):\n",
+        (T_PACKING, T_ADMITTED),
     ),
     # the prefix bound at every level; a looser bound (top[x + 1], the
     # largest closed neighborhood overall, or reach[x + 1], which adds
