@@ -15,6 +15,8 @@ in and writes each 6-bit chunk through one table.
 
 from __future__ import annotations
 
+import io
+
 from .errors import MalformedGraph6, TooLarge
 from .graphs import Graph
 
@@ -75,7 +77,7 @@ def parse_graph6(line: str) -> Graph:
 
 def read_graph6_lines(text: str) -> list[Graph]:
     """Parse every non-blank line of a graph6 document. Lines end at LF, CR
-    or CR LF, as in harness.read_graph6; any other character stays in its
-    line."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    or CR LF, by the universal-newline rule of io, as in harness.read_graph6;
+    any other character stays in its line."""
+    lines = io.StringIO(text, newline=None)
     return [parse_graph6(line) for line in lines if line.strip()]

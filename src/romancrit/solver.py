@@ -20,9 +20,8 @@ The last level applies the bound to each vertex. A prefix of cover cov
 needs its last element y to lift the cover to need, and y adds at most
 |N[y]| vertices, so only a y with |N[y]| >= need - |cov| can; need only
 rises during the sweep, so skipping every other y leaves the sets yielded,
-and their order, as they are. From order _SPLIT_ORDER up the last level
-therefore runs, in ascending y below x, one list per threshold t of the
-(y, N[y]) pairs with |N[y]| >= t, built on first use.
+and their order, as they are. The last level therefore runs, in ascending
+y below x, a list by[t] of vertices for t = need - |cov|.
 
 From order _SPLIT_ORDER up every level above the last also applies a
 packing bound. A 2-packing P is a set of vertices whose closed
@@ -43,11 +42,13 @@ sweep of size 3 or more, the first with a level above the last, so a
 solve that stops at size 2 builds none, and the test is skipped at the
 levels where it cannot fire, |P| <= n - need + r.
 
-The threshold lists, P, top and reach are the tables of one solve,
-``_tables``, built once per ``_lightest`` or ``_sweep_pairs`` call and
-shared by every size it sweeps. Smaller parts build no lists and no P and
-run every y below x: on graphs that small the lists and P cost more than
-the work they save.
+top, reach, by and P are the tables of one solve, ``_tables``, built once
+per ``_lightest`` or ``_sweep_pairs`` call that reaches size 2. The order
+gate picks the tables there: from _SPLIT_ORDER up by[t] lists the y of
+|N[y]| >= t, filled on first use; below it every by[t] is one range of all
+the vertices and P is empty: on graphs that small the filtered lists and P
+cost more than the work they save. It picks the plan in gamma_r,
+``gamma_at_most`` and ``minimal_partitions`` (see ``_components``).
 
 One size loop, ``_lightest``, answers gamma_r and ``gamma_at_most``: the
 yes/no question, which the criticality predicates ask of each graph they
@@ -115,8 +116,9 @@ _SWEEP_FREE_ORDER = SWEEP_MAX_SETS.bit_length() - 1
 # (seeded, Python 3.11, x86-64). From order 10 the gain on such a mix is
 # several times the loss on dense graphs. It stays at most _SWEEP_FREE_ORDER,
 # since gamma_mask, _at_most and _partition_pairs solve smaller graphs
-# without the plan and its guard. The last level's threshold lists (see
-# _tables) start at this order too: built below it, they made gamma_r,
+# without the plan and its guard. _tables reads it too: below it the last
+# level runs one range of all the vertices, and no packing is built. The
+# threshold lists start at this order: built below it, they made gamma_r,
 # gamma_at_most and the partitions of every class of orders 0-7 take 20%
 # longer (11.2 against 9.3 ms, best of 40, Python 3.11, x86-64). So does
 # the packing: built below it, it made gamma_r of the classes of orders 6
@@ -184,12 +186,15 @@ def _packing(closed: Sequence[int]) -> int:
 def _tables(closed: Sequence[int], n: int) -> list:
     """[top, reach, by, pack] for the sweeps of one solve: top[x] is the
     largest closed neighborhood below x and reach[x] the union of those
-    closed neighborhoods, for the prefix bound. From order _SPLIT_ORDER up,
-    by[t] is filled on first use with the (y, N[y]) pairs of |N[y]| >= t,
-    by ascending y, for the last level, and pack is None until the first
-    sweep of size 3 or more puts _packing(closed) there, for the packing
-    bound. Below that order by is None, the last level runs every vertex
-    below x, and pack is 0, on which the packing bound never fires.
+    closed neighborhoods, for the prefix bound; by[t] holds, ascending, the
+    vertices y the last level runs at threshold t. From order _SPLIT_ORDER
+    up, by[t] is filled on first use with the y of |N[y]| >= t, and pack is
+    None until the first sweep of size 3 or more puts _packing(closed)
+    there. Below it every by[t] is one range(n), and pack is 0, on which
+    the packing bound never fires. Below that order a shared list of the
+    (y, N[y]) pairs made gamma_r and the partitions of every class of
+    orders 0-7 take 3.7% longer than no list at all, and the range 0.7%
+    (four processes a tree, best of 60 rounds, Python 3.11, x86-64).
     """
     top, reach, m, acc = [0], [0], 0, 0
     for c in closed:
@@ -199,12 +204,12 @@ def _tables(closed: Sequence[int], n: int) -> list:
         top.append(m)
         reach.append(acc)
     if n < _SPLIT_ORDER:
-        return [top, reach, None, 0]
+        return [top, reach, [range(n)] * (m + 1), 0]
     return [top, reach, [None] * (m + 1), None]
 
 
 def _light_sets(
-    closed: Sequence[int], n: int, k: int, limit: int, tables: list | None = None
+    closed: Sequence[int], n: int, k: int, limit: int, tables: list | None
 ) -> Iterator[tuple[int, int]]:
     """(S, V outside N[S]) for the k-sets S, by ascending bitmask, whose
     Roman weight 2k + |V outside N[S]| is at most limit and at most that of
@@ -223,12 +228,13 @@ def _light_sets(
     being the largest closed neighborhood below x and reach[x] the union
     of those closed neighborhoods: no set under it reaches need, and need
     only ever rises, so the sets yielded are the same, in the same order.
-    From order _SPLIT_ORDER up the last level runs only the y below x with
-    |N[y]| >= need - |cov|, from by (see _tables), and every level above
-    the last also skips a prefix with |pack & ~cov| > n - need + r, pack
-    being a 2-packing, whose vertices each closed neighborhood meets at
-    most once, for the same reason. tables is _tables(closed, n), built
-    here when not given; a sweep of size 3 or more fills in its pack.
+    The last level runs the y below x in by[need - |cov|], from order
+    _SPLIT_ORDER up only those with |N[y]| >= need - |cov|, and every level
+    above the last also skips a prefix with |pack & ~cov| > n - need + r,
+    pack being a 2-packing, whose vertices each closed neighborhood meets
+    at most once, for the same reason. tables is the caller's
+    _tables(closed, n), unread at sizes 0 and 1; a sweep of size 3 or more
+    fills in its pack.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -245,8 +251,6 @@ def _light_sets(
     # depth d picks the (d+1)-th largest element x, from k-1-d up to below
     # the element picked one level up, and the last level, k-2, runs the
     # smallest inline
-    if tables is None:
-        tables = _tables(closed, n)
     top, reach, by, pack = tables
     last = k - 2
     if pack is None and last:
@@ -276,32 +280,21 @@ def _light_sets(
         ):
             x += 1
         elif d == last:
-            if by is None:
-                y = 0
-                for c in closed[:x]:
-                    if (cov | c).bit_count() >= need:
-                        c |= cov
-                        need = c.bit_count()
-                        yield sets[d] | 1 << x | 1 << y, full ^ c
-                    y += 1
-            else:
-                # the prefix bound passed, so t <= top[x]; t <= 0 when cov
-                # alone reaches need, and by[0] takes every vertex
-                t = need - cov.bit_count()
-                if t < 0:
-                    t = 0
-                ys = by[t]
-                if ys is None:
-                    ys = by[t] = [
-                        (y, c) for y, c in enumerate(closed) if c.bit_count() >= t
-                    ]
-                for y, c in ys:
-                    if y >= x:
-                        break
-                    if (cov | c).bit_count() >= need:
-                        c |= cov
-                        need = c.bit_count()
-                        yield sets[d] | 1 << x | 1 << y, full ^ c
+            # the prefix bound passed, so t <= top[x]; t <= 0 when cov
+            # alone reaches need, and by[0] takes every vertex
+            t = need - cov.bit_count()
+            if t < 0:
+                t = 0
+            ys = by[t]
+            if ys is None:
+                ys = by[t] = [y for y, c in enumerate(closed) if c.bit_count() >= t]
+            for y in ys:
+                if y >= x:
+                    break
+                c = cov | closed[y]
+                if c.bit_count() >= need:
+                    need = c.bit_count()
+                    yield sets[d] | 1 << x | 1 << y, full ^ c
             x += 1
         elif d + need > dead and (pack & ~cov).bit_count() > n - need + k - 1 - d:
             x += 1
@@ -586,12 +579,12 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
     one of them, _light_sets rejects it in one pass over the masks. Size 1
     is that pass, and at size 2 the sum of the two largest closed
     neighborhoods falls short of the cover needed, so the prefix bound
-    rejects every prefix. From order _SPLIT_ORDER up the sizes share one
-    _tables; below it each size of 2 or more builds its own top and reach,
-    so a small graph swept only at sizes 0 and 1 builds none.
+    rejects every prefix. The sizes share one _tables, built when gamma
+    reaches 4, the least weight of a size-2 set, so a graph swept only at
+    sizes 0 and 1 builds none.
     """
     floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)
-    tables = _tables(closed, n) if n >= _SPLIT_ORDER else None
+    tables = _tables(closed, n) if gamma >= 4 else None
     return sorted(
         hit
         for k in range(gamma // 2 + 1)

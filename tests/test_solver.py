@@ -327,7 +327,9 @@ def _assert_sweeps_agree(g: Graph) -> None:
     closed = g.closed
     for k in range(n + 2):
         for limit in range(-1, 2 * n + 2):
-            got = list(solver._light_sets(closed, n, k, limit))
+            got = list(
+                solver._light_sets(closed, n, k, limit, solver._tables(closed, n))
+            )
             assert got == list(_gosper_light_sets(closed, n, k, limit)), (
                 g.edges(),
                 k,
@@ -347,6 +349,16 @@ def test_light_sets_matches_gosper_sweep_random():
     rng = random.Random(58)
     for n in range(8, 14):
         for p in (0.15, 0.4):
+            _assert_sweeps_agree(random_graph(rng, n, p))
+
+
+def test_light_sets_matches_gosper_sweep_below_the_split_order():
+    # orders 8 and 9, past the class test and below _SPLIT_ORDER, where the
+    # last level runs the one shared range of all the vertices: seeded G(n, p)
+    # from sparse to dense, every size and every limit
+    rng = random.Random(29)
+    for n in (8, 9):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9):
             _assert_sweeps_agree(random_graph(rng, n, p))
 
 
@@ -416,7 +428,9 @@ def test_light_sets_prefix_bound_matches_gosper_sweep():
         for k in range(2, gamma // 2 + 1):
             sets = list(_gosper_sets(closed, n, k))
             for limit in (gamma - 1, gamma, gamma + 1):
-                got = list(solver._light_sets(closed, n, k, limit))
+                got = list(
+                    solver._light_sets(closed, n, k, limit, solver._tables(closed, n))
+                )
                 assert got == list(_under_running_limit(sets, k, limit)), (
                     g.edges(),
                     k,
@@ -462,7 +476,9 @@ def test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees(monkeyp
             for k in range(2, gamma // 2 + 1):
                 sets = list(_gosper_sets(closed, n, k))
                 for limit in (gamma - 1, gamma, gamma + 1):
-                    got = list(solver._light_sets(closed, n, k, limit))
+                    got = list(
+                        solver._light_sets(closed, n, k, limit, solver._tables(closed, n))
+                    )
                     assert got == list(_under_running_limit(sets, k, limit)), (
                         g.edges(),
                         k,
@@ -473,11 +489,14 @@ def test_light_sets_filtered_leaf_matches_gosper_sweep_on_skewed_degrees(monkeyp
 
 
 def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeypatch):
-    # from _SPLIT_ORDER up, one _tables per _lightest or _sweep_pairs call,
-    # however many sizes it sweeps, with threshold lists, and one packing
-    # once it sweeps a size past 2; below it no threshold lists and no
-    # packing, and _sweep_pairs leaves the build to each sweep
-    assert solver._tables(gen_family("cycle", 9).closed, 9)[2] is None
+    # one _tables per _lightest or _sweep_pairs call, however many sizes it
+    # sweeps; from _SPLIT_ORDER up with threshold lists, and one packing
+    # once it sweeps a size past 2; below it every threshold reads one range
+    # of all the vertices, and no packing is built
+    c9 = gen_family("cycle", 9).closed
+    _, _, by, pack = solver._tables(c9, 9)
+    assert by == [range(9)] * 4 and pack == 0
+    assert all(ys is by[0] for ys in by)
     for n in (solver._SPLIT_ORDER, 21):
         closed = gen_family("cycle", n).closed
         assert solver._tables(closed, n)[2] == [None] * 4
@@ -525,10 +544,9 @@ def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeyp
         several += sum(k > 1 for k, _ in swept) > 1
         shallow += packed == []
     assert several >= 4 and deep >= 2 and shallow >= 2
-    c9 = gen_family("cycle", 9).closed
     built.clear(), swept.clear(), packed.clear()
     assert solver._sweep_pairs(c9, 9, 6)
-    assert built == [9] and swept == [(3, True)]
+    assert built == [9] and swept == [(3, False)]
     # below the split order no packing is built, by any solve
     rng = random.Random(6)
     for n in range(solver._SPLIT_ORDER):
@@ -635,7 +653,9 @@ def test_light_sets_matches_gosper_sweep_on_sparse_graphs():
         for k in range(2, gamma // 2 + 1):
             sets = list(_gosper_sets(closed, n, k))
             for limit in (gamma - 1, gamma, gamma + 1):
-                got = list(solver._light_sets(closed, n, k, limit))
+                got = list(
+                    solver._light_sets(closed, n, k, limit, solver._tables(closed, n))
+                )
                 assert got == list(_under_running_limit(sets, k, limit)), (
                     g.edges(),
                     k,

@@ -6,11 +6,13 @@
 
 Each ``--src [NAME=]DIR`` names a directory that holds the ``romancrit``
 package, so one script times two checkouts on the same graphs. Each source
-runs ROUNDS (six) times, each time in a fresh interpreter of this script
-(``--column DIR``), the rounds alternating between the order given and its
-reverse, so that no source always runs first. The record holds one column
-per source, side by side. Every timing is the best of three calls in each
-round, and the best of the rounds, on:
+runs in one long-lived interpreter of this script (``--column DIR``), which
+times the row it is asked for. In each of ROUNDS (six) rounds every row is
+timed in every column back to back, the column that goes first alternating
+from row to row and from round to round, so that no source always runs
+first and a slow spell of the machine falls on both columns of a row. The
+record holds one column per source, side by side. Every timing is the best
+of three calls in each round, and the best of the rounds, on:
 
   C15 .. C24              cycles, where gamma_r = ceil(2n/3) makes the sweep long
   G(24, 0.1) #0 .. #4     random graphs, stdlib ``random`` seeded with SEED
@@ -42,6 +44,7 @@ import platform
 import random
 import subprocess
 import sys
+from functools import partial
 from time import perf_counter
 
 REPEATS = 3
@@ -112,12 +115,9 @@ def _best(rc, call) -> float | str:
     return round(best, 7)
 
 
-def time_source(src: str) -> list[dict]:
-    """One column: a row per (operation, graph), seconds best of REPEATS
-    or "refused"."""
-    sys.path.insert(0, os.path.abspath(src))
-    import romancrit as rc
-
+def _rows(rc) -> list[tuple[dict, object]]:
+    """A row per (operation, graph): its op, graph and gamma, and the call
+    to time, None for a gamma_at_most whose gamma_r is refused."""
     rows = []
     for name, g in _graphs(rc):
         try:
@@ -125,21 +125,46 @@ def time_source(src: str) -> list[dict]:
         except rc.TooLarge:
             gamma = None
         calls = {
-            "gamma_r": lambda: rc.gamma_r(g),
-            "gamma_at_most": lambda: rc.gamma_at_most(g, gamma - 1),
-            "minimal_partitions": lambda: rc.minimal_partitions(g),
+            "gamma_r": partial(rc.gamma_r, g),
+            "gamma_at_most": (
+                None if gamma is None else partial(rc.gamma_at_most, g, gamma - 1)
+            ),
+            "minimal_partitions": partial(rc.minimal_partitions, g),
         }
         for op in OPS:
-            refused = gamma is None and op == "gamma_at_most"
-            s = "refused" if refused else _best(rc, calls[op])
-            rows.append({"op": op, "graph": name, "gamma": gamma, "s": s})
+            rows.append(({"op": op, "graph": name, "gamma": gamma}, calls[op]))
     for name, graphs in _criticality_sets(rc):
         gamma = rc.gamma_r(graphs[0]) if len(graphs) == 1 else None
         for op in CRITICALITY_OPS:
-            call = getattr(rc, op)
-            s = _best(rc, lambda: [call(g) for g in graphs])
-            rows.append({"op": op, "graph": name, "gamma": gamma, "s": s})
+            call = partial(_each, getattr(rc, op), graphs)
+            rows.append(({"op": op, "graph": name, "gamma": gamma}, call))
     return rows
+
+
+def _each(call, graphs: list) -> list:
+    return [call(g) for g in graphs]
+
+
+def serve_column(src: str) -> None:
+    """The child for one source: print its rows, without timings, as one
+    JSON line, then for each row index read from stdin print that row's
+    seconds, best of REPEATS, or "refused", as one JSON line."""
+    sys.path.insert(0, os.path.abspath(src))
+    import romancrit as rc
+
+    rows = _rows(rc)
+    print(json.dumps([row for row, _ in rows]), flush=True)
+    for line in sys.stdin:
+        call = rows[int(line)][1]
+        s = "refused" if call is None else _best(rc, call)
+        print(json.dumps(s), flush=True)
+
+
+def _reply(name: str, child: subprocess.Popen):
+    line = child.stdout.readline()
+    if not line:
+        raise SystemExit(f"bench_solver: column {name} exited with {child.wait()}")
+    return json.loads(line)
 
 
 def _faster(a: float | str, b: float | str) -> float | str:
@@ -164,28 +189,43 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--column",
         metavar="DIR",
-        help="time DIR in this process and print its rows as JSON",
+        help="serve DIR's rows in this process: time the row each stdin line names",
     )
     parser.add_argument("--out", metavar="FILE", default=None)
     args = parser.parse_args(argv)
     if args.column:
-        print(json.dumps(time_source(args.column)))
+        serve_column(args.column)
         return 0
 
     sources = dict(_parse_source(s) for s in args.src or ["src"])
     names = list(sources)
-    columns = {}
-    for i in range(ROUNDS):
-        for name in names[:: -1 if i % 2 else 1]:
-            child = subprocess.run(
-                [sys.executable, __file__, "--column", sources[name]],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
-            cells = json.loads(child.stdout)
-            for best, cell in zip(columns.setdefault(name, cells), cells):
-                best["s"] = _faster(best["s"], cell["s"])
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, __file__, "--column", path],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for name, path in sources.items()
+    }
+    try:
+        columns = {name: _reply(name, child) for name, child in children.items()}
+        keys = [[(c["op"], c["graph"]) for c in cells] for cells in columns.values()]
+        if any(k != keys[0] for k in keys):
+            raise SystemExit("bench_solver: the sources list different rows")
+        for r in range(ROUNDS):
+            for i in range(len(keys[0])):
+                for name in names[:: -1 if (r + i) % 2 else 1]:
+                    child = children[name]
+                    child.stdin.write(f"{i}\n")
+                    child.stdin.flush()
+                    s = _reply(name, child)
+                    cell = columns[name][i]
+                    cell["s"] = _faster(cell["s"], s) if "s" in cell else s
+    finally:
+        for child in children.values():
+            child.stdin.close()
+            child.wait()
     rows = []
     for i, row in enumerate(columns[names[0]]):
         cells = [columns[name][i] for name in names]
@@ -204,9 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "what": (
             f"solver and criticality layers, best of {REPEATS} calls per"
-            f" operation in each of {ROUNDS} rounds, alternating between the"
-            " source order given and its reverse, seconds; totals over the"
-            " rows every column timed"
+            f" operation in each of {ROUNDS} rounds, one long-lived process"
+            " per column, each row timed in every column back to back with"
+            " the first column alternating per row and per round, seconds;"
+            " totals over the rows every column timed"
         ),
         "seed": SEED,
         "environment": {

@@ -211,71 +211,92 @@ MUTANTS = (
     Mutant(
         "light-sets-reversed-leaf-order",
         SOLVER,
-        "                y = 0\n"
-        "                for c in closed[:x]:\n"
-        "                    if (cov | c).bit_count() >= need:\n"
-        "                        c |= cov\n"
-        "                        need = c.bit_count()\n"
-        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n"
-        "                    y += 1\n",
-        "                y = x\n"
-        "                for c in reversed(closed[:x]):\n"
-        "                    y -= 1\n"
-        "                    if (cov | c).bit_count() >= need:\n"
-        "                        c |= cov\n"
-        "                        need = c.bit_count()\n"
-        "                        yield sets[d] | 1 << x | 1 << y, full ^ c\n",
+        "            for y in ys:\n"
+        "                if y >= x:\n"
+        "                    break\n",
+        "            for y in reversed(ys):\n"
+        "                if y >= x:\n"
+        "                    continue\n",
         (T_GOSPER,),
     ),
-    # the last level from order _SPLIT_ORDER up, which runs only the y below
-    # x with |N[y]| >= need - |cov|
+    # the last level, which runs the y below x in by[need - |cov|]: from
+    # order _SPLIT_ORDER up only those with |N[y]| >= need - |cov|, below it
+    # one range of all the vertices
     Mutant(
         "leaf-threshold-one-over",
         SOLVER,
-        "                t = need - cov.bit_count()\n",
-        "                t = need - cov.bit_count() + 1\n",
+        "            t = need - cov.bit_count()\n",
+        "            t = need - cov.bit_count() + 1\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
     Mutant(
         "leaf-threshold-from-top",
         SOLVER,
-        "                t = need - cov.bit_count()\n",
-        "                t = top[x]\n",
+        "            t = need - cov.bit_count()\n",
+        "            t = top[x]\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
     Mutant(
         "leaf-threshold-not-clamped",
         SOLVER,
-        "                if t < 0:\n                    t = 0\n",
+        "            if t < 0:\n                t = 0\n",
         "",
         (T_GOSPER,),
     ),
     Mutant(
         "leaf-list-strictly-above-the-threshold",
         SOLVER,
-        "if c.bit_count() >= t\n",
-        "if c.bit_count() > t\n",
+        "if c.bit_count() >= t]\n",
+        "if c.bit_count() > t]\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
     Mutant(
         "leaf-breaks-past-x",
         SOLVER,
-        "                    if y >= x:\n",
-        "                    if y > x:\n",
+        "                if y >= x:\n",
+        "                if y > x:\n",
+        (T_GOSPER,),
+    ),
+    Mutant(
+        "leaf-covers-with-the-vertex-below-y",
+        SOLVER,
+        "                c = cov | closed[y]\n",
+        "                c = cov | closed[y - 1]\n",
         (T_GOSPER,),
     ),
     Mutant(
         "leaf-list-reversed",
         SOLVER,
-        "                for y, c in ys:\n",
-        "                for y, c in reversed(ys):\n",
+        "            for y in ys:\n",
+        "            for y in reversed(ys):\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
     Mutant(
         "leaf-unfiltered-from-order-11",
         SOLVER,
-        "    if n < _SPLIT_ORDER:\n        return [top, reach, None, 0]\n",
-        "    if n <= _SPLIT_ORDER:\n        return [top, reach, None, 0]\n",
+        "    if n < _SPLIT_ORDER:\n        return [top, reach, [range(n)]",
+        "    if n <= _SPLIT_ORDER:\n        return [top, reach, [range(n)]",
+        (T_TABLES,),
+    ),
+    Mutant(
+        "leaf-shared-range-drops-the-last-vertex",
+        SOLVER,
+        "[range(n)]",
+        "[range(n - 1)]",
+        (T_TABLES,),
+    ),
+    Mutant(
+        "sweep-pairs-tables-only-from-the-split-order",
+        SOLVER,
+        "    tables = _tables(closed, n) if gamma >= 4 else None\n",
+        "    tables = _tables(closed, n) if n >= _SPLIT_ORDER else None\n",
+        (T_TABLES,),
+    ),
+    Mutant(
+        "sweep-pairs-tables-from-gamma-5",
+        SOLVER,
+        "    tables = _tables(closed, n) if gamma >= 4 else None\n",
+        "    tables = _tables(closed, n) if gamma > 4 else None\n",
         (T_TABLES,),
     ),
     # the packing bound from order _SPLIT_ORDER up, which skips a prefix
@@ -313,8 +334,8 @@ MUTANTS = (
     Mutant(
         "packing-at-every-order",
         SOLVER,
-        "        return [top, reach, None, 0]\n",
-        "        return [top, reach, None, None]\n",
+        "(m + 1), 0]\n",
+        "(m + 1), None]\n",
         (T_TABLES,),
     ),
     Mutant(
@@ -941,7 +962,7 @@ MUTANTS = (
     Mutant(
         "graph6-lines-split-at-every-line-break",
         GRAPH6,
-        '    lines = text.replace("\\r\\n", "\\n").replace("\\r", "\\n").split("\\n")\n',
+        "    lines = io.StringIO(text, newline=None)\n",
         "    lines = text.splitlines()\n",
         (T_G6_LINE_ENDS,),
     ),
