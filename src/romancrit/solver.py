@@ -42,6 +42,25 @@ sweep of size 3 or more, the first with a level above the last, so a
 solve that stops at size 2 builds none, and the test is skipped at the
 levels where it cannot fire, |P| <= n - need + r.
 
+Every level also applies a private-vertex bound, the fact that every vertex
+labeled 2 in a minimum Roman assignment has private neighbors (Cockayne,
+Dreyer, Hedetniemi and Hedetniemi 2004), taken size by size. Take a k-set S
+of weight w, an element x of S, and S - x: it loses only the vertices x
+alone covers, and it pays 2 less. When the caller promises that every
+(k-1)-set weighs at least below, w >= below + 2 - p, p being the vertices
+x adds to the cover of the elements picked above it, which hold every
+vertex x alone covers. So a prefix whose least element x adds fewer than
+pmin = below + 2 - limit vertices heads no set of weight at most limit, and
+it is skipped; limit only falls, so pmin only rises, and the sets yielded
+and their order stay as they are. The last level needs no test: its y adds
+exactly the vertices it alone covers, so every set light enough already
+meets the bound. below = 0 promises nothing new, since no weight is
+negative: pmin = 2 - limit then never fires. _lightest passes the best
+weight at the start of each size, so pmin starts at 3; _sweep_pairs passes
+gamma_r, its limit, so pmin is 2: an x adding at most one vertex would
+leave S - x lighter than gamma_r, while an x adding two leaves a set of
+equal weight, and the minimum sets that tie are all still listed.
+
 top, reach, by and P are the tables of one solve, ``_tables``, built once
 per ``_lightest`` or ``_sweep_pairs`` call that reaches size 2. The order
 gate picks the tables there: from _SPLIT_ORDER up by[t] lists the y of
@@ -209,7 +228,12 @@ def _tables(closed: Sequence[int], n: int) -> list:
 
 
 def _light_sets(
-    closed: Sequence[int], n: int, k: int, limit: int, tables: list | None
+    closed: Sequence[int],
+    n: int,
+    k: int,
+    limit: int,
+    tables: list | None,
+    below: int = 0,
 ) -> Iterator[tuple[int, int]]:
     """(S, V outside N[S]) for the k-sets S, by ascending bitmask, whose
     Roman weight 2k + |V outside N[S]| is at most limit and at most that of
@@ -235,6 +259,13 @@ def _light_sets(
     at most once, for the same reason. tables is the caller's
     _tables(closed, n), unread at sizes 0 and 1; a sweep of size 3 or more
     fills in its pack.
+
+    below promises that no (k-1)-set weighs less. Every level skips, first,
+    a prefix whose least element x adds fewer than pmin = below + 2 - limit
+    vertices to the cover of the elements picked above it, limit being the
+    running limit, n + 2k - need: no set under it weighs at most limit (see
+    the module docstring). The default, 0, holds for every graph and never
+    fires.
     """
     full = (1 << n) - 1
     if k == 0:
@@ -259,8 +290,12 @@ def _light_sets(
         pack = tables[3] = _packing(closed)
     # the packing test can fire only where |pack| > n - need + k - 1 - d
     dead = n + k - 1 - (pack or 0).bit_count()
+    # the least element of a prefix adds at least pmin vertices to the
+    # cover of those above it, or the prefix is skipped
+    pmin = need + below + 2 - n - 2 * k
     picked = [0] * last
     covs = [0] * (last + 1)
+    cnts = [0] * (last + 1)
     sets = [0] * (last + 1)
     d = 0
     x = k - 1
@@ -274,15 +309,17 @@ def _light_sets(
             hi = picked[d - 1] if d else n
             continue
         cov = covs[d] | closed[x]
+        cb = cov.bit_count()
         if (
-            cov.bit_count() + (k - 1 - d) * top[x] < need
+            cb - cnts[d] < pmin
+            or cb + (k - 1 - d) * top[x] < need
             or (cov | reach[x]).bit_count() < need
         ):
             x += 1
         elif d == last:
             # the prefix bound passed, so t <= top[x]; t <= 0 when cov
             # alone reaches need, and by[0] takes every vertex
-            t = need - cov.bit_count()
+            t = need - cb
             if t < 0:
                 t = 0
             ys = by[t]
@@ -294,6 +331,7 @@ def _light_sets(
                 c = cov | closed[y]
                 if c.bit_count() >= need:
                     need = c.bit_count()
+                    pmin = need + below + 2 - n - 2 * k
                     yield sets[d] | 1 << x | 1 << y, full ^ c
             x += 1
         elif d + need > dead and (pack & ~cov).bit_count() > n - need + k - 1 - d:
@@ -301,6 +339,7 @@ def _light_sets(
         else:
             picked[d] = x
             covs[d + 1] = cov
+            cnts[d + 1] = cb
             sets[d + 1] = sets[d] | 1 << x
             d += 1
             hi = x
@@ -432,6 +471,12 @@ def _lightest(
     is lighter than the floor, and a larger size replaces it only when
     strictly lighter. The floors of sizes 3 up are computed on reaching size
     3, which spares small graphs their sort.
+
+    Each size is swept with below = best as it stands at the size's start
+    (see _light_sets): every smaller set weighs at least that, since the
+    empty set weighs n, at least best, size 1 is a pass to its least weight,
+    and each size from 2 was swept to its end, skipped by its floor, or
+    stopped at its floor; a stop at enough ends the loop.
     """
     best_s, best_rest = 0, (1 << n) - 1
     if 2 < best > enough:
@@ -449,7 +494,7 @@ def _lightest(
         if floor < best:
             if tables is None:
                 tables = _tables(closed, n)
-            for s, rest in _light_sets(closed, n, k, best - 1, tables):
+            for s, rest in _light_sets(closed, n, k, best - 1, tables, best):
                 w = 2 * k + rest.bit_count()
                 if w < best:
                     best, best_s, best_rest = w, s, rest
@@ -581,7 +626,9 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
     neighborhoods falls short of the cover needed, so the prefix bound
     rejects every prefix. The sizes share one _tables, built when gamma
     reaches 4, the least weight of a size-2 set, so a graph swept only at
-    sizes 0 and 1 builds none.
+    sizes 0 and 1 builds none. Each size is swept with below = gamma, which
+    no set undercuts: a prefix is skipped only when its least element adds
+    at most one vertex, so the minimum sets that tie are all listed.
     """
     floors = _floors(closed, n) if gamma >= 6 else (0, 2, 4)
     tables = _tables(closed, n) if gamma >= 4 else None
@@ -589,7 +636,7 @@ def _sweep_pairs(closed: Sequence[int], n: int, gamma: int) -> list[tuple[int, i
         hit
         for k in range(gamma // 2 + 1)
         if floors[k] <= gamma
-        for hit in _light_sets(closed, n, k, gamma, tables)
+        for hit in _light_sets(closed, n, k, gamma, tables, gamma)
     )
 
 

@@ -514,7 +514,7 @@ def test_tables_are_built_once_per_solve_and_filter_from_the_split_order(monkeyp
         built.append(n)
         return real_tables(closed, n)
 
-    def sweep(closed, n, k, limit, tables):
+    def sweep(closed, n, k, limit, tables, below=0):
         swept.append((k, tables is None))
         return real_sweep(closed, n, k, limit, tables)
 
@@ -674,11 +674,13 @@ class _Reads(list):
         return super().__getitem__(i)
 
 
-def _admitted_prefixes(closed, n, k, limit, pack):
+def _admitted_prefixes(closed, n, k, limit, pack, below=0):
     # the least element x of every prefix the depth-first sweep of the
-    # k-sets, k >= 2, tests, in its order, and the number of prefixes it
-    # takes to the last level, when it skips a prefix of cover cov with r
-    # elements still to pick on |cov| + r * top[x] < need, on
+    # k-sets, k >= 2, tests against the degree bound, in its order, and the
+    # number of prefixes it takes to the last level, when it skips a prefix
+    # of cover cov with r elements still to pick on x adding fewer than
+    # pmin = need + below + 2 - n - 2k vertices to the cover of the elements
+    # above it (before the degree bound), on |cov| + r * top[x] < need, on
     # |cov | reach[x]| < need or, above the last level, on
     # |pack & ~cov| > n - need + r, need rising at every set light enough
     top = [max([c.bit_count() for c in closed[:x]], default=0) for x in range(n)]
@@ -686,13 +688,16 @@ def _admitted_prefixes(closed, n, k, limit, pack):
     for x in range(1, n):
         reach[x] = reach[x - 1] | closed[x - 1]
     need = n + 2 * k - limit
+    pmin = need + below + 2 - n - 2 * k
     tested, leaves = [], 0
 
     def visit(r, hi, above):
-        nonlocal need, leaves
+        nonlocal need, pmin, leaves
         for x in range(r, hi):
-            tested.append(x)
             cov = above | closed[x]
+            if cov.bit_count() - above.bit_count() < pmin:
+                continue
+            tested.append(x)
             if (
                 cov.bit_count() + r * top[x] < need
                 or (cov | reach[x]).bit_count() < need
@@ -706,32 +711,73 @@ def _admitted_prefixes(closed, n, k, limit, pack):
             for y in range(x):
                 if (cov | closed[y]).bit_count() >= need:
                     need = (cov | closed[y]).bit_count()
+                    pmin = need + below + 2 - n - 2 * k
 
     visit(k - 1, n, 0)
     return tested, leaves
 
 
+def _least_weight(closed, n, k):
+    # the least Roman weight of a k-set, from every k-set
+    if k == 0:
+        return n
+    return 2 * k + min(rest.bit_count() for _, rest in _gosper_sets(closed, n, k))
+
+
 def test_light_sets_tests_exactly_the_prefixes_the_bounds_admit():
     # from _SPLIT_ORDER up the sweep tests the prefixes, and takes to the
-    # last level the ones, that the three clauses admit, the packing clause
-    # read with the greedy 2-packing: not one more (a looser bound or a
-    # test skipped where it fires) and not one fewer; and the packing
-    # clause skips prefixes the other two admit
-    stronger = 0
+    # last level the ones, that the four clauses admit, the packing clause
+    # read with the greedy 2-packing and the private-vertex clause with
+    # below the least weight of the (k-1)-sets: not one more (a looser
+    # bound or a test skipped where it fires) and not one fewer; and the
+    # packing clause and the private-vertex clause each skip prefixes the
+    # others admit
+    stronger = private = 0
     for g in _sparse_split_order_graphs():
         n, closed = g.n, g.closed
         pack = _greedy_packing(closed)
         gamma = solver._lightest(closed, n, n)[0]
         for k in range(2, gamma // 2 + 1):
+            below = _least_weight(closed, n, k - 1)
             for limit in (gamma - 1, gamma, gamma + 1):
                 top, reach, by, _ = solver._tables(closed, n)
                 tested, leaves = [], []
                 tables = (_Reads(top, tested), reach, _Reads(by, leaves), pack)
-                list(solver._light_sets(closed, n, k, limit, tables))
-                want = _admitted_prefixes(closed, n, k, limit, pack)
+                list(solver._light_sets(closed, n, k, limit, tables, below))
+                want = _admitted_prefixes(closed, n, k, limit, pack, below)
                 assert (tested, len(leaves)) == want, (g.edges(), k, limit)
-                stronger += want != _admitted_prefixes(closed, n, k, limit, 0)
-    assert stronger >= 20
+                stronger += want != _admitted_prefixes(closed, n, k, limit, 0, below)
+                private += want != _admitted_prefixes(closed, n, k, limit, pack)
+    assert stronger >= 20 and private >= 20
+
+
+def test_light_sets_with_below_matches_a_brute_force_sweep():
+    # with below the least weight of the (k-1)-sets, on seeded G(n, p) of
+    # orders 8-14 at every size from 2 and the limits below - 3 .. below + 1,
+    # the sets and their order are those of every k-set under the running
+    # limit
+    rng = random.Random(30)
+    cases = 0
+    for n in range(8, 15):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5):
+            g = random_graph(rng, n, p)
+            closed = g.closed
+            for k in range(2, n + 1):
+                below = _least_weight(closed, n, k - 1)
+                sets = list(_gosper_sets(closed, n, k))
+                for limit in range(below - 3, below + 2):
+                    got = list(
+                        solver._light_sets(
+                            closed, n, k, limit, solver._tables(closed, n), below
+                        )
+                    )
+                    assert got == list(_under_running_limit(sets, k, limit)), (
+                        g.edges(),
+                        k,
+                        limit,
+                    )
+                    cases += 1
+    assert cases > 1000
 
 
 def test_roman_number_matches_oracle_on_sparse_graphs():
@@ -762,7 +808,7 @@ def test_roman_number_matches_gosper_sweep(monkeypatch):
     got = [roman_number(g) for g in graphs]
     calls = []
 
-    def gosper(closed, n, k, limit, tables):
+    def gosper(closed, n, k, limit, tables, below=0):
         calls.append(k)
         return _gosper_light_sets(closed, n, k, limit)
 
@@ -890,7 +936,7 @@ def test_floors_and_the_sizes_lightest_sweeps(floor_sweeps, monkeypatch):
     calls = []
     real = solver._light_sets
 
-    def counted(closed, n, k, limit, tables):
+    def counted(closed, n, k, limit, tables, below=0):
         calls.append((k, limit))
         return real(closed, n, k, limit, tables)
 
@@ -951,7 +997,7 @@ def test_gamma_at_most_stops_at_its_first_set_light_enough(floor_sweeps, monkeyp
     events = []
     real = solver._light_sets
 
-    def recorded(closed, n, k, limit, tables):
+    def recorded(closed, n, k, limit, tables, below=0):
         events.append(None)
         for s, rest in real(closed, n, k, limit, tables):
             events.append(2 * k + rest.bit_count())
@@ -971,6 +1017,40 @@ def test_gamma_at_most_stops_at_its_first_set_light_enough(floor_sweeps, monkeyp
             assert all(events[i] <= limit for i in draws)
             stopped += len(draws)
     assert stopped > 20
+
+
+def test_lightest_and_sweep_pairs_promise_below_what_every_smaller_set_weighs(
+    floor_sweeps, monkeypatch
+):
+    # _lightest passes each size the best weight at its start, one over the
+    # limit it sweeps under, and _sweep_pairs passes gamma, its limit; both
+    # are at most the least weight of the sets one size smaller, the
+    # promise the private-vertex clause of _light_sets reads
+    calls = []
+    real = solver._light_sets
+
+    def spied(closed, n, k, limit, tables, below=0):
+        calls.append((closed, n, k, limit, below))
+        return real(closed, n, k, limit, tables, below)
+
+    monkeypatch.setattr(solver, "_light_sets", spied)
+    lightest = pairs = 0
+    for g, least, _ in floor_sweeps:
+        n, closed = g.n, g.closed
+        gamma = min(w for w, _, _ in least)
+        calls.clear()
+        assert solver._lightest(closed, n, n)[0] == gamma
+        for limit in (gamma - 1, gamma):
+            assert gamma_at_most(g, limit) == (gamma <= limit)
+        for sub, m, k, limit, below in calls:
+            assert below == limit + 1 <= _least_weight(sub, m, k - 1), (g.edges(), k)
+            lightest += 1
+        calls.clear()
+        assert solver._sweep_pairs(closed, n, gamma)
+        for _, _, k, limit, below in calls:
+            assert below == limit == gamma, (g.edges(), k)
+            pairs += k >= 2
+    assert lightest > 100 and pairs > 50
 
 
 def test_sweep_guard_boundary_between_c26_and_c27():

@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         "columns": names,
         "totals": {
             op: {
-                name: round(sum(r["seconds"][name] for r in timed if r["op"] == op), 4)
+                name: round(sum(r["seconds"][name] for r in timed if r["op"] == op), 7)
                 for name in names
             }
             for op in dict.fromkeys(OPS + CRITICALITY_OPS)

@@ -57,6 +57,11 @@ T_TABLES = "tests/test_solver.py::test_tables_are_built_once_per_solve_and_filte
 T_PACKING = "tests/test_solver.py::test_tables_packing_is_a_maximal_2_packing"
 T_SPARSE = "tests/test_solver.py::test_light_sets_matches_gosper_sweep_on_sparse_graphs"
 T_ADMITTED = "tests/test_solver.py::test_light_sets_tests_exactly_the_prefixes_the_bounds_admit"
+T_BELOW = "tests/test_solver.py::test_light_sets_with_below_matches_a_brute_force_sweep"
+T_PROMISE = (
+    "tests/test_solver.py::"
+    "test_lightest_and_sweep_pairs_promise_below_what_every_smaller_set_weighs"
+)
 T_ORACLE_SPARSE = "tests/test_solver.py::test_roman_number_matches_oracle_on_sparse_graphs"
 T_GOSPER_WITNESS = "tests/test_solver.py::test_roman_number_matches_gosper_sweep"
 T_SPLIT = "tests/test_solver.py::test_split_matches_whole_graph_sweep"
@@ -225,14 +230,14 @@ MUTANTS = (
     Mutant(
         "leaf-threshold-one-over",
         SOLVER,
-        "            t = need - cov.bit_count()\n",
-        "            t = need - cov.bit_count() + 1\n",
+        "            t = need - cb\n",
+        "            t = need - cb + 1\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
     Mutant(
         "leaf-threshold-from-top",
         SOLVER,
-        "            t = need - cov.bit_count()\n",
+        "            t = need - cb\n",
         "            t = top[x]\n",
         (T_GOSPER, T_BOUND, T_SKEWED),
     ),
@@ -358,8 +363,8 @@ MUTANTS = (
     Mutant(
         "prefix-bound-top-clause-at-need",
         SOLVER,
-        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
-        "            cov.bit_count() + (k - 1 - d) * top[x] <= need\n",
+        "            or cb + (k - 1 - d) * top[x] < need\n",
+        "            or cb + (k - 1 - d) * top[x] <= need\n",
         (T_BOUND,),
     ),
     Mutant(
@@ -372,15 +377,15 @@ MUTANTS = (
     Mutant(
         "prefix-bound-one-pick-short",
         SOLVER,
-        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
-        "            cov.bit_count() + (k - 2 - d) * top[x] < need\n",
+        "            or cb + (k - 1 - d) * top[x] < need\n",
+        "            or cb + (k - 2 - d) * top[x] < need\n",
         (T_BOUND,),
     ),
     Mutant(
         "prefix-bound-top-misses-the-vertex-below-x",
         SOLVER,
-        "            cov.bit_count() + (k - 1 - d) * top[x] < need\n",
-        "            cov.bit_count() + (k - 1 - d) * top[x - 1] < need\n",
+        "            or cb + (k - 1 - d) * top[x] < need\n",
+        "            or cb + (k - 1 - d) * top[x - 1] < need\n",
         (T_BOUND,),
     ),
     Mutant(
@@ -414,6 +419,47 @@ MUTANTS = (
         "            m = c.bit_count()\n",
         "            m = c.bit_count() - 1\n",
         (T_BOUND,),
+    ),
+    # the private-vertex bound at every level: a prefix is skipped when its
+    # least element adds fewer than pmin = below + 2 - limit vertices to the
+    # cover of those above it; _lightest promises the best weight at the
+    # start of a size, _sweep_pairs gamma_r
+    Mutant(
+        "private-bound-pmin-one-over",
+        SOLVER,
+        "    # cover of those above it, or the prefix is skipped\n"
+        "    pmin = need + below + 2 - n - 2 * k\n",
+        "    # cover of those above it, or the prefix is skipped\n"
+        "    pmin = need + below + 3 - n - 2 * k\n",
+        (T_BELOW, T_ADMITTED, T_BRUTE),
+    ),
+    Mutant(
+        "private-bound-at-pmin",
+        SOLVER,
+        "            cb - cnts[d] < pmin\n",
+        "            cb - cnts[d] <= pmin\n",
+        (T_BELOW, T_ADMITTED, T_BRUTE),
+    ),
+    Mutant(
+        "private-bound-pmin-not-raised",
+        SOLVER,
+        "                    pmin = need + below + 2 - n - 2 * k\n",
+        "",
+        (T_ADMITTED,),
+    ),
+    Mutant(
+        "lightest-promises-one-over-best",
+        SOLVER,
+        "best - 1, tables, best):\n",
+        "best - 1, tables, best + 1):\n",
+        (T_PROMISE, T_BRUTE),
+    ),
+    Mutant(
+        "sweep-pairs-promises-one-over-gamma",
+        SOLVER,
+        "gamma, tables, gamma)\n",
+        "gamma, tables, gamma + 1)\n",
+        (T_PROMISE, T_BRUTE),
     ),
     # the size floors and the two size loops that read them
     Mutant(
