@@ -37,7 +37,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
 from .graphs import Graph, gen_family
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import GRAPH6_BLANKS, edge_mask, emit_graph6, parse_graph6
+from .graph6 import graph_from_edge_mask
 # not called here; bench/tracer.py wraps these bindings
 from .iso import is_isomorphic  # noqa: F401
 from .solver import gamma_r, minimal_partitions  # noqa: F401
@@ -72,30 +73,6 @@ from .gamma4 import (
 
 ENUMERATION_MAX_ORDER = 8
 
-_EDGE_PAIRS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    if n not in _EDGE_PAIRS:
-        _EDGE_PAIRS[n] = tuple(
-            (u, v) for u in range(n) for v in range(u + 1, n)
-        )
-    return _EDGE_PAIRS[n]
-
-
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """Graph whose edge set is the mask over the canonical pair order."""
-    pairs = _edge_pairs(n)
-    adj = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        m ^= low
-    return Graph(n, tuple(adj))
-
 
 def _enumeration_guard(n: int) -> None:
     """Refuse an order below 0 or above the class table's top order."""
@@ -106,7 +83,7 @@ def _enumeration_guard(n: int) -> None:
 
 
 def iter_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs of order n, ascending edge bitmask."""
+    """All 2^C(n,2) labeled graphs of order n, ascending ``edge_mask``."""
     _enumeration_guard(n)
     for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_edge_mask(n, mask)
@@ -135,10 +112,11 @@ class EdgePermutations:
 
     def __init__(self, n: int):
         self.n = n
-        pairs = _edge_pairs(n)
+        # the pairs in edge-mask order: (i, j) on bit j(j-1)/2 + i
+        pairs = [(i, j) for j in range(n) for i in range(j)]
         bit = [[0] * n for _ in range(n)]
-        for i, (u, v) in enumerate(pairs):
-            bit[u][v] = bit[v][u] = 1 << i
+        for k, (u, v) in enumerate(pairs):
+            bit[u][v] = bit[v][u] = 1 << k
         perms = list(permutations(range(n)))
         self._code = code = "H" if len(pairs) <= 16 else "I"
         self._nbytes = array(code).itemsize * len(perms)
@@ -171,11 +149,12 @@ class EdgePermutations:
 def isomorphism_classes(n: int) -> list[tuple[int, int]]:
     """One (representative, class size) pair per isomorphism class of order n.
 
-    The representative is the smallest edge mask of its class and the size
-    its number of labeled copies, n!/|Aut|; pairs come in ascending
-    representative order and the sizes sum to 2^C(n,2). Every order is read
-    from the checked-in ``_class_table``, whose top order 8 is
-    ``ENUMERATION_MAX_ORDER``; an order above it is refused.
+    The representative is the smallest ``graph6.edge_mask`` of its class,
+    read back by ``graph_from_edge_mask``, and the size its number of
+    labeled copies, n!/|Aut|; pairs come in ascending representative order
+    and the sizes sum to 2^C(n,2). Every order is read from the checked-in
+    ``_class_table``, whose top order 8 is ``ENUMERATION_MAX_ORDER``; an
+    order above it is refused.
     """
     _enumeration_guard(n)
     from ._class_table import CLASSES
@@ -709,20 +688,18 @@ def _open_source(source: Source) -> tuple[str, Iterator[tuple]]:
 
 def _class_units(n: int) -> Iterator[tuple]:
     """One unit per isomorphism class of order n, every unit holding the
-    one listing of copies for the order: it reads the representative's edge
-    mask off its graph and yields the copies in ascending mask order. The
-    units come from zip and map, so no Python frame runs per class but
-    graph_from_edge_mask's. The permutation tables are built on the first
-    listing, so a scan that lists no copies never builds them."""
+    one listing of copies for the order: it reads the representative's
+    ``edge_mask`` off its graph and yields the copies in ascending mask
+    order. The units come from zip and map, so no Python frame runs per
+    class but graph_from_edge_mask's. The permutation tables are built on
+    the first listing, so a scan that lists no copies never builds them."""
     perms = None
 
     def copies(g: Graph) -> Iterator[Graph]:
         nonlocal perms
         if perms is None:
             perms = EdgePermutations(n)
-        pairs = enumerate(_edge_pairs(n))
-        rep = sum(1 << i for i, (u, v) in pairs if g.adj[u] >> v & 1)
-        for mask in sorted(perms.orbit(rep)):
+        for mask in sorted(perms.orbit(edge_mask(g))):
             yield graph_from_edge_mask(n, mask)
 
     reps, sizes = zip(*isomorphism_classes(n))
@@ -736,7 +713,7 @@ def read_graph6(path: str | None = None) -> Iterator[Graph]:
     binary = sys.stdin.buffer if path is None else open(path, "rb")
     fh = io.TextIOWrapper(binary, encoding="latin-1")
     try:
-        yield from (parse_graph6(line) for line in fh if line.strip())
+        yield from (parse_graph6(line) for line in fh if line.strip(GRAPH6_BLANKS))
     finally:
         if path is None:
             fh.detach()  # leaves sys.stdin open

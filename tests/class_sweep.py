@@ -36,8 +36,9 @@ TABLE_COMMAND = (
 _TABLE_DOC = '''"""Isomorphism classes of the graphs of orders 0-{top}, one string per order.
 
 ``CLASSES[n]`` lists ``rep:size`` tokens in ascending ``rep``: the smallest
-edge mask of each class, over the pair order of ``graph_from_edge_mask``, and
-its number of labeled copies, n!/|Aut|. The class counts are OEIS A000088.
+edge mask of each class, the integer of the upper triangle that graph6 writes
+out (pair (i, j), i < j, on bit j(j-1)/2 + i; ``graph6.edge_mask``), and its
+number of labeled copies, n!/|Aut|. The class counts are OEIS A000088.
 ``romancrit.harness.isomorphism_classes`` reads this table, the only source
 of classes, instead of sweeping every labeled mask. The file is the output of
 the orbit sweep in ``tests/class_sweep.py``, written by

@@ -76,7 +76,8 @@ def emit_graph6_bitwise(g: Graph) -> str:
 def parse_graph6_bitwise(line: str) -> Graph:
     """The graph of a graph6 line, one byte and one bit at a time, with the
     checks, their order and their messages of romancrit's parser."""
-    s = line.strip()
+    # ASCII whitespace only, the set bytes.strip() strips
+    s = line.strip(" \t\n\r\x0b\x0c")
     s = s.removeprefix(">>graph6<<")
     if not s:
         raise MalformedGraph6("empty graph6 line")

@@ -506,3 +506,24 @@ def test_stdin_bytes_and_line_ends(capsys, monkeypatch):
             assert err == ""
         else:
             assert err.startswith(f"romancrit: error: {message}")
+
+
+@pytest.mark.parametrize("byte", [b"\x1c", b"\x85", b"\xa0"])
+@pytest.mark.parametrize("where", ["before", "after", "alone"])
+def test_stdin_and_input_file_strip_only_ascii_whitespace(
+    capsys, monkeypatch, tmp_path, byte, where
+):
+    # a byte that str.strip() would drop stays in its line, is not blank,
+    # and is named, after the graphs before it
+    line = {"before": byte + b"Dhc", "after": b"Dhc" + byte, "alone": byte}[where]
+    data = b"C~\n" + line + b"\n"
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    want = (
+        1,
+        "C~ gamma=2 V2={0} V1={} V0={1,2,3}\n",
+        f"romancrit: error: byte {byte[0]} out of graph6 range 63..126\n",
+    )
+    assert _run(capsys, "gamma", "--input", str(path)) == want
+    _feed(monkeypatch, data)
+    assert _run(capsys, "gamma") == want

@@ -15,7 +15,13 @@ from romancrit import (
     parse_graph6,
     read_graph6_lines,
 )
-from romancrit.harness import iter_labeled_graphs, read_graph6
+from romancrit.harness import (
+    ENUMERATION_MAX_ORDER,
+    graph_from_edge_mask,
+    isomorphism_classes,
+    iter_labeled_graphs,
+    read_graph6,
+)
 from oracles import emit_graph6_bitwise, parse_graph6_bitwise, random_graph
 
 
@@ -49,6 +55,24 @@ def test_header_prefix_accepted():
 
 def test_leading_trailing_whitespace_tolerated():
     assert parse_graph6("  Dhc\n") == gen_family("cycle", 5)
+    assert parse_graph6(" \t\x0b\x0cDhc\r\n") == gen_family("cycle", 5)
+
+
+# -- the edge mask -----------------------------------------------------------
+
+
+def test_class_representatives_are_graph6_edge_masks():
+    # every class of orders 0-8: the representative is the integer whose bit
+    # j(j-1)/2 + i is pair (i, j), i < j, read here one pair at a time, and
+    # its graph's graph6 is the bitwise oracle's
+    for n in range(ENUMERATION_MAX_ORDER + 1):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for rep, _ in isomorphism_classes(n):
+            g = graph_from_edge_mask(n, rep)
+            assert g.n == n
+            mask = sum(1 << k for k, (i, j) in enumerate(pairs) if g.adjacent(i, j))
+            assert mask == rep
+            assert emit_graph6(g) == emit_graph6_bitwise(g)
 
 
 # -- round trips -------------------------------------------------------------
@@ -267,3 +291,22 @@ def test_both_readers_keep_other_separators_in_the_line(tmp_path, sep):
         list(read_graph6(str(path)))
     with pytest.raises(MalformedGraph6, match="byte 8232 out of graph6 range"):
         read_graph6_lines("Dhc\u2028C~\n")
+
+
+@pytest.mark.parametrize("byte", ["\x1c", "\x85", "\xa0"])
+@pytest.mark.parametrize("line", ["{}Dhc", "Dhc{}", "{}"])
+def test_only_ascii_whitespace_is_stripped(tmp_path, line, byte):
+    # the parser and both readers strip ASCII whitespace alone: a byte that
+    # str.strip() would drop, at either end of a line or alone on one, stays
+    # in its line, which is not blank, and is named
+    line = line.format(byte)
+    message = f"byte {ord(byte)} out of graph6 range 63..126"
+    text = f"C~\n{line}\n"
+    path = tmp_path / "g.g6"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(MalformedGraph6, match=message):
+        parse_graph6(line)
+    with pytest.raises(MalformedGraph6, match=message):
+        read_graph6_lines(text)
+    with pytest.raises(MalformedGraph6, match=message):
+        list(read_graph6(str(path)))

@@ -132,11 +132,15 @@ def test_graph_from_edge_mask_round_trip():
         g = graph_from_edge_mask(n, mask)
         assert g.n == n
         assert g.edge_count() == mask.bit_count()
+        # a bit past the last pair names no edge and is refused, not dropped
+        with pytest.raises(ValueError, match=f"edge mask of order {n} sets a bit past"):
+            graph_from_edge_mask(n, mask | 1 << n * (n - 1) // 2)
 
 
 def _edge_mask(g: Graph) -> int:
-    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-    return sum(1 << i for i, (u, v) in enumerate(pairs) if g.adjacent(u, v))
+    # graph6 pair order: (i, j), i < j, on bit j(j-1)/2 + i
+    pairs = [(i, j) for j in range(g.n) for i in range(j)]
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if g.adjacent(i, j))
 
 
 # Orders the orbit sweep checks in tier-1. Order 8 would take about 100 s

@@ -91,6 +91,7 @@ T_TABLE_SWEEP = "tests/test_harness.py::test_class_table_matches_the_sweep"
 T_GUARDS = "tests/test_harness.py::test_enumeration_guards"
 T_TABLE_ORDERS = "tests/test_harness.py::test_class_table_orders"
 T_LABELED_SCAN = "tests/test_harness.py::test_class_scan_matches_labeled_scan"
+T_ORBITS = "tests/test_harness.py::test_orbits_are_the_relabelings"
 T_GUARD_EXPANSION = "tests/test_harness.py::test_class_scan_expands_guard_errors"
 T_NO_EXPANSION = "tests/test_harness.py::test_scan_without_expansion_builds_no_permutations"
 T_SIZE_ONE = "tests/test_harness.py::test_size_one_classes_never_expand"
@@ -116,6 +117,9 @@ T_G6_PARSE_NX = "tests/test_graph6.py::test_parse_matches_networkx"
 T_G6_PADDING = "tests/test_graph6.py::test_parse_rejects_nonzero_padding"
 T_G6_ORACLE = "tests/test_graph6.py::test_codec_matches_the_bitwise_oracle"
 T_G6_LINE_ENDS = "tests/test_graph6.py::test_both_readers_keep_other_separators_in_the_line"
+T_G6_REPS = "tests/test_graph6.py::test_class_representatives_are_graph6_edge_masks"
+T_G6_STRICT = "tests/test_graph6.py::test_only_ascii_whitespace_is_stripped"
+T_CLI_STRICT = "tests/test_cli.py::test_stdin_and_input_file_strip_only_ascii_whitespace"
 T_SAME_BYTES = "tests/test_cli.py::test_stdin_and_input_file_read_the_same_bytes_alike"
 T_STDIN_BYTES = "tests/test_cli.py::test_stdin_bytes_and_line_ends"
 T_GEN_ORDER = (
@@ -823,9 +827,16 @@ MUTANTS = (
     Mutant(
         "class-scan-expands-the-representative-only",
         HARNESS,
-        "        for mask in sorted(perms.orbit(rep)):\n",
-        "        for mask in sorted(perms.orbit(rep))[:1]:\n",
+        "        for mask in sorted(perms.orbit(edge_mask(g))):\n",
+        "        for mask in sorted(perms.orbit(edge_mask(g)))[:1]:\n",
         (T_LABELED_SCAN,),
+    ),
+    Mutant(
+        "edge-permutations-row-major-pairs",
+        HARNESS,
+        "        pairs = [(i, j) for j in range(n) for i in range(j)]\n",
+        "        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]\n",
+        (T_ORBITS, T_TABLE_SWEEP),
     ),
     # the gamma4 degree routes
     Mutant(
@@ -1006,6 +1017,20 @@ MUTANTS = (
         (T_G6_ORACLE,),
     ),
     Mutant(
+        "edge-mask-drops-column-1",
+        GRAPH6,
+        "    bits = k = 0\n    for j in range(1, g.n):\n",
+        "    bits, k = 0, 1\n    for j in range(2, g.n):\n",
+        (T_G6_ENCODE, T_G6_REPS),
+    ),
+    Mutant(
+        "graph6-strips-like-str-strip",
+        GRAPH6,
+        'GRAPH6_BLANKS = " \\t\\n\\r\\x0b\\x0c"\n',
+        "GRAPH6_BLANKS = None\n",
+        (T_G6_ORACLE, T_G6_STRICT, T_CLI_STRICT),
+    ),
+    Mutant(
         "graph6-lines-split-at-every-line-break",
         GRAPH6,
         "    lines = io.StringIO(text, newline=None)\n",
@@ -1039,8 +1064,8 @@ MUTANTS = (
     Mutant(
         "reader-parses-eagerly",
         HARNESS,
-        "        yield from (parse_graph6(line) for line in fh if line.strip())\n",
-        "        yield from list(parse_graph6(line) for line in fh if line.strip())\n",
+        "        yield from (parse_graph6(line) for line in fh if line.strip(GRAPH6_BLANKS))\n",
+        "        yield from list(parse_graph6(line) for line in fh if line.strip(GRAPH6_BLANKS))\n",
         (T_STDIN_BYTES,),
     ),
     Mutant(
