@@ -9,9 +9,13 @@ The package's one edge mask is that triangle as an integer, pair k on bit
 k: pair (i, j), i < j, on bit j(j-1)/2 + i, so column j is the j bits from
 bit j(j-1)/2 up and reads as the lower adjacency mask of j. ``edge_mask``
 ORs each column in and ``graph_from_edge_mask`` peels each column off; the
-class table, the orbit tables and the copy listings use it too. The decoder
-reads the data bytes as the mask through one translate table and one
-int(..., 2); the encoder writes each 6-bit chunk of it through one table.
+class table and the copy listings use it too. The decoder reads the data
+bytes as the mask through one translate table and one int(..., 2); the
+encoder writes each 6-bit chunk of it through one table.
+
+``orbit`` lists the masks of every relabeling of a graph by walking its
+mask through all n! vertex orders in plain changes, one swap of adjacent
+vertices per step, each swap two delta swaps on the mask.
 """
 
 from __future__ import annotations
@@ -59,6 +63,54 @@ def graph_from_edge_mask(n: int, bits: int) -> Graph:
     if bits:
         raise ValueError(f"edge mask of order {n} sets a bit past its C(n, 2) pairs")
     return Graph(n, tuple(adj))
+
+
+def plain_changes(n: int) -> list[int]:
+    """The n! - 1 steps of plain changes on n items, step i swapping the
+    items at positions i and i + 1 (the Steinhaus-Johnson-Trotter order;
+    Knuth, TAOCP 4A, 7.2.1.2, Algorithm P). From any order of the items,
+    the steps visit each of the n! orders once. The last item sweeps from
+    the right end to the left and back; between sweeps, the items without
+    it take one step of plain changes on n - 1 items."""
+    if n < 2:
+        return []
+    left, right = range(n - 2, -1, -1), range(n - 1)
+    steps = [*left]
+    for k, i in enumerate(plain_changes(n - 1)):
+        if k % 2:
+            steps.append(i)
+            steps.extend(left)
+        else:
+            # the last item sits at position 0, so the others start at 1
+            steps.append(i + 1)
+            steps.extend(right)
+    return steps
+
+
+def orbit_walk(n: int) -> list[tuple[int, int, int, int]]:
+    """The plain-changes walk on order-n edge masks, one swap of vertices i
+    and i + 1 per step, as (near, far, i, 1 + 2^i): near marks pairs (i, j),
+    j > i + 1, one bit below (i + 1, j) in column j; far marks pairs (a, i),
+    a < i, column i, i bits below (a, i + 1); pair (i, i + 1) stays."""
+    swaps = []
+    for i in range(n - 1):
+        near = sum(1 << (j * (j - 1) // 2 + i) for j in range(i + 2, n))
+        far = ((1 << i) - 1) << (i * (i - 1) // 2)
+        swaps.append((near, far, i, 1 + (1 << i)))
+    return [swaps[i] for i in plain_changes(n)]
+
+
+def orbit(mask: int, walk: list[tuple[int, int, int, int]]) -> set[int]:
+    """The edge masks of every relabeling of the graph with this mask,
+    ``walk`` being ``orbit_walk`` of its order."""
+    masks = {mask}
+    add = masks.add
+    for near, far, i, spread in walk:
+        # two delta swaps, t | t << d written t * (1 + 2^d): near bits are
+        # 2+ apart and far's run is i bits long, so the terms never overlap
+        mask ^= ((mask ^ mask >> 1) & near) * 3 | ((mask ^ mask >> i) & far) * spread
+        add(mask)
+    return masks
 
 
 def emit_graph6(g: Graph) -> str:

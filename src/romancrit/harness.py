@@ -29,16 +29,15 @@ import io
 import json
 import sys
 import time
-from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations, repeat
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidOrder, RomanCritError, TooLarge, UnknownClaim
 from .graphs import Graph, gen_family
 from .graph6 import GRAPH6_BLANKS, edge_mask, emit_graph6, parse_graph6
-from .graph6 import graph_from_edge_mask
+from .graph6 import graph_from_edge_mask, orbit, orbit_walk
 # not called here; bench/tracer.py wraps these bindings
 from .iso import is_isomorphic  # noqa: F401
 from .solver import gamma_r, minimal_partitions  # noqa: F401
@@ -83,67 +82,11 @@ def _enumeration_guard(n: int) -> None:
 
 
 def iter_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs of order n, ascending ``edge_mask``."""
+    """All 2^C(n,2) labeled graphs of order n, ascending ``edge_mask``; the
+    class orbits that ``graph6.orbit`` walks partition them."""
     _enumeration_guard(n)
     for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_edge_mask(n, mask)
-
-
-_CHUNK = 5
-_CHUNK_MASK = (1 << _CHUNK) - 1
-
-
-class EdgePermutations:
-    """Images of order-n edge masks under every vertex permutation.
-
-    A mask is cut into 5-bit chunks. For each chunk position and chunk value
-    one Python int packs, in one fixed-width field per permutation, the image
-    of those edge bits, so the images of a whole mask under every permutation
-    are the OR of one int per chunk, unpacked by one ``array``. Fields are 16
-    bits up to order 6 and 32 bits at orders 7 and 8, the largest order a
-    scan accepts. The tables take 138 KB at order 6 (96 ints of 720
-    fields), 2.6 MB at order 7 (130 ints of 5040) and 27 MB at order 8 (168
-    ints of 40320). A class scan builds them only once some class expands
-    to its labeled copies; the orbit sweep in the tests, which writes
-    ``_class_table``, always does.
-    """
-
-    __slots__ = ("n", "_code", "_nbytes", "_chunks")
-
-    def __init__(self, n: int):
-        self.n = n
-        # the pairs in edge-mask order: (i, j) on bit j(j-1)/2 + i
-        pairs = [(i, j) for j in range(n) for i in range(j)]
-        bit = [[0] * n for _ in range(n)]
-        for k, (u, v) in enumerate(pairs):
-            bit[u][v] = bit[v][u] = 1 << k
-        perms = list(permutations(range(n)))
-        self._code = code = "H" if len(pairs) <= 16 else "I"
-        self._nbytes = array(code).itemsize * len(perms)
-        # bit_images[i]: the edge bit that edge i becomes, one field per perm
-        bit_images = [
-            int.from_bytes(
-                array(code, [bit[p[u]][p[v]] for p in perms]).tobytes(),
-                sys.byteorder,
-            )
-            for u, v in pairs
-        ]
-        self._chunks = []
-        # orders 0 and 1 get one empty chunk, whose only column is zero
-        for shift in range(0, max(len(pairs), 1), _CHUNK):
-            bits = bit_images[shift : shift + _CHUNK]
-            cols = [0]
-            for value in range(1, 1 << len(bits)):
-                low = value & -value
-                cols.append(cols[value ^ low] | bits[low.bit_length() - 1])
-            self._chunks.append((shift, cols))
-
-    def orbit(self, mask: int) -> set[int]:
-        """Edge masks of every relabeling of the graph with this mask."""
-        images = 0
-        for shift, cols in self._chunks:
-            images |= cols[mask >> shift & _CHUNK_MASK]
-        return set(array(self._code, images.to_bytes(self._nbytes, sys.byteorder)))
 
 
 def isomorphism_classes(n: int) -> list[tuple[int, int]]:
@@ -690,16 +633,17 @@ def _class_units(n: int) -> Iterator[tuple]:
     """One unit per isomorphism class of order n, every unit holding the
     one listing of copies for the order: it reads the representative's
     ``edge_mask`` off its graph and yields the copies in ascending mask
-    order. The units come from zip and map, so no Python frame runs per
-    class but graph_from_edge_mask's. The permutation tables are built on
-    the first listing, so a scan that lists no copies never builds them."""
-    perms = None
+    order, the orbit that ``graph6.orbit`` walks. The units come from zip
+    and map, so no Python frame runs per class but graph_from_edge_mask's.
+    The walk is built on the first listing, so a scan that lists no copies
+    never builds it."""
+    walk = None
 
     def copies(g: Graph) -> Iterator[Graph]:
-        nonlocal perms
-        if perms is None:
-            perms = EdgePermutations(n)
-        for mask in sorted(perms.orbit(edge_mask(g))):
+        nonlocal walk
+        if walk is None:
+            walk = orbit_walk(n)
+        for mask in sorted(orbit(edge_mask(g), walk)):
             yield graph_from_edge_mask(n, mask)
 
     reps, sizes = zip(*isomorphism_classes(n))

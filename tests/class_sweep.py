@@ -9,12 +9,13 @@ tier-1:
     PYTHONPATH=src python tests/class_sweep.py orbits
 
 ``table`` sweeps orders 0-8 and prints the module; the file must come out
-byte-identical (about 100 s, with a 256 MiB seen-map at order 8).
-``orbits`` reads the table's order 8 and checks that every representative is
-the smallest mask of its orbit and that the orbit has the listed size (about
-60 s). Distinct orbit minima make the classes distinct, and sizes that sum to
-2^28 make them cover every labeled graph, so this proves order 8 of the table
-without the seen-map.
+byte-identical (about 230 s on a 2-vCPU VM, with a 256 MiB seen-map at
+order 8). ``orbits`` reads the table's order 8 and checks that every
+representative is the smallest mask of its orbit and that the orbit has the
+listed size (about 200 s). Distinct orbit minima make the classes distinct,
+and sizes that sum to 2^28 make them cover every labeled graph, so this
+proves order 8 of the table without the seen-map. Both walk each orbit with
+``graph6.orbit``, 8! - 1 steps per order-8 class.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import sys
 import textwrap
 from typing import Sequence
 
-from romancrit.harness import EdgePermutations, isomorphism_classes
+from romancrit.graph6 import orbit, orbit_walk
+from romancrit.harness import isomorphism_classes
 
 # The seen-map takes one byte per labeled graph: 256 MiB at order 8, 64 GiB
 # at order 9.
@@ -64,14 +66,14 @@ def sweep_classes(n: int) -> list[tuple[int, int]]:
             f"would take 2^{n * (n - 1) // 2} bytes"
         )
     seen = bytearray(1 << (n * (n - 1) // 2))
-    perms = EdgePermutations(n)
+    walk = orbit_walk(n)
     classes = []
     rep = 0
     while rep >= 0:
-        orbit = perms.orbit(rep)
-        for mask in orbit:
+        masks = orbit(rep, walk)
+        for mask in masks:
             seen[mask] = 1
-        classes.append((rep, len(orbit)))
+        classes.append((rep, len(masks)))
         rep = seen.find(0, rep + 1)
     return classes
 
@@ -92,13 +94,13 @@ def table_module(classes: Sequence[Sequence[tuple[int, int]]]) -> str:
 def check_orbits(n: int, classes: Sequence[tuple[int, int]]) -> None:
     """Raise AssertionError unless each representative is the smallest mask
     of its orbit and the orbit has the listed size."""
-    perms = EdgePermutations(n)
+    walk = orbit_walk(n)
     for rep, size in classes:
-        orbit = perms.orbit(rep)
-        if min(orbit) != rep or len(orbit) != size:
+        masks = orbit(rep, walk)
+        if min(masks) != rep or len(masks) != size:
             raise AssertionError(
-                f"order {n}: class {rep}:{size} has an orbit of {len(orbit)} "
-                f"masks from {min(orbit)}"
+                f"order {n}: class {rep}:{size} has an orbit of {len(masks)} "
+                f"masks from {min(masks)}"
             )
 
 

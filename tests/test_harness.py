@@ -34,9 +34,9 @@ from romancrit import (
 )
 from romancrit import _class_table, criticality, harness, solver
 from romancrit.gamma4 import _witness_pairs_raw
+from romancrit.graph6 import orbit, orbit_walk, plain_changes
 from romancrit.harness import (
     ENUMERATION_MAX_ORDER,
-    EdgePermutations,
     Facts,
     _chase_lands,
     graph_from_edge_mask,
@@ -143,7 +143,7 @@ def _edge_mask(g: Graph) -> int:
     return sum(1 << k for k, (i, j) in enumerate(pairs) if g.adjacent(i, j))
 
 
-# Orders the orbit sweep checks in tier-1. Order 8 would take about 100 s
+# Orders the orbit sweep checks in tier-1. Order 8 would take about 230 s
 # and a 256 MiB seen-map; its classes are checked by the sampled orbit test
 # below and in full by `python tests/class_sweep.py orbits`.
 SWEPT_ORDERS = range(8)
@@ -197,30 +197,27 @@ def test_class_table_orders():
     assert len(_class_table.CLASSES) == ENUMERATION_MAX_ORDER + 1
 
 
-def _count_edge_permutations(monkeypatch) -> list[int]:
+def _count_orbit_walks(monkeypatch) -> list[int]:
     built = []
 
-    class Counted(EdgePermutations):
-        __slots__ = ()
+    def counted(n: int):
+        built.append(n)
+        return orbit_walk(n)
 
-        def __init__(self, n: int):
-            built.append(n)
-            super().__init__(n)
-
-    monkeypatch.setattr(harness, "EdgePermutations", Counted)
+    monkeypatch.setattr(harness, "orbit_walk", counted)
     return built
 
 
 def test_scan_without_expansion_builds_no_permutations(monkeypatch):
-    built = _count_edge_permutations(monkeypatch)
+    built = _count_orbit_walks(monkeypatch)
     reports = verify_claims(DUAL_CLAIMS, ("enumerate", 6))
     assert all(rep.counterexamples == () for rep in reports)
     assert built == []
 
 
 def test_expanding_scan_builds_permutations_once(monkeypatch):
-    # the C4 + K1 class is expanded for two claims, the tables built once
-    built = _count_edge_permutations(monkeypatch)
+    # the C4 + K1 class is expanded for two claims, the walk built once
+    built = _count_orbit_walks(monkeypatch)
     reports = verify_claims(GAMMA4_CLAIMS, ("enumerate", 5))
     assert sum(len(rep.counterexamples) for rep in reports) == 30
     assert built == [5]
@@ -228,9 +225,9 @@ def test_expanding_scan_builds_permutations_once(monkeypatch):
 
 def test_size_one_classes_never_expand(monkeypatch):
     # at order 3 only the edgeless graph, a class of one labeled copy,
-    # reports on gamma-le-3-degree: its report is its own, and no table is
+    # reports on gamma-le-3-degree: its report is its own, and no walk is
     # built for it
-    built = _count_edge_permutations(monkeypatch)
+    built = _count_orbit_walks(monkeypatch)
     cid = "gamma-le-3-degree"
     by_class = verify_claim(cid, ("enumerate", 3))
     labeled = verify_claim(cid, ("graphs", tuple(iter_labeled_graphs(3))))
@@ -258,15 +255,26 @@ def test_import_leaves_the_class_table_unloaded():
     assert out.stdout == "False\nTrue\n"
 
 
+def test_plain_changes_visit_every_order_by_adjacent_swaps():
+    for n in range(9):
+        steps, order = plain_changes(n), list(range(n))
+        seen = {tuple(order)}
+        for i in steps:
+            assert 0 <= i < n - 1
+            order[i], order[i + 1] = order[i + 1], order[i]
+            seen.add(tuple(order))
+        assert len(steps) == len(seen) - 1 == math.factorial(n) - 1, n
+
+
 def test_orbits_partition_the_labeled_graphs():
     for n in range(6):
-        perms, classes = EdgePermutations(n), isomorphism_classes(n)
+        walk, classes = orbit_walk(n), isomorphism_classes(n)
         owner = {}
         for rep, size in classes:
-            orbit = perms.orbit(rep)
-            assert len(orbit) == size
-            assert min(orbit) == rep
-            for mask in orbit:
+            masks = orbit(rep, walk)
+            assert len(masks) == size
+            assert min(masks) == rep
+            for mask in masks:
                 assert mask not in owner
                 owner[mask] = rep
         assert sorted(owner) == list(range(1 << (n * (n - 1) // 2)))
@@ -281,27 +289,26 @@ def _relabel_masks(g: Graph) -> set[int]:
 
 def test_orbits_are_the_relabelings():
     for n in range(6):
-        perms, classes = EdgePermutations(n), isomorphism_classes(n)
+        walk, classes = orbit_walk(n), isomorphism_classes(n)
         for rep, _ in classes:
             g = graph_from_edge_mask(n, rep)
             assert _edge_mask(g) == rep
-            assert perms.orbit(rep) == _relabel_masks(g)
+            assert orbit(rep, walk) == _relabel_masks(g)
 
 
 @pytest.mark.parametrize(
     "n, masks",
     [
-        # 16-bit fields: the complete graph sets every bit of the field
+        # the top pair, the top and bottom pairs, every pair, mixed masks
         (6, (1 << 14, (1 << 15) - 1, 0b101100111000101)),
-        # 32-bit fields, with bits on both sides of the 16-bit boundary
         (7, (1 << 20 | 1, (1 << 21) - 1, 0b110010100111000010110)),
         (8, (1 << 27 | 1 << 16 | 1 << 3,)),
     ],
 )
-def test_orbits_are_the_relabelings_across_field_widths(n, masks):
-    perms = EdgePermutations(n)
+def test_orbits_are_the_relabelings_past_order_5(n, masks):
+    walk = orbit_walk(n)
     for mask in masks:
-        assert perms.orbit(mask) == _relabel_masks(graph_from_edge_mask(n, mask))
+        assert orbit(mask, walk) == _relabel_masks(graph_from_edge_mask(n, mask))
 
 
 def _outcome(claim: Claim, f: Facts):
@@ -318,14 +325,14 @@ def test_claim_outcomes_are_isomorphism_invariant():
     # what the class scan relies on: one labeled copy decides every claim
     # for its whole class
     for n in range(6):
-        perms, classes = EdgePermutations(n), isomorphism_classes(n)
+        walk, classes = orbit_walk(n), isomorphism_classes(n)
         for rep, _ in classes:
             outcomes = {
                 tuple(
                     _outcome(c, Facts(graph_from_edge_mask(n, mask)))
                     for c in CLAIMS.values()
                 )
-                for mask in perms.orbit(rep)
+                for mask in orbit(rep, walk)
             }
             assert len(outcomes) == 1, (n, rep, outcomes)
 

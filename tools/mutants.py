@@ -1,8 +1,8 @@
 """Hand-made mutants of the solver, criticality and graph kernels, of
 ``Facts``, of the enumeration guard, the class table reader and scan loop,
-of the ``gamma4`` degree routes, of the graph6 codec, of the one graph6 reader
-and the ``gen`` order check, and of the harness claim checks, and the tests
-that must catch them.
+of the ``gamma4`` degree routes, of the graph6 codec and orbit walk, of the
+one graph6 reader and the ``gen`` order check, and of the harness claim
+checks, and the tests that must catch them.
 
     python3 tools/mutants.py               # every mutant
     python3 tools/mutants.py NAME ...      # the named ones
@@ -92,6 +92,8 @@ T_GUARDS = "tests/test_harness.py::test_enumeration_guards"
 T_TABLE_ORDERS = "tests/test_harness.py::test_class_table_orders"
 T_LABELED_SCAN = "tests/test_harness.py::test_class_scan_matches_labeled_scan"
 T_ORBITS = "tests/test_harness.py::test_orbits_are_the_relabelings"
+T_ORBITS_PAST5 = "tests/test_harness.py::test_orbits_are_the_relabelings_past_order_5"
+T_PLAIN = "tests/test_harness.py::test_plain_changes_visit_every_order_by_adjacent_swaps"
 T_GUARD_EXPANSION = "tests/test_harness.py::test_class_scan_expands_guard_errors"
 T_NO_EXPANSION = "tests/test_harness.py::test_scan_without_expansion_builds_no_permutations"
 T_SIZE_ONE = "tests/test_harness.py::test_size_one_classes_never_expand"
@@ -827,16 +829,39 @@ MUTANTS = (
     Mutant(
         "class-scan-expands-the-representative-only",
         HARNESS,
-        "        for mask in sorted(perms.orbit(edge_mask(g))):\n",
-        "        for mask in sorted(perms.orbit(edge_mask(g)))[:1]:\n",
+        "        for mask in sorted(orbit(edge_mask(g), walk)):\n",
+        "        for mask in sorted(orbit(edge_mask(g), walk))[:1]:\n",
         (T_LABELED_SCAN,),
     ),
+    # the orbit walk in graph6.py: the pair layout it swaps, its steps, and
+    # the plain-changes order behind them
     Mutant(
         "edge-permutations-row-major-pairs",
-        HARNESS,
-        "        pairs = [(i, j) for j in range(n) for i in range(j)]\n",
-        "        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]\n",
+        GRAPH6,
+        "        near = sum(1 << (j * (j - 1) // 2 + i) for j in range(i + 2, n))\n",
+        "        near = sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1) for j in range(i + 2, n))\n",
         (T_ORBITS, T_TABLE_SWEEP),
+    ),
+    Mutant(
+        "orbit-walk-drops-its-last-step",
+        GRAPH6,
+        "    return [swaps[i] for i in plain_changes(n)]\n",
+        "    return [swaps[i] for i in plain_changes(n)][:-1]\n",
+        (T_TABLE_SWEEP, T_ORBITS_PAST5),
+    ),
+    Mutant(
+        "orbit-walk-near-swaps-from-column-i-plus-1",
+        GRAPH6,
+        "        near = sum(1 << (j * (j - 1) // 2 + i) for j in range(i + 2, n))\n",
+        "        near = sum(1 << (j * (j - 1) // 2 + i) for j in range(i + 1, n))\n",
+        (T_ORBITS, T_TABLE_SWEEP),
+    ),
+    Mutant(
+        "plain-changes-sweeps-one-way",
+        GRAPH6,
+        "            steps.extend(right)\n",
+        "            steps.extend(left)\n",
+        (T_PLAIN,),
     ),
     # the gamma4 degree routes
     Mutant(
